@@ -27,8 +27,11 @@ from .channel import (
     Interval,
     Query,
     ThresholdGE,
+    ThresholdGT,
     ThresholdLE,
+    ThresholdLT,
     Transcript,
+    UniformThreshold,
     evaluate_query,
     query,
     query_probability,

@@ -1,15 +1,17 @@
 """The 1-bit interaction protocol: the learner sees bits, never samples.
 
-Each query consumes exactly one fresh sample on the agent side, and every bit
-crosses the interface through a Transcript so budgets are accounted exactly.
-Two response paths exist:
+Every query is a value (one of the ``Query`` kinds below).  Each query
+consumes exactly one fresh sample on the agent side, and every bit crosses the
+interface through a Transcript so budgets are accounted exactly.  The Agent
+answers n repetitions of any query through one of two paths:
 
-* bit level -- one fresh sample per call, the literal protocol;
-* aggregated -- for n repetitions of an i.i.d. query group the agent draws the
-  number of 1-bits as a single Binomial(n, p) variate, with p computed from
-  the distribution's analytic CDF.  This is distributionally identical to the
-  bit-level path (the n bits are i.i.d. Bernoulli(p)) and is what makes the
-  million-query experiments tractable.
+* ``respond_bits`` -- bit level, one fresh sample per bit, the literal
+  protocol and the reference the aggregated path is tested against;
+* ``respond_count`` -- aggregated, the number of 1-bits as a single
+  Binomial(n, p) variate, with p computed from the distribution's analytic
+  CDF.  This is distributionally identical to the bit-level path (the n bits
+  are i.i.d. Bernoulli(p)) and is what makes the million-query experiments
+  tractable.
 
 The raw sample values never leave the Agent in either path.
 """
@@ -25,9 +27,12 @@ from .distributions import Distribution
 
 __all__ = [
     "ThresholdGE",
+    "ThresholdGT",
     "ThresholdLE",
+    "ThresholdLT",
     "Interval",
     "GrayBit",
+    "UniformThreshold",
     "Query",
     "evaluate_query",
     "query_probability",
@@ -36,7 +41,6 @@ __all__ = [
     "Transcript",
     "query",
     "repeated_fraction",
-    "fraction_uniform_threshold",
 ]
 
 
@@ -48,8 +52,22 @@ class ThresholdGE:
 
 
 @dataclass(frozen=True)
+class ThresholdGT:
+    """Bit 1 iff x > gamma."""
+
+    gamma: float
+
+
+@dataclass(frozen=True)
 class ThresholdLE:
     """Bit 1 iff x <= gamma."""
+
+    gamma: float
+
+
+@dataclass(frozen=True)
+class ThresholdLT:
+    """Bit 1 iff x < gamma."""
 
     gamma: float
 
@@ -85,7 +103,27 @@ class GrayBit:
             raise ValueError(f"Gray bit scale must be positive, got {self.scale}")
 
 
-Query = ThresholdGE | ThresholdLE | Interval | GrayBit
+@dataclass(frozen=True)
+class UniformThreshold:
+    """Bit 1 iff x >= T (direction 'ge') or x <= T ('le').
+
+    The cutoff T ~ Uniform(lo, hi) is drawn afresh for every repetition,
+    independently of the sample, so repeated bits stay i.i.d.
+    """
+
+    direction: str
+    lo: float
+    hi: float
+
+    def __post_init__(self):
+        if self.direction not in ("ge", "le"):
+            raise ValueError(f"direction must be 'ge' or 'le', got {self.direction!r}")
+        if not self.hi > self.lo:
+            raise ValueError(f"uniform threshold needs lo < hi, got [{self.lo}, {self.hi}]")
+
+
+Query = ThresholdGE | ThresholdGT | ThresholdLE | ThresholdLT | Interval | GrayBit \
+    | UniformThreshold
 
 
 def _gray_value(level: int, u) -> np.ndarray:
@@ -95,12 +133,20 @@ def _gray_value(level: int, u) -> np.ndarray:
 
 
 def evaluate_query(q: Query, x) -> np.ndarray:
-    """Apply the quantization function to sample value(s); returns 0/1."""
+    """Apply the quantization function to sample value(s); returns 0/1.
+
+    A ``UniformThreshold`` has no fixed quantization function: only the Agent,
+    which draws its cutoffs, can answer it.
+    """
     x = np.asarray(x, dtype=float)
     if isinstance(q, ThresholdGE):
         bits = (x >= q.gamma).astype(np.int64)
+    elif isinstance(q, ThresholdGT):
+        bits = (x > q.gamma).astype(np.int64)
     elif isinstance(q, ThresholdLE):
         bits = (x <= q.gamma).astype(np.int64)
+    elif isinstance(q, ThresholdLT):
+        bits = (x < q.gamma).astype(np.int64)
     elif isinstance(q, Interval):
         bits = ((x >= q.lo) & (x <= q.hi)).astype(np.int64)
     elif isinstance(q, GrayBit):
@@ -114,12 +160,18 @@ def query_probability(dist: Distribution, q: Query) -> float:
     """Pr(bit = 1) under the distribution, from its analytic CDF."""
     if isinstance(q, ThresholdGE):
         p = 1.0 - float(dist.cdf_strict(q.gamma))
+    elif isinstance(q, ThresholdGT):
+        p = 1.0 - float(dist.cdf(q.gamma))
     elif isinstance(q, ThresholdLE):
         p = float(dist.cdf(q.gamma))
+    elif isinstance(q, ThresholdLT):
+        p = float(dist.cdf_strict(q.gamma))
     elif isinstance(q, Interval):
         p = dist.prob_interval(q.lo, q.hi)
     elif isinstance(q, GrayBit):
         p = _gray_probability(dist, q)
+    elif isinstance(q, UniformThreshold):
+        p = uniform_threshold_probability(dist, q.direction, q.lo, q.hi)
     else:
         raise TypeError(f"unknown query type: {q!r}")
     return min(max(p, 0.0), 1.0)  # guard float cancellation in tail differences
@@ -207,12 +259,20 @@ class Transcript:
             for phase, q, bit in self.entries:
                 if isinstance(q, ThresholdGE):
                     row = (phase, "threshold_ge", q.gamma, "", bit)
+                elif isinstance(q, ThresholdGT):
+                    row = (phase, "threshold_gt", q.gamma, "", bit)
                 elif isinstance(q, ThresholdLE):
                     row = (phase, "threshold_le", q.gamma, "", bit)
+                elif isinstance(q, ThresholdLT):
+                    row = (phase, "threshold_lt", q.gamma, "", bit)
                 elif isinstance(q, Interval):
                     row = (phase, "interval", q.lo, q.hi, bit)
-                else:
+                elif isinstance(q, GrayBit):
                     row = (phase, "gray_bit", q.level, q.shift, bit)
+                elif isinstance(q, UniformThreshold):
+                    row = (phase, f"uniform_threshold_{q.direction}", q.lo, q.hi, bit)
+                else:
+                    raise TypeError(f"unknown query type: {q!r}")
                 fh.write(",".join(str(v) for v in row) + "\n")
 
 
@@ -224,26 +284,20 @@ class Agent:
         self._rng = rng
         self._prob_cache: dict = {}
 
-    def respond(self, q: Query) -> int:
-        x = self._distribution.sample(self._rng)
-        return int(evaluate_query(q, x))
-
     def respond_bits(self, q: Query, n: int) -> np.ndarray:
-        """n independent bits for the same query, one fresh sample each."""
+        """n independent bits for the same query, one fresh sample each.
+
+        A ``UniformThreshold``'s n cutoffs come from the agent's own generator,
+        independent of the samples, so the bits are still i.i.d. Bernoulli(p).
+        """
         if n < 1:
             raise ValueError("need at least one query")
         x = self._distribution.sample(self._rng, size=n)
+        if isinstance(q, UniformThreshold):
+            cutoffs = self._rng.uniform(q.lo, q.hi, n)
+            hits = x >= cutoffs if q.direction == "ge" else x <= cutoffs
+            return hits.astype(np.int64)
         return np.asarray(evaluate_query(q, x))
-
-    def respond_threshold_bits(self, direction: str, gammas: np.ndarray) -> np.ndarray:
-        """One bit per supplied threshold, each against a fresh sample."""
-        gammas = np.asarray(gammas, dtype=float)
-        x = self._distribution.sample(self._rng, size=gammas.size)
-        if direction == "ge":
-            return (x >= gammas).astype(np.int64)
-        if direction == "le":
-            return (x <= gammas).astype(np.int64)
-        raise ValueError(f"direction must be 'ge' or 'le', got {direction!r}")
 
     def respond_count(self, q: Query, n: int) -> int:
         """Number of 1-bits among n repetitions of the query (exact Binomial)."""
@@ -257,20 +311,13 @@ class Agent:
 
     def respond_count_uniform_threshold(self, direction: str, lo: float,
                                         hi: float, n: int) -> int:
-        """1-bit count for n threshold queries with i.i.d. Uniform(lo, hi) cutoffs."""
-        if n < 1:
-            raise ValueError("need at least one query")
-        key = (direction, lo, hi)
-        p = self._prob_cache.get(key)
-        if p is None:
-            p = uniform_threshold_probability(self._distribution, direction, lo, hi)
-            self._prob_cache[key] = p
-        return int(self._rng.binomial(n, p))
+        """Delegates to ``respond_count``; kept only for perfbench's tracer."""
+        return self.respond_count(UniformThreshold(direction, lo, hi), n)
 
 
 def query(agent: Agent, q: Query, transcript: Transcript) -> int:
     """Send one quantization function, receive one bit, account for it."""
-    bit = agent.respond(q)
+    bit = int(agent.respond_bits(q, 1)[0])
     transcript.record(q, bit)
     return bit
 
@@ -280,15 +327,5 @@ def repeated_fraction(agent: Agent, q: Query, m: int, transcript: Transcript) ->
     if m < 1:
         raise ValueError("need at least one repetition")
     ones = agent.respond_count(q, m)
-    transcript.record_batch(m)
-    return ones / m
-
-
-def fraction_uniform_threshold(agent: Agent, direction: str, lo: float, hi: float,
-                               m: int, transcript: Transcript) -> float:
-    """Empirical mean of m bits whose thresholds are i.i.d. Uniform(lo, hi)."""
-    if m < 1:
-        raise ValueError("need at least one repetition")
-    ones = agent.respond_count_uniform_threshold(direction, lo, hi, m)
     transcript.record_batch(m)
     return ones / m

@@ -56,6 +56,9 @@ class FamilyParams:
     def __post_init__(self):
         if not self.k > 1:
             raise ValueError(f"moment order k must exceed 1, got {self.k}")
+        if not (math.isfinite(self.lam) and math.isfinite(self.sigma)):
+            raise ValueError(f"lam and sigma must be finite, got lam={self.lam}, "
+                             f"sigma={self.sigma}")
         if not self.sigma > 0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
         if self.lam < self.sigma:
@@ -121,10 +124,6 @@ class Distribution:
         inner_prob = float(self.cdf(center + t)) - float(self.cdf_strict(center - t))
         total = self.mean() - center
         return total - (inner_mean - center * inner_prob)
-
-    def tail_weight(self, center: float, t: float) -> float:
-        """Pr(|X - center| >= t)."""
-        return 1.0 - (float(self.cdf_strict(center + t)) - float(self.cdf(center - t)))
 
 
 class DiscreteMixture(Distribution):

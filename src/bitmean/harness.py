@@ -20,10 +20,11 @@ from typing import Callable
 import numpy as np
 from scipy.stats import beta
 
-from .channel import Agent, Transcript
+from .channel import Agent
 from .distributions import Distribution, FamilyParams, make_discrete, \
     make_gaussian_budget_tight, make_point_mass, make_two_sided_pareto, validate_family
-from .hardness import make_k2_pair, make_pair_grid, nonadaptive_baseline, verify_kl_bound
+from .hardness import PairGrid, make_k2_pair, make_pair_grid, nonadaptive_baseline, \
+    verify_kl_bound
 from .localization import gray_change_points, gray_decode, gray_bit_value, \
     localize_gray, localize_median
 from .refine import analytic_region_mean, build_plan, estimate_mean, predict_cost
@@ -154,11 +155,26 @@ def _resolve_fixture(config: ExperimentConfig) -> Fixture:
     return matrix[config.fixture]
 
 
-def _map_trials(fn: Callable[[int], tuple], trials: int, threads: int) -> list[tuple]:
-    if threads <= 1:
-        return [fn(i) for i in range(trials)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(trials)))
+def _run_trials(config: ExperimentConfig, exp_id: str, source: Distribution | PairGrid,
+                body: Callable[[int, Agent, Distribution], object]) -> list:
+    """One row per trial: ``body(trial, agent, dist)`` on the trial's own stream.
+
+    ``source`` is either the trial distribution or a pair grid; from a grid
+    each trial first draws a uniform member (pair index, then sign) from its
+    stream, and the agent answers from the rest of that stream.
+    """
+    def one(trial: int):
+        rng = trial_rng(config.seed, exp_id, trial)
+        dist = source
+        if isinstance(source, PairGrid):
+            j = int(rng.integers(1, source.n_pairs + 1))
+            dist = source.member(j, 1 if rng.random() < 0.5 else -1)
+        return body(trial, Agent(dist, rng), dist)
+
+    if config.threads <= 1:
+        return [one(i) for i in range(config.trials)]
+    with ThreadPoolExecutor(max_workers=config.threads) as pool:
+        return list(pool.map(one, range(config.trials)))
 
 
 def write_csv(path: str | None, header: list[str], rows: list[tuple]) -> str:
@@ -186,18 +202,15 @@ def run_pac(config: ExperimentConfig):
     exp_id = f"pac/{fixture.name}/{config.eps}/{config.delta}/{config.profile}"
     mu_true = fixture.mean
 
-    def one(trial: int):
-        rng = trial_rng(config.seed, exp_id, trial)
-        agent = Agent(fixture.dist, rng)
-        transcript = Transcript()
+    def body(trial: int, agent: Agent, dist: Distribution):
         report = estimate_mean(agent, fixture.params, config.eps, config.delta,
-                               profile=config.profile, transcript=transcript)
+                               profile=config.profile)
         err = abs(report.mu_hat - mu_true)
         return (fixture.name, trial, config.seed, mu_true, report.mu_hat, err,
                 config.eps, int(err <= config.eps), report.n_localization,
                 report.n_refinement, report.n_total)
 
-    rows = _map_trials(one, config.trials, config.threads)
+    rows = _run_trials(config, exp_id, fixture.dist, body)
     successes = sum(r[7] for r in rows)
     header = ["fixture", "trial", "seed", "mu_true", "mu_hat", "abs_err", "eps",
               "success", "n_loc", "n_ref", "n_total"]
@@ -238,14 +251,12 @@ def run_localize(config: ExperimentConfig):
     mu_true = fixture.mean
     localizer = localize_median if config.method == "median" else localize_gray
 
-    def one(trial: int):
-        rng = trial_rng(config.seed, exp_id, trial)
-        agent = Agent(fixture.dist, rng)
+    def body(trial: int, agent: Agent, dist: Distribution):
         res = localizer(agent, fixture.params, config.delta)
         covered = int(res.low <= mu_true <= res.high)
         return (trial, res.low, res.high, res.center, covered, res.samples_used)
 
-    rows = _map_trials(one, config.trials, config.threads)
+    rows = _run_trials(config, exp_id, fixture.dist, body)
     header = ["trial", "low", "high", "center", "covered", "samples"]
     text = write_csv(config.out, header, rows)
     coverage = sum(r[4] for r in rows) / config.trials
@@ -265,34 +276,18 @@ def run_gap(config: ExperimentConfig):
     budgets = tuple(config.budgets) or (adaptive_cost,)
     exp_id = f"gap/{config.lam}/{config.eps}/{config.delta}"
 
-    def adaptive_one(trial: int):
-        rng = trial_rng(config.seed, exp_id + "/adaptive", trial)
-        j = int(rng.integers(1, grid.n_pairs + 1))
-        sign = 1 if rng.random() < 0.5 else -1
-        dist = grid.member(j, sign)
-        agent = Agent(dist, rng)
-        report = estimate_mean(agent, params, config.eps, config.delta,
-                               profile=config.profile)
-        return (int(abs(report.mu_hat - dist.mean()) <= config.eps), report.n_total)
+    def success_rate(stream: str, estimate: Callable[[Agent], float]) -> float:
+        hits = _run_trials(config, f"{exp_id}/{stream}", grid, lambda trial, agent, dist:
+                           abs(estimate(agent) - dist.mean()) <= config.eps)
+        return sum(hits) / config.trials
 
-    adaptive = _map_trials(adaptive_one, config.trials, config.threads)
-    rows = [("adaptive", adaptive_cost,
-             sum(s for s, _ in adaptive) / config.trials, config.trials)]
-
+    rate = success_rate("adaptive", lambda agent: estimate_mean(
+        agent, params, config.eps, config.delta, profile=config.profile).mu_hat)
+    rows = [("adaptive", adaptive_cost, rate, config.trials)]
     for budget in budgets:
-        def baseline_one(trial: int, budget=budget):
-            rng = trial_rng(config.seed, exp_id + f"/baseline/{budget}", trial)
-            j = int(rng.integers(1, grid.n_pairs + 1))
-            sign = 1 if rng.random() < 0.5 else -1
-            dist = grid.member(j, sign)
-            agent = Agent(dist, rng)
-            est = nonadaptive_baseline(agent, config.lam, config.sigma, config.eps,
-                                       budget)
-            return (int(abs(est.mu_hat - dist.mean()) <= config.eps),)
-
-        base = _map_trials(baseline_one, config.trials, config.threads)
-        rows.append(("nonadaptive", budget,
-                     sum(s for s, in base) / config.trials, config.trials))
+        rate = success_rate(f"baseline/{budget}", lambda agent: nonadaptive_baseline(
+            agent, config.lam, config.sigma, config.eps, budget).mu_hat)
+        rows.append(("nonadaptive", budget, rate, config.trials))
 
     header = ["estimator", "budget", "success_rate", "trials"]
     text = write_csv(config.out, header, rows)
@@ -304,16 +299,14 @@ def run_anytime(config: ExperimentConfig):
     exp_id = f"anytime/{fixture.name}/{config.delta}/{config.budget}"
     mu_true = fixture.mean
 
-    def one(trial: int):
-        rng = trial_rng(config.seed, exp_id, trial)
-        agent = Agent(fixture.dist, rng)
+    def body(trial: int, agent: Agent, dist: Distribution):
         res = anytime_estimate(agent, fixture.params, config.delta, config.budget,
                                profile=config.profile)
         err = abs(res.mu_hat - mu_true)
         return (trial, res.rounds_completed, res.eps_achieved, res.mu_hat, err,
                 res.n_total, config.budget, int(res.n_total <= config.budget))
 
-    rows = _map_trials(one, config.trials, config.threads)
+    rows = _run_trials(config, exp_id, fixture.dist, body)
     header = ["trial", "rounds", "eps_achieved", "mu_hat", "abs_err", "n_total",
               "budget", "within_budget"]
     text = write_csv(config.out, header, rows)
@@ -327,9 +320,7 @@ def run_scale_adapt(config: ExperimentConfig):
     sigma_true = fixture.dist.abs_central_moment(
         fixture.params.operative_k) ** (1.0 / fixture.params.operative_k)
 
-    def one(trial: int):
-        rng = trial_rng(config.seed, exp_id, trial)
-        agent = Agent(fixture.dist, rng)
+    def body(trial: int, agent: Agent, dist: Distribution):
         res = unknown_scale_estimate(agent, config.k, config.lam, config.sigma_min,
                                      config.sigma_max, config.ratio, config.delta,
                                      profile=config.profile)
@@ -338,7 +329,7 @@ def run_scale_adapt(config: ExperimentConfig):
         return (trial, res.chosen_round, int(res.halted_early), res.mu_hat, err,
                 success, res.n_total)
 
-    rows = _map_trials(one, config.trials, config.threads)
+    rows = _run_trials(config, exp_id, fixture.dist, body)
     header = ["trial", "chosen_round", "halted_early", "mu_hat", "abs_err",
               "success", "n_total"]
     text = write_csv(config.out, header, rows)
@@ -404,7 +395,7 @@ def run_verify(sigma: float = 1.0, lam: float = 16.0,
     kl = verify_kl_bound(k2)
     report.check_le("k2/kl_bound", kl.max_kl, kl.bound + 1e-15)
 
-    # decomposition identity on boundary-safe discrete fixtures
+    # decomposition identity on discrete fixtures
     grid = make_pair_grid(lam, sigma, sigma / 10.0)
     mid = (grid.n_pairs + 1) // 2
     for label, dist, center in [
@@ -412,6 +403,9 @@ def run_verify(sigma: float = 1.0, lam: float = 16.0,
         ("pair_mid_off", grid.member(mid, 1), grid.centers[mid - 1] - sigma / 2.0),
         ("three_point", make_discrete([-1.8 * sigma, 0.0, 1.8 * sigma],
                                       [0.25, 0.5, 0.25]), 0.0),
+        # atoms on the shared cell endpoints +-2 sigma and +-4 sigma
+        ("endpoint_atoms", make_discrete([-4.0 * sigma, -2.0 * sigma, 0.0, 2.0 * sigma,
+                                          4.0 * sigma], [0.15, 0.1, 0.4, 0.2, 0.15]), 0.0),
     ]:
         params = FamilyParams(2.0, lam, sigma)
         for eps in (sigma / 4.0, sigma / 8.0, sigma / 16.0):

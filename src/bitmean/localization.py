@@ -55,6 +55,7 @@ class LocalizationResult:
     center: float
     samples_used: int
     method: str
+    rounds: int  # sequential decision points (rounds of adaptivity) used
 
     @property
     def length(self) -> float:
@@ -139,6 +140,7 @@ def localize_median(agent: Agent, params: FamilyParams, delta: float,
         center=(low + high) / 2.0,
         samples_used=2 * levels * votes,
         method="median",
+        rounds=2 * levels,
     )
 
 
@@ -250,7 +252,7 @@ def localize_gray(agent: Agent, params: FamilyParams, delta: float,
     plan = gray_plan(params, delta)
     if plan is None:
         return LocalizationResult(low=-params.lam, high=params.lam, center=0.0,
-                                  samples_used=0, method="gray-bypass")
+                                  samples_used=0, method="gray-bypass", rounds=0)
 
     bits = []
     for level in range(1, plan.n_bits + 1):
@@ -270,4 +272,5 @@ def localize_gray(agent: Agent, params: FamilyParams, delta: float,
         center=(low + high) / 2.0,
         samples_used=plan.total_queries,
         method="gray",
+        rounds=1,
     )

@@ -9,14 +9,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
-from .channel import Agent, ThresholdGE, ThresholdLE, Transcript, query_probability, \
-    uniform_threshold_probability
+from .channel import Agent, Query, ThresholdGE, ThresholdGT, ThresholdLE, ThresholdLT, \
+    Transcript, UniformThreshold, query_probability
 from .distributions import Distribution, FamilyParams
-from .localization import LocalizationResult, localize_median, median_search_cost, \
-    median_search_levels
+from .localization import LocalizationResult, localize_median, median_search_cost
 
 __all__ = [
     "ALLOCATION_PROFILES",
@@ -29,9 +29,13 @@ __all__ = [
     "EstimateReport",
     "CostBreakdown",
     "build_plan",
+    "region_queries",
+    "query_table",
     "estimate_region",
     "base_estimate",
     "refine_from_center",
+    "run_pipeline",
+    "pipeline_cost",
     "estimate_mean",
     "predict_cost",
     "analytic_region_probs",
@@ -88,8 +92,11 @@ def cutoff_threshold(params: FamilyParams, eps: float) -> float:
 class Region:
     """One cell of the dyadic partition, in shifted coordinates.
 
-    ``inner``/``outer`` are the magnitudes m_{|i|-1} sigma and m_{|i|} sigma;
-    the actual cell is sign(index) * [inner, outer).
+    ``inner``/``outer`` are the magnitudes m_{|i|-1} sigma and m_{|i|} sigma.
+    The cell is (inner, outer] for index >= 2 and [-outer, -inner) for index
+    <= -2, so neighbouring cells share no endpoint; the two center cells are
+    [0, outer] and [-outer, 0], which share only the center, where the
+    integrand y vanishes.  ``bounds`` gives the closure of the cell.
     """
 
     index: int
@@ -154,12 +161,14 @@ def build_plan(params: FamilyParams, eps: float, delta: float,
         i: math.ceil(c * (sigma / eps) ** 2 * 2.0 ** (i * (2.0 - k)))
         for i in range(1, i_max + 1)
     }
+    n_max = max(n_by_magnitude.values())
+    if n_max > np.iinfo(np.int64).max:
+        raise ValueError(
+            f"eps={eps} needs n_i={n_max} queries in one region, beyond int64"
+        )
     batches = math.ceil(8.0 * math.log(2.0 / delta))
-    regions = []
-    for i, inner, outer in _region_magnitudes(sigma, i_max):
-        regions.append(Region(index=i, inner=inner, outer=outer))
-    for i, inner, outer in _region_magnitudes(sigma, i_max):
-        regions.append(Region(index=-i, inner=inner, outer=outer))
+    regions = [Region(index=side * i, inner=inner, outer=outer)
+               for side in (1, -1) for i, inner, outer in _region_magnitudes(sigma, i_max)]
     return RefinementPlan(
         t=t, i_max=i_max, regions=tuple(regions), n_by_magnitude=n_by_magnitude,
         batches=batches, profile=profile, params=params, eps=eps,
@@ -175,77 +184,76 @@ class RegionEstimate:
     samples: int
 
 
-def estimate_region(agent: Agent, region: Region, n: int, center: float,
-                    rng: np.random.Generator | None = None,
+def region_queries(region: Region, center: float) -> tuple[Query, Query, Query, Query]:
+    """The region's four queries, in original coordinates around ``center``.
+
+    With Y = X - center and T ~ Uniform(a, b), a right region (a, b] uses
+
+        f1 = 1(Y > a),   f2 = 1(Y >= T),   f3 = 1(Y <= b),   f4 = 1(Y <= T),
+
+    so E[f1 - f2] = E[1(a < Y <= b) Pr(T > Y)] = p_a and E[f3 - f4] =
+    E[1(a < Y <= b) Pr(T < Y)] = p_b, and y = a Pr(T > y) + b Pr(T < y) on
+    [a, b] gives a p_a + b p_b = E[Y 1(a < Y <= b)].  Left regions mirror this
+    onto [-b, -a).  The inner endpoint is strict so an atom on a cell boundary
+    is counted once; regions +-1 keep f1 closed at the center, where a = 0.
+    """
+    a, b = region.inner, region.outer
+    if region.index > 0:
+        lo, hi = center + a, center + b
+        near = ThresholdGE(lo) if region.index == 1 else ThresholdGT(lo)
+        return near, UniformThreshold("ge", lo, hi), ThresholdLE(hi), \
+            UniformThreshold("le", lo, hi)
+    lo, hi = center - b, center - a
+    near = ThresholdLE(hi) if region.index == -1 else ThresholdLT(hi)
+    return near, UniformThreshold("le", lo, hi), ThresholdGE(lo), \
+        UniformThreshold("ge", lo, hi)
+
+
+def query_table(plan: RefinementPlan, center: float) -> tuple[tuple[Query, ...], ...]:
+    """``region_queries`` for every region of the plan, in ``plan.regions`` order."""
+    return tuple(region_queries(region, center) for region in plan.regions)
+
+
+def estimate_region(agent: Agent, region: Region, n: int,
+                    queries: tuple[Query, Query, Query, Query],
                     transcript: Transcript | None = None,
                     bitwise: bool = False) -> RegionEstimate:
-    """Estimate the region's mean contribution with 4n threshold queries.
+    """Estimate the region's mean contribution E[Y 1(Y in cell)] with 4n queries.
 
-    Right regions: p_a = frac(X >= a) - frac(X >= T), p_b = frac(X <= b) -
-    frac(X <= T) with T ~ Uniform(a, b) fresh per query; mu = a p_a + b p_b.
-    Left regions use the mirrored identity.  All thresholds are issued in
-    original coordinates (shifted by ``center``).
-
-    ``bitwise=True`` materializes every threshold draw (needs ``rng`` for the
-    learner's uniform cutoffs); the default draws the four 1-bit counts as
-    exact Binomials.
+    ``queries`` are the region's ``region_queries``; each is repeated n times
+    and mu = sign * (a p_a + b p_b).  ``bitwise=True`` asks the agent for every
+    bit; the default draws the four 1-bit counts as exact Binomials.
     """
     if n < 1:
         raise ValueError("region allocation must be >= 1")
     if transcript is None:
         transcript = Transcript()
-    a, b = region.inner, region.outer
-    if region.index > 0:
-        lo, hi = center + a, center + b
-        if bitwise:
-            if rng is None:
-                raise ValueError("bitwise mode needs the learner's rng for thresholds")
-            f1 = float(np.mean(agent.respond_threshold_bits("ge", np.full(n, lo))))
-            f2 = float(np.mean(agent.respond_threshold_bits("ge", rng.uniform(lo, hi, n))))
-            f3 = float(np.mean(agent.respond_threshold_bits("le", np.full(n, hi))))
-            f4 = float(np.mean(agent.respond_threshold_bits("le", rng.uniform(lo, hi, n))))
-        else:
-            f1 = agent.respond_count(ThresholdGE(lo), n) / n
-            f2 = agent.respond_count_uniform_threshold("ge", lo, hi, n) / n
-            f3 = agent.respond_count(ThresholdLE(hi), n) / n
-            f4 = agent.respond_count_uniform_threshold("le", lo, hi, n) / n
-        p_a = f1 - f2
-        p_b = f3 - f4
-        mu_hat = a * p_a + b * p_b
+    if bitwise:
+        f1, f2, f3, f4 = (float(np.mean(agent.respond_bits(q, n))) for q in queries)
     else:
-        # Mirror: thresholds at center - a, center - b; T ~ U(a, b) maps to a
-        # uniform cutoff on (center - b, center - a).
-        lo, hi = center - b, center - a
-        if bitwise:
-            if rng is None:
-                raise ValueError("bitwise mode needs the learner's rng for thresholds")
-            f1 = float(np.mean(agent.respond_threshold_bits("le", np.full(n, hi))))
-            f2 = float(np.mean(agent.respond_threshold_bits("le", rng.uniform(lo, hi, n))))
-            f3 = float(np.mean(agent.respond_threshold_bits("ge", np.full(n, lo))))
-            f4 = float(np.mean(agent.respond_threshold_bits("ge", rng.uniform(lo, hi, n))))
-        else:
-            f1 = agent.respond_count(ThresholdLE(hi), n) / n
-            f2 = agent.respond_count_uniform_threshold("le", lo, hi, n) / n
-            f3 = agent.respond_count(ThresholdGE(lo), n) / n
-            f4 = agent.respond_count_uniform_threshold("ge", lo, hi, n) / n
-        p_a = f1 - f2
-        p_b = f3 - f4
-        mu_hat = -(a * p_a + b * p_b)
+        f1, f2, f3, f4 = (agent.respond_count(q, n) / n for q in queries)
+    p_a = f1 - f2
+    p_b = f3 - f4
+    mu_hat = region.sign * (region.inner * p_a + region.outer * p_b)
     transcript.record_batch(4 * n)
     return RegionEstimate(index=region.index, p_a_hat=p_a, p_b_hat=p_b,
                           mu_hat=mu_hat, samples=4 * n)
 
 
 def base_estimate(agent: Agent, plan: RefinementPlan, center: float,
-                  rng: np.random.Generator | None = None,
+                  table: tuple[tuple[Query, ...], ...],
                   transcript: Transcript | None = None,
                   bitwise: bool = False) -> float:
-    """Sum of region estimates plus the localization center (one batch)."""
+    """Sum of region estimates plus the localization center (one batch).
+
+    ``table`` is ``query_table(plan, center)``, built once and shared by all
+    batches around the same center.
+    """
     total = center
-    for region in plan.regions:
+    for region, queries in zip(plan.regions, table):
         n = plan.n_by_magnitude[abs(region.index)]
-        est = estimate_region(agent, region, n, center, rng=rng,
-                              transcript=transcript, bitwise=bitwise)
+        est = estimate_region(agent, region, n, queries, transcript=transcript,
+                              bitwise=bitwise)
         total += est.mu_hat
     return total
 
@@ -267,7 +275,6 @@ class EstimateReport:
 
 def refine_from_center(agent: Agent, params: FamilyParams, eps: float, delta: float,
                        center: float, profile: str = "empirical",
-                       rng: np.random.Generator | None = None,
                        transcript: Transcript | None = None,
                        bitwise: bool = False) -> tuple[float, RefinementPlan, tuple[float, ...]]:
     """K batches of the base estimator around ``center``; returns their median."""
@@ -275,58 +282,12 @@ def refine_from_center(agent: Agent, params: FamilyParams, eps: float, delta: fl
         transcript = Transcript()
     transcript.begin_phase("refinement")
     plan = build_plan(params, eps, delta, profile)
+    table = query_table(plan, center)
     values = tuple(
-        base_estimate(agent, plan, center, rng=rng, transcript=transcript, bitwise=bitwise)
+        base_estimate(agent, plan, center, table, transcript=transcript, bitwise=bitwise)
         for _ in range(plan.batches)
     )
     return float(np.median(values)), plan, values
-
-
-def estimate_mean(agent: Agent, params: FamilyParams, eps: float, delta: float,
-                  profile: str = "empirical",
-                  rng: np.random.Generator | None = None,
-                  transcript: Transcript | None = None,
-                  bitwise: bool = False) -> EstimateReport:
-    """The full adaptive estimator: localize, recenter, refine, take the median.
-
-    When eps >= 4 sigma the localization center alone already meets the
-    accuracy target on the localization event, so refinement is skipped.
-    """
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    if not 0 < delta < 1:
-        raise ValueError(f"delta must be in (0, 1), got {delta}")
-    if transcript is None:
-        transcript = Transcript()
-
-    loc = localize_median(agent, params, delta, transcript)
-    # Sequential decision points: one per halving level in each of the two
-    # searches, plus one non-adaptive refinement round.
-    adaptive_rounds = 2 * median_search_levels(params) + 1
-
-    if eps >= SHIFTED_MEAN_BOUND * params.sigma:
-        return EstimateReport(
-            mu_hat=loc.center,
-            n_localization=loc.samples_used,
-            n_refinement=0,
-            rounds_of_adaptivity=adaptive_rounds - 1,
-            localization=loc,
-            plan=None,
-        )
-
-    mu_hat, plan, values = refine_from_center(
-        agent, params, eps, delta, loc.center, profile=profile,
-        rng=rng, transcript=transcript, bitwise=bitwise,
-    )
-    return EstimateReport(
-        mu_hat=mu_hat,
-        n_localization=loc.samples_used,
-        n_refinement=plan.total_samples,
-        rounds_of_adaptivity=adaptive_rounds,
-        localization=loc,
-        plan=plan,
-        batch_values=values,
-    )
 
 
 @dataclass(frozen=True)
@@ -343,18 +304,49 @@ class CostBreakdown:
         return self.localization + self.refinement
 
 
-def predict_cost(params: FamilyParams, eps: float, delta: float,
-                 profile: str = "empirical") -> CostBreakdown:
-    """Closed-form sample counts; matches realized transcripts exactly."""
+def run_pipeline(localize: Callable[..., LocalizationResult], refine_params: FamilyParams,
+                 agent: Agent, params: FamilyParams, eps: float, delta: float,
+                 profile: str = "empirical", transcript: Transcript | None = None,
+                 bitwise: bool = False) -> EstimateReport:
+    """Localize, recenter, refine in one non-adaptive round, take the median.
+
+    ``localize(agent, params, delta, transcript)`` returns the center;
+    refinement runs at ``refine_params``, whose sigma must put that center
+    within 4 sigma of the mean.  When eps >= 4 sigma there the center alone
+    already meets the accuracy target, so refinement is skipped.
+    """
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    loc = median_search_cost(params, delta)
-    if eps >= SHIFTED_MEAN_BOUND * params.sigma:
-        return CostBreakdown(localization=loc, refinement=0, t=None, i_max=0,
+    if not 0 < delta < 1:
+        raise ValueError(f"delta must be in (0, 1), got {delta}")
+    if transcript is None:
+        transcript = Transcript()
+    loc = localize(agent, params, delta, transcript)
+    if eps >= SHIFTED_MEAN_BOUND * refine_params.sigma:
+        return EstimateReport(mu_hat=loc.center, n_localization=loc.samples_used,
+                              n_refinement=0, rounds_of_adaptivity=loc.rounds,
+                              localization=loc, plan=None)
+    mu_hat, plan, values = refine_from_center(
+        agent, refine_params, eps, delta, loc.center, profile=profile,
+        transcript=transcript, bitwise=bitwise,
+    )
+    return EstimateReport(mu_hat=mu_hat, n_localization=loc.samples_used,
+                          n_refinement=plan.total_samples,
+                          rounds_of_adaptivity=loc.rounds + 1, localization=loc,
+                          plan=plan, batch_values=values)
+
+
+def pipeline_cost(localization: int, refine_params: FamilyParams, eps: float,
+                  delta: float, profile: str = "empirical") -> CostBreakdown:
+    """Exact sample counts of ``run_pipeline``, given its localization cost."""
+    if not eps > 0:
+        raise ValueError(f"eps must be positive, got {eps}")
+    if eps >= SHIFTED_MEAN_BOUND * refine_params.sigma:
+        return CostBreakdown(localization=localization, refinement=0, t=None, i_max=0,
                              batches=0, n_per_region={})
-    plan = build_plan(params, eps, delta, profile)
+    plan = build_plan(refine_params, eps, delta, profile)
     return CostBreakdown(
-        localization=loc,
+        localization=localization,
         refinement=plan.total_samples,
         t=plan.t,
         i_max=plan.i_max,
@@ -363,33 +355,36 @@ def predict_cost(params: FamilyParams, eps: float, delta: float,
     )
 
 
+def estimate_mean(agent: Agent, params: FamilyParams, eps: float, delta: float,
+                  profile: str = "empirical",
+                  transcript: Transcript | None = None,
+                  bitwise: bool = False) -> EstimateReport:
+    """The full adaptive estimator: ``run_pipeline`` with the median localizer."""
+    return run_pipeline(localize_median, params, agent, params, eps, delta,
+                        profile=profile, transcript=transcript, bitwise=bitwise)
+
+
+def predict_cost(params: FamilyParams, eps: float, delta: float,
+                 profile: str = "empirical") -> CostBreakdown:
+    """Closed-form sample counts; matches realized ``estimate_mean`` transcripts exactly."""
+    return pipeline_cost(median_search_cost(params, delta), params, eps, delta, profile)
+
+
 # -- analytic oracles for the query identities (test support) ---------------
 
 def analytic_region_probs(dist: Distribution, center: float,
                           region: Region) -> tuple[float, float]:
-    """Exact (p_a, p_b) for the region's four-query scheme."""
-    a, b = region.inner, region.outer
-    if region.index > 0:
-        lo, hi = center + a, center + b
-        p_a = query_probability(dist, ThresholdGE(lo)) \
-            - uniform_threshold_probability(dist, "ge", lo, hi)
-        p_b = query_probability(dist, ThresholdLE(hi)) \
-            - uniform_threshold_probability(dist, "le", lo, hi)
-    else:
-        lo, hi = center - b, center - a
-        p_a = query_probability(dist, ThresholdLE(hi)) \
-            - uniform_threshold_probability(dist, "le", lo, hi)
-        p_b = query_probability(dist, ThresholdGE(lo)) \
-            - uniform_threshold_probability(dist, "ge", lo, hi)
-    return p_a, p_b
+    """Exact (p_a, p_b) for the region's four ``region_queries``."""
+    f1, f2, f3, f4 = (query_probability(dist, q) for q in region_queries(region, center))
+    return f1 - f2, f3 - f4
 
 
 def analytic_region_mean(dist: Distribution, center: float, region: Region) -> float:
-    """Exact expectation of the region estimator: a p_a + b p_b (sign-adjusted).
+    """Exact expectation of the region estimator: sign * (a p_a + b p_b).
 
-    Equals E[(X - center) 1(X - center in the closed cell)]; atoms exactly on
-    a cell endpoint are picked up by the endpoint query that touches them.
+    Equals E[(X - center) 1(X - center in the cell)] for the half-open cells
+    of ``Region``, so an atom on a shared endpoint is counted in exactly one
+    region.
     """
     p_a, p_b = analytic_region_probs(dist, center, region)
-    value = region.inner * p_a + region.outer * p_b
-    return value if region.index > 0 else -value
+    return region.sign * (region.inner * p_a + region.outer * p_b)

@@ -14,8 +14,8 @@ from .channel import Agent, Transcript
 from .distributions import Distribution, FamilyParams
 from .localization import gray_cost, gray_interval_length_bound, localize_gray, \
     localize_median, median_search_cost
-from .refine import EstimateReport, SHIFTED_MEAN_BOUND, build_plan, estimate_mean, \
-    predict_cost, refine_from_center
+from .refine import EstimateReport, estimate_mean, pipeline_cost, predict_cost, \
+    refine_from_center, run_pipeline
 
 __all__ = [
     "BudgetError",
@@ -205,8 +205,8 @@ def unknown_scale_estimate(agent: Agent, k: float, lam: float, sigma_min: float,
     )
 
 
-def _effective_scale_after_gray(params: FamilyParams, delta: float) -> float:
-    """Scale under which the gray interval behaves like an 8-sigma interval.
+def _effective_params_after_gray(params: FamilyParams, delta: float) -> FamilyParams:
+    """Parameters under which the gray interval behaves like an 8-sigma interval.
 
     The gray interval can be up to 3 lam 2^-M long, wider than the 8 sigma the
     refinement constants assume; running refinement with sigma_eff =
@@ -215,17 +215,14 @@ def _effective_scale_after_gray(params: FamilyParams, delta: float) -> float:
     costs stay exactly predictable.
     """
     bound = gray_interval_length_bound(params, delta)
-    return max(params.sigma, bound / 8.0)
+    return replace(params, sigma=max(params.sigma, bound / 8.0))
 
 
 def two_stage_cost(params: FamilyParams, eps: float, delta: float,
                    profile: str = "empirical") -> int:
-    loc = gray_cost(params, delta)
-    sigma_eff = _effective_scale_after_gray(params, delta)
-    params_eff = replace(params, sigma=sigma_eff)
-    if eps >= SHIFTED_MEAN_BOUND * sigma_eff:
-        return loc
-    return loc + build_plan(params_eff, eps, delta, profile).total_samples
+    """Exact query count of ``two_stage_estimate``."""
+    return pipeline_cost(gray_cost(params, delta),
+                         _effective_params_after_gray(params, delta), eps, delta, profile).total
 
 
 def two_stage_estimate(agent: Agent, params: FamilyParams, eps: float, delta: float,
@@ -237,38 +234,8 @@ def two_stage_estimate(agent: Agent, params: FamilyParams, eps: float, delta: fl
     then one fixed batch of refinement queries (all thresholds are determined
     once the center is known, before any refinement response is read).
     """
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    if transcript is None:
-        transcript = Transcript()
-    loc = localize_gray(agent, params, delta, transcript)
-    sigma_eff = _effective_scale_after_gray(params, delta)
-    params_eff = replace(params, sigma=sigma_eff)
-    rounds = 2 if loc.samples_used > 0 else 1
-
-    if eps >= SHIFTED_MEAN_BOUND * sigma_eff:
-        return EstimateReport(
-            mu_hat=loc.center,
-            n_localization=loc.samples_used,
-            n_refinement=0,
-            rounds_of_adaptivity=rounds - 1,
-            localization=loc,
-            plan=None,
-        )
-
-    mu_hat, plan, values = refine_from_center(
-        agent, params_eff, eps, delta, loc.center, profile=profile,
-        transcript=transcript,
-    )
-    return EstimateReport(
-        mu_hat=mu_hat,
-        n_localization=loc.samples_used,
-        n_refinement=plan.total_samples,
-        rounds_of_adaptivity=rounds,
-        localization=loc,
-        plan=plan,
-        batch_values=values,
-    )
+    return run_pipeline(localize_gray, _effective_params_after_gray(params, delta),
+                        agent, params, eps, delta, profile=profile, transcript=transcript)
 
 
 @dataclass(frozen=True)

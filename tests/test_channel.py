@@ -9,8 +9,11 @@ from bitmean.channel import (
     GrayBit,
     Interval,
     ThresholdGE,
+    ThresholdGT,
     ThresholdLE,
+    ThresholdLT,
     Transcript,
+    UniformThreshold,
     evaluate_query,
     query,
     query_probability,
@@ -131,6 +134,36 @@ def test_transcript_entries_hold_queries_and_bits_only(tmp_path):
     assert lines[1].startswith("probe,threshold_ge,0.5")
 
 
+def test_strict_thresholds_exclude_the_atom():
+    d = make_discrete([1.0, 2.0], [0.3, 0.7])
+    expected = {ThresholdGE(1.0): 1.0, ThresholdGT(1.0): 0.7,
+                ThresholdLE(1.0): 0.3, ThresholdLT(1.0): 0.0}
+    for q, p in expected.items():
+        assert query_probability(d, q) == approx(p, abs=1e-15)
+    assert evaluate_query(ThresholdGT(1.0), d.points).tolist() == [0, 1]
+    assert evaluate_query(ThresholdLT(2.0), d.points).tolist() == [1, 0]
+
+
+def test_uniform_threshold_validation():
+    with pytest.raises(ValueError, match="direction"):
+        UniformThreshold("gt", 0.0, 1.0)
+    with pytest.raises(ValueError, match="lo < hi"):
+        UniformThreshold("ge", 1.0, 1.0)
+
+
+def test_transcript_csv_names_every_kind(tmp_path):
+    tr = Transcript(record_entries=True)
+    for q in (ThresholdGT(1.0), ThresholdLT(1.0), UniformThreshold("le", 0.0, 2.0)):
+        tr.record(q, 1)
+    path = tmp_path / "kinds.csv"
+    tr.write_csv(path)
+    kinds = [line.split(",")[1] for line in path.read_text().splitlines()[1:]]
+    assert kinds == ["threshold_gt", "threshold_lt", "uniform_threshold_le"]
+    tr.record(object(), 0)
+    with pytest.raises(TypeError, match="unknown query type"):
+        tr.write_csv(path)
+
+
 def test_binomial_and_bitwise_paths_agree():
     d = make_two_sided_pareto(1.5, 1.0, mu=0.3, alpha=1.9)
     q = ThresholdGE(0.1)
@@ -180,9 +213,8 @@ def test_uniform_threshold_probability_matches_bitwise_simulation():
     lo, hi = 0.0, 2.0
     p = uniform_threshold_probability(d, "ge", lo, hi)
     agent = _agent(d, seed=11)
-    rng = trial_rng(12, "uthresh", 0)
     n = 40000
-    bits = agent.respond_threshold_bits("ge", rng.uniform(lo, hi, n))
+    bits = agent.respond_bits(UniformThreshold("ge", lo, hi), n)
     assert float(np.mean(bits)) == approx(p, abs=4 * math.sqrt(0.25 / n))
 
 

@@ -99,6 +99,14 @@ def test_family_params_validation():
         FamilyParams(k=2.0, lam=4.0, sigma=-1.0)
 
 
+@pytest.mark.parametrize("lam,sigma", [(math.inf, 1.0), (math.nan, 1.0),
+                                       (4.0, math.inf), (4.0, math.nan),
+                                       (math.inf, math.inf)])
+def test_family_params_rejects_non_finite(lam, sigma):
+    with pytest.raises(ValueError, match="finite"):
+        FamilyParams(k=2.0, lam=lam, sigma=sigma)
+
+
 def test_validate_family_point_mass():
     params = FamilyParams(k=2.0, lam=4.0, sigma=1.0)
     assert validate_family(make_point_mass(0.0), params).is_member

@@ -20,6 +20,8 @@ from bitmean.refine import (
     estimate_mean,
     estimate_region,
     predict_cost,
+    query_table,
+    region_queries,
     worst_case_tail_bound,
 )
 
@@ -54,6 +56,19 @@ def test_build_plan_rejects_unknown_profile():
         build_plan(FamilyParams(2.0, 64.0, 1.0), 0.25, 0.1, "fast")
     with pytest.raises(ValueError, match="profile"):
         allocation_constant("fast", 2.0)
+
+
+def test_allocation_beyond_int64_rejected_by_plan_predictor_and_estimator():
+    params = FamilyParams(2.0, 16.0, 1.0)
+    with pytest.raises(ValueError, match="int64"):
+        build_plan(params, 1e-9, 0.2)
+    with pytest.raises(ValueError, match="int64"):
+        predict_cost(params, 1e-9, 0.2)
+    agent = Agent(make_point_mass(0.3), trial_rng(11, "int64", 0))
+    with pytest.raises(ValueError, match="int64"):
+        estimate_mean(agent, params, 1e-9, 0.2)
+    # ten times that eps needs n_1 = 1.6e17, which fits
+    assert predict_cost(params, 1e-8, 0.2).n_per_region[1] < 2 ** 63
 
 
 def test_build_plan_rejects_eps_at_bypass_scale():
@@ -101,7 +116,7 @@ def test_estimate_region_point_mass_outside_is_zero():
     region = Region(index=1, inner=0.0, outer=2.0)
     agent = Agent(dist, trial_rng(0, "regzero", 0))
     for _ in range(5):
-        est = estimate_region(agent, region, 50, 0.0)
+        est = estimate_region(agent, region, 50, region_queries(region, 0.0))
         assert est.mu_hat == 0.0
         assert est.samples == 200
 
@@ -110,7 +125,8 @@ def test_estimate_region_unbiased_monte_carlo():
     dist = make_discrete([-3.0, 1.0], [0.7, 0.3])
     region = Region(index=1, inner=0.0, outer=2.0)
     agent = Agent(dist, trial_rng(1, "regmc", 0))
-    vals = [estimate_region(agent, region, 50, 0.0).mu_hat for _ in range(10_000)]
+    queries = region_queries(region, 0.0)
+    vals = [estimate_region(agent, region, 50, queries).mu_hat for _ in range(10_000)]
     stderr = float(np.std(vals, ddof=1)) / math.sqrt(len(vals))
     assert float(np.mean(vals)) == approx(0.3, abs=4 * stderr)
 
@@ -118,10 +134,10 @@ def test_estimate_region_unbiased_monte_carlo():
 def test_estimate_region_bitwise_matches_fast_path_distribution():
     dist = make_two_sided_pareto(1.5, 1.0, mu=0.3, alpha=1.9)
     region = Region(index=-1, inner=0.0, outer=2.0)
-    rng = trial_rng(2, "regbw", 0)
-    agent = Agent(dist, rng)
-    fast = [estimate_region(agent, region, 80, 0.0).mu_hat for _ in range(4000)]
-    slow = [estimate_region(agent, region, 80, 0.0, rng=rng, bitwise=True).mu_hat
+    agent = Agent(dist, trial_rng(2, "regbw", 0))
+    queries = region_queries(region, 0.0)
+    fast = [estimate_region(agent, region, 80, queries).mu_hat for _ in range(4000)]
+    slow = [estimate_region(agent, region, 80, queries, bitwise=True).mu_hat
             for _ in range(4000)]
     se = math.sqrt(np.var(fast) / 4000 + np.var(slow) / 4000)
     assert float(np.mean(fast)) == approx(float(np.mean(slow)), abs=4 * se)
@@ -135,7 +151,7 @@ def test_base_estimate_point_mass_at_center_is_exact():
     dist = make_point_mass(1.5)
     agent = Agent(dist, trial_rng(3, "basepm", 0))
     for _ in range(5):
-        assert base_estimate(agent, plan, 1.5) == 1.5
+        assert base_estimate(agent, plan, 1.5, query_table(plan, 1.5)) == 1.5
 
 
 def test_base_estimate_unbiased_for_pair_member():
@@ -146,7 +162,8 @@ def test_base_estimate_unbiased_for_pair_member():
     expected = center + math.fsum(
         analytic_region_mean(dist, center, r) for r in plan.regions)
     agent = Agent(dist, trial_rng(4, "basemc", 0))
-    vals = [base_estimate(agent, plan, center) for _ in range(4000)]
+    table = query_table(plan, center)
+    vals = [base_estimate(agent, plan, center, table) for _ in range(4000)]
     stderr = float(np.std(vals, ddof=1)) / math.sqrt(len(vals))
     assert float(np.mean(vals)) == approx(expected, abs=4 * stderr)
     # truncation bias at this cutoff is zero for the two-point member,
@@ -213,18 +230,17 @@ def test_variance_bound_holds_on_moment_saturating_fixture():
     eps = sigma / 4
     plan = build_plan(params, eps, 0.2, "proof-safe")
     agent = Agent(dist, trial_rng(9, "stressvar", 0))
-    vals = [base_estimate(agent, plan, 0.0) for _ in range(2000)]
+    table = query_table(plan, 0.0)
+    vals = [base_estimate(agent, plan, 0.0, table) for _ in range(2000)]
     assert float(np.var(vals, ddof=1)) <= (eps ** 2 / 16) * 1.10
 
 
 def test_estimate_mean_bitwise_end_to_end():
     params = FamilyParams(2.0, 16.0, 1.0)
     dist = make_pair_grid(16.0, 1.0, 0.1).member(9, 1)
-    rng = trial_rng(10, "bitwise_e2e", 0)
-    agent = Agent(dist, rng)
+    agent = Agent(dist, trial_rng(10, "bitwise_e2e", 0))
     tr = Transcript()
-    report = estimate_mean(agent, params, 0.5, 0.2, transcript=tr,
-                           rng=rng, bitwise=True)
+    report = estimate_mean(agent, params, 0.5, 0.2, transcript=tr, bitwise=True)
     assert report.n_total == tr.total == predict_cost(params, 0.5, 0.2).total
     assert abs(report.mu_hat - dist.mean()) <= 0.5
 

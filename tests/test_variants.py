@@ -8,7 +8,7 @@ from bitmean.channel import Agent, Transcript
 from bitmean.distributions import FamilyParams, make_gaussian_budget_tight, \
     make_point_mass
 from bitmean.hardness import make_pair_grid
-from bitmean.harness import trial_rng
+from bitmean.harness import acceptance_matrix, trial_rng
 from bitmean.localization import median_search_cost
 from bitmean.refine import estimate_mean, predict_cost
 from bitmean.variants import (
@@ -159,6 +159,19 @@ def test_two_stage_pac_parity_with_main_estimator():
         wins_two += abs(two_stage_estimate(agent, PARAMS, 0.25, 0.2).mu_hat
                         - dist.mean()) <= 0.25
     assert abs(wins_main - wins_two) <= 5
+
+
+@pytest.mark.parametrize("name", sorted(acceptance_matrix()))
+def test_two_stage_meets_target_on_acceptance_fixtures(name):
+    # k2_null and k2_mixture put an atom on the shared endpoint of regions -2
+    # and -3 around the Gray center; it must be counted once
+    fixture = acceptance_matrix()[name]
+    wins = 0
+    for trial in range(40):
+        agent = Agent(fixture.dist, trial_rng(14, f"ts_matrix/{name}", trial))
+        report = two_stage_estimate(agent, fixture.params, 0.25, 0.2)
+        wins += abs(report.mu_hat - fixture.mean) <= 0.25
+    assert wins >= 0.8 * 40
 
 
 def test_multivariate_single_coordinate_reduces_to_univariate():
