@@ -23,6 +23,7 @@ from .distributions import (
 )
 from .channel import (
     Agent,
+    BitAgent,
     GrayBit,
     Interval,
     Query,
@@ -61,6 +62,7 @@ from .refine import (
     estimate_mean,
     estimate_region,
     predict_cost,
+    refinement_plan,
 )
 from .variants import (
     AnytimeResult,

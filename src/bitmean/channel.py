@@ -7,6 +7,8 @@ answers n repetitions of any query through one of two paths:
 
 * ``respond_bits`` -- bit level, one fresh sample per bit, the literal
   protocol and the reference the aggregated path is tested against;
+  ``BitAgent`` answers ``respond_count`` by summing these bits, so a whole
+  run through it is bit level;
 * ``respond_count`` -- aggregated, the number of 1-bits as a single
   Binomial(n, p) variate, with p computed from the distribution's analytic
   CDF.  This is distributionally identical to the bit-level path (the n bits
@@ -38,6 +40,7 @@ __all__ = [
     "query_probability",
     "uniform_threshold_probability",
     "Agent",
+    "BitAgent",
     "Transcript",
     "query",
     "repeated_fraction",
@@ -313,6 +316,13 @@ class Agent:
                                         hi: float, n: int) -> int:
         """Delegates to ``respond_count``; kept only for perfbench's tracer."""
         return self.respond_count(UniformThreshold(direction, lo, hi), n)
+
+
+class BitAgent(Agent):
+    """The bit-level reference: every count is a sum of ``respond_bits``, one sample per bit."""
+
+    def respond_count(self, q: Query, n: int) -> int:
+        return int(self.respond_bits(q, n).sum())
 
 
 def query(agent: Agent, q: Query, transcript: Transcript) -> int:

@@ -34,6 +34,9 @@ __all__ = [
 
 PROB_TOL = 1e-12
 MOMENT_REL_TOL = 1e-9
+# Beyond this the localization grid's 2 ceil(lam/sigma) sigma-steps exceed
+# 2^53 and its points left_edge + i sigma are no longer exact in float64.
+MAX_LAM_OVER_SIGMA = 2.0 ** 52
 
 
 def operative_order(k: float) -> float:
@@ -64,6 +67,11 @@ class FamilyParams:
         if self.lam < self.sigma:
             raise ValueError(
                 f"search half-width lam={self.lam} must be >= sigma={self.sigma}"
+            )
+        if self.lam / self.sigma > MAX_LAM_OVER_SIGMA:
+            raise ValueError(
+                f"lam/sigma = {self.lam / self.sigma:.6g} exceeds 2^52; the sigma-spaced "
+                f"localization grid is no longer exact in float64"
             )
 
     @property

@@ -252,10 +252,11 @@ def nonadaptive_baseline(agent: Agent, lam: float, sigma: float, eps: float,
         transcript = Transcript()
     transcript.begin_phase("nonadaptive")
     plan = baseline_query_plan(lam, sigma, eps, budget)
-    grid = make_pair_grid(lam, sigma, eps)
+    n_pairs = len(plan) // 2
 
-    presence = np.zeros(grid.n_pairs)
-    sign_frac = np.zeros(grid.n_pairs)
+    presence = np.zeros(n_pairs)
+    sign_frac = np.zeros(n_pairs)
+    centers = [0.0] * n_pairs
     used = 0
     for j, kind, q, m in plan:
         ones = agent.respond_count(q, m)
@@ -265,11 +266,12 @@ def nonadaptive_baseline(agent: Agent, lam: float, sigma: float, eps: float,
             presence[j - 1] = ones / m
         else:
             sign_frac[j - 1] = ones / m
+            centers[j - 1] = q.lo  # the sign interval is [c_j, c_j + sigma]
 
     j_hat = int(np.argmax(presence)) + 1
     sign = 1 if sign_frac[j_hat - 1] >= 0.5 else -1
     return BaselineEstimate(
-        mu_hat=grid.centers[j_hat - 1] + sign * eps,
+        mu_hat=centers[j_hat - 1] + sign * eps,
         pair_index=j_hat,
         sign=sign,
         samples_used=used,

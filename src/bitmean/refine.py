@@ -29,6 +29,7 @@ __all__ = [
     "EstimateReport",
     "CostBreakdown",
     "build_plan",
+    "refinement_plan",
     "region_queries",
     "query_table",
     "estimate_region",
@@ -175,6 +176,19 @@ def build_plan(params: FamilyParams, eps: float, delta: float,
     )
 
 
+def refinement_plan(params: FamilyParams, eps: float, delta: float,
+                    profile: str = "empirical") -> RefinementPlan | None:
+    """The refinement round's plan, fixed by (params, eps, delta) before any query;
+    ``None`` when eps >= 4 sigma, where the localized center alone meets eps."""
+    if not eps > 0:
+        raise ValueError(f"eps must be positive, got {eps}")
+    if not 0 < delta < 1:
+        raise ValueError(f"delta must be in (0, 1), got {delta}")
+    if eps >= SHIFTED_MEAN_BOUND * params.sigma:
+        return None
+    return build_plan(params, eps, delta, profile)
+
+
 @dataclass(frozen=True)
 class RegionEstimate:
     index: int
@@ -216,22 +230,17 @@ def query_table(plan: RefinementPlan, center: float) -> tuple[tuple[Query, ...],
 
 def estimate_region(agent: Agent, region: Region, n: int,
                     queries: tuple[Query, Query, Query, Query],
-                    transcript: Transcript | None = None,
-                    bitwise: bool = False) -> RegionEstimate:
+                    transcript: Transcript | None = None) -> RegionEstimate:
     """Estimate the region's mean contribution E[Y 1(Y in cell)] with 4n queries.
 
-    ``queries`` are the region's ``region_queries``; each is repeated n times
-    and mu = sign * (a p_a + b p_b).  ``bitwise=True`` asks the agent for every
-    bit; the default draws the four 1-bit counts as exact Binomials.
+    ``queries`` are the region's ``region_queries``; the agent answers each
+    with the count of 1-bits among n repetitions, and mu = sign * (a p_a + b p_b).
     """
     if n < 1:
         raise ValueError("region allocation must be >= 1")
     if transcript is None:
         transcript = Transcript()
-    if bitwise:
-        f1, f2, f3, f4 = (float(np.mean(agent.respond_bits(q, n))) for q in queries)
-    else:
-        f1, f2, f3, f4 = (agent.respond_count(q, n) / n for q in queries)
+    f1, f2, f3, f4 = (agent.respond_count(q, n) / n for q in queries)
     p_a = f1 - f2
     p_b = f3 - f4
     mu_hat = region.sign * (region.inner * p_a + region.outer * p_b)
@@ -242,8 +251,7 @@ def estimate_region(agent: Agent, region: Region, n: int,
 
 def base_estimate(agent: Agent, plan: RefinementPlan, center: float,
                   table: tuple[tuple[Query, ...], ...],
-                  transcript: Transcript | None = None,
-                  bitwise: bool = False) -> float:
+                  transcript: Transcript | None = None) -> float:
     """Sum of region estimates plus the localization center (one batch).
 
     ``table`` is ``query_table(plan, center)``, built once and shared by all
@@ -252,8 +260,7 @@ def base_estimate(agent: Agent, plan: RefinementPlan, center: float,
     total = center
     for region, queries in zip(plan.regions, table):
         n = plan.n_by_magnitude[abs(region.index)]
-        est = estimate_region(agent, region, n, queries, transcript=transcript,
-                              bitwise=bitwise)
+        est = estimate_region(agent, region, n, queries, transcript=transcript)
         total += est.mu_hat
     return total
 
@@ -273,21 +280,18 @@ class EstimateReport:
         return self.n_localization + self.n_refinement
 
 
-def refine_from_center(agent: Agent, params: FamilyParams, eps: float, delta: float,
-                       center: float, profile: str = "empirical",
-                       transcript: Transcript | None = None,
-                       bitwise: bool = False) -> tuple[float, RefinementPlan, tuple[float, ...]]:
-    """K batches of the base estimator around ``center``; returns their median."""
+def refine_from_center(agent: Agent, plan: RefinementPlan, center: float,
+                       transcript: Transcript | None = None) -> tuple[float, tuple[float, ...]]:
+    """K batches of the base estimator around ``center``; returns their median and the values."""
     if transcript is None:
         transcript = Transcript()
     transcript.begin_phase("refinement")
-    plan = build_plan(params, eps, delta, profile)
     table = query_table(plan, center)
     values = tuple(
-        base_estimate(agent, plan, center, table, transcript=transcript, bitwise=bitwise)
+        base_estimate(agent, plan, center, table, transcript=transcript)
         for _ in range(plan.batches)
     )
-    return float(np.median(values)), plan, values
+    return float(np.median(values)), values
 
 
 @dataclass(frozen=True)
@@ -304,47 +308,34 @@ class CostBreakdown:
         return self.localization + self.refinement
 
 
-def run_pipeline(localize: Callable[..., LocalizationResult], refine_params: FamilyParams,
-                 agent: Agent, params: FamilyParams, eps: float, delta: float,
-                 profile: str = "empirical", transcript: Transcript | None = None,
-                 bitwise: bool = False) -> EstimateReport:
+def run_pipeline(localize: Callable[..., LocalizationResult], plan: RefinementPlan | None,
+                 agent: Agent, params: FamilyParams, delta: float,
+                 transcript: Transcript | None = None) -> EstimateReport:
     """Localize, recenter, refine in one non-adaptive round, take the median.
 
     ``localize(agent, params, delta, transcript)`` returns the center;
-    refinement runs at ``refine_params``, whose sigma must put that center
-    within 4 sigma of the mean.  When eps >= 4 sigma there the center alone
-    already meets the accuracy target, so refinement is skipped.
+    ``plan`` is the ``refinement_plan`` at a scale whose sigma puts that center
+    within 4 sigma of the mean, or ``None`` when the center alone meets eps.
     """
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    if not 0 < delta < 1:
-        raise ValueError(f"delta must be in (0, 1), got {delta}")
     if transcript is None:
         transcript = Transcript()
     loc = localize(agent, params, delta, transcript)
-    if eps >= SHIFTED_MEAN_BOUND * refine_params.sigma:
+    if plan is None:
         return EstimateReport(mu_hat=loc.center, n_localization=loc.samples_used,
                               n_refinement=0, rounds_of_adaptivity=loc.rounds,
                               localization=loc, plan=None)
-    mu_hat, plan, values = refine_from_center(
-        agent, refine_params, eps, delta, loc.center, profile=profile,
-        transcript=transcript, bitwise=bitwise,
-    )
+    mu_hat, values = refine_from_center(agent, plan, loc.center, transcript)
     return EstimateReport(mu_hat=mu_hat, n_localization=loc.samples_used,
                           n_refinement=plan.total_samples,
                           rounds_of_adaptivity=loc.rounds + 1, localization=loc,
                           plan=plan, batch_values=values)
 
 
-def pipeline_cost(localization: int, refine_params: FamilyParams, eps: float,
-                  delta: float, profile: str = "empirical") -> CostBreakdown:
+def pipeline_cost(localization: int, plan: RefinementPlan | None) -> CostBreakdown:
     """Exact sample counts of ``run_pipeline``, given its localization cost."""
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    if eps >= SHIFTED_MEAN_BOUND * refine_params.sigma:
+    if plan is None:
         return CostBreakdown(localization=localization, refinement=0, t=None, i_max=0,
                              batches=0, n_per_region={})
-    plan = build_plan(refine_params, eps, delta, profile)
     return CostBreakdown(
         localization=localization,
         refinement=plan.total_samples,
@@ -357,17 +348,18 @@ def pipeline_cost(localization: int, refine_params: FamilyParams, eps: float,
 
 def estimate_mean(agent: Agent, params: FamilyParams, eps: float, delta: float,
                   profile: str = "empirical",
-                  transcript: Transcript | None = None,
-                  bitwise: bool = False) -> EstimateReport:
-    """The full adaptive estimator: ``run_pipeline`` with the median localizer."""
-    return run_pipeline(localize_median, params, agent, params, eps, delta,
-                        profile=profile, transcript=transcript, bitwise=bitwise)
+                  transcript: Transcript | None = None) -> EstimateReport:
+    """The full adaptive estimator: ``run_pipeline`` with the median localizer,
+    its plan built first so an eps that ``refinement_plan`` rejects costs no queries."""
+    plan = refinement_plan(params, eps, delta, profile)
+    return run_pipeline(localize_median, plan, agent, params, delta, transcript)
 
 
 def predict_cost(params: FamilyParams, eps: float, delta: float,
                  profile: str = "empirical") -> CostBreakdown:
     """Closed-form sample counts; matches realized ``estimate_mean`` transcripts exactly."""
-    return pipeline_cost(median_search_cost(params, delta), params, eps, delta, profile)
+    plan = refinement_plan(params, eps, delta, profile)
+    return pipeline_cost(median_search_cost(params, delta), plan)
 
 
 # -- analytic oracles for the query identities (test support) ---------------

@@ -14,8 +14,8 @@ from .channel import Agent, Transcript
 from .distributions import Distribution, FamilyParams
 from .localization import gray_cost, gray_interval_length_bound, localize_gray, \
     localize_median, median_search_cost
-from .refine import EstimateReport, estimate_mean, pipeline_cost, predict_cost, \
-    refine_from_center, run_pipeline
+from .refine import EstimateReport, build_plan, estimate_mean, pipeline_cost, \
+    refine_from_center, refinement_plan, run_pipeline
 
 __all__ = [
     "BudgetError",
@@ -86,32 +86,27 @@ def anytime_estimate(agent: Agent, params: FamilyParams, delta: float, budget: i
     if transcript is None:
         transcript = Transcript()
     loc_cost = median_search_cost(params, delta)
-    eps1, delta1 = anytime_schedule_params(params.sigma, delta, 1)
-    first_round = predict_cost(params, eps1, delta1, profile).refinement
-    if budget < loc_cost + first_round:
+    tau = 1
+    eps_t, delta_t = anytime_schedule_params(params.sigma, delta, tau)
+    plan = build_plan(params, eps_t, delta_t, profile)
+    if budget < loc_cost + plan.total_samples:
         raise BudgetError(
             f"budget {budget} cannot cover localization ({loc_cost}) plus the "
-            f"first refinement round ({first_round})"
+            f"first refinement round ({plan.total_samples})"
         )
 
     loc = localize_median(agent, params, delta, transcript)
     remaining = budget - loc.samples_used
     spent = 0
     rounds: list[AnytimeRound] = []
-    tau = 1
-    while True:
-        eps_t, delta_t = anytime_schedule_params(params.sigma, delta, tau)
-        cost_t = predict_cost(params, eps_t, delta_t, profile).refinement
-        if spent + cost_t > remaining:
-            break
-        mu_hat, _, _ = refine_from_center(
-            agent, params, eps_t, delta_t, loc.center, profile=profile,
-            transcript=transcript,
-        )
-        spent += cost_t
+    while spent + plan.total_samples <= remaining:
+        mu_hat, _ = refine_from_center(agent, plan, loc.center, transcript)
+        spent += plan.total_samples
         rounds.append(AnytimeRound(index=tau, eps=eps_t, delta=delta_t,
-                                   cost=cost_t, mu_hat=mu_hat))
+                                   cost=plan.total_samples, mu_hat=mu_hat))
         tau += 1
+        eps_t, delta_t = anytime_schedule_params(params.sigma, delta, tau)
+        plan = build_plan(params, eps_t, delta_t, profile)
 
     last = rounds[-1]
     return AnytimeResult(
@@ -221,8 +216,8 @@ def _effective_params_after_gray(params: FamilyParams, delta: float) -> FamilyPa
 def two_stage_cost(params: FamilyParams, eps: float, delta: float,
                    profile: str = "empirical") -> int:
     """Exact query count of ``two_stage_estimate``."""
-    return pipeline_cost(gray_cost(params, delta),
-                         _effective_params_after_gray(params, delta), eps, delta, profile).total
+    plan = refinement_plan(_effective_params_after_gray(params, delta), eps, delta, profile)
+    return pipeline_cost(gray_cost(params, delta), plan).total
 
 
 def two_stage_estimate(agent: Agent, params: FamilyParams, eps: float, delta: float,
@@ -234,8 +229,8 @@ def two_stage_estimate(agent: Agent, params: FamilyParams, eps: float, delta: fl
     then one fixed batch of refinement queries (all thresholds are determined
     once the center is known, before any refinement response is read).
     """
-    return run_pipeline(localize_gray, _effective_params_after_gray(params, delta),
-                        agent, params, eps, delta, profile=profile, transcript=transcript)
+    plan = refinement_plan(_effective_params_after_gray(params, delta), eps, delta, profile)
+    return run_pipeline(localize_gray, plan, agent, params, delta, transcript)
 
 
 @dataclass(frozen=True)

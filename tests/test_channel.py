@@ -6,6 +6,7 @@ from pytest import approx
 
 from bitmean.channel import (
     Agent,
+    BitAgent,
     GrayBit,
     Interval,
     ThresholdGE,
@@ -110,9 +111,10 @@ def test_complement_symmetry_continuous():
     assert total / n == approx(1.0, abs=4 * math.sqrt(0.5 / n))
 
 
-def test_learner_surface_exposes_no_samples():
+@pytest.mark.parametrize("agent_type", [Agent, BitAgent])
+def test_learner_surface_exposes_no_samples(agent_type):
     # structural check: no public attribute or method hands back sample values
-    agent = _agent(make_point_mass(0.0))
+    agent = agent_type(make_point_mass(0.0), trial_rng(0, "chan", 0))
     public = [name for name in dir(agent) if not name.startswith("_")]
     assert all(name.startswith("respond") for name in public)
     assert not hasattr(agent, "sample")

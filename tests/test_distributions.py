@@ -107,6 +107,13 @@ def test_family_params_rejects_non_finite(lam, sigma):
         FamilyParams(k=2.0, lam=lam, sigma=sigma)
 
 
+@pytest.mark.parametrize("ratio", [2.0 ** 60, 2.0 ** 1000])
+def test_family_params_rejects_lam_over_sigma_beyond_2_52(ratio):
+    with pytest.raises(ValueError, match="lam/sigma"):
+        FamilyParams(k=2.0, lam=ratio, sigma=1.0)
+    FamilyParams(k=2.0, lam=2.0 ** 52, sigma=1.0)
+
+
 def test_validate_family_point_mass():
     params = FamilyParams(k=2.0, lam=4.0, sigma=1.0)
     assert validate_family(make_point_mass(0.0), params).is_member

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from pytest import approx
 
-from bitmean.channel import Agent, Transcript
-from bitmean.distributions import FamilyParams, make_discrete, make_point_mass, \
-    make_two_sided_pareto
+from bitmean.channel import Agent, BitAgent, Transcript
+from bitmean.distributions import FamilyParams, make_discrete, make_gaussian_budget_tight, \
+    make_point_mass, make_two_sided_pareto
 from bitmean.hardness import make_pair_grid
 from bitmean.harness import trial_rng
 from bitmean.refine import (
@@ -24,6 +24,7 @@ from bitmean.refine import (
     region_queries,
     worst_case_tail_bound,
 )
+from bitmean.variants import two_stage_estimate
 
 
 def test_cutoff_threshold_examples():
@@ -65,8 +66,14 @@ def test_allocation_beyond_int64_rejected_by_plan_predictor_and_estimator():
     with pytest.raises(ValueError, match="int64"):
         predict_cost(params, 1e-9, 0.2)
     agent = Agent(make_point_mass(0.3), trial_rng(11, "int64", 0))
+    tr = Transcript()
     with pytest.raises(ValueError, match="int64"):
-        estimate_mean(agent, params, 1e-9, 0.2)
+        estimate_mean(agent, params, 1e-9, 0.2, transcript=tr)
+    assert tr.total == 0  # rejected before localization spends a query
+    tr = Transcript()
+    with pytest.raises(ValueError, match="int64"):
+        two_stage_estimate(agent, params, 1e-9, 0.2, transcript=tr)
+    assert tr.total == 0
     # ten times that eps needs n_1 = 1.6e17, which fits
     assert predict_cost(params, 1e-8, 0.2).n_per_region[1] < 2 ** 63
 
@@ -134,11 +141,11 @@ def test_estimate_region_unbiased_monte_carlo():
 def test_estimate_region_bitwise_matches_fast_path_distribution():
     dist = make_two_sided_pareto(1.5, 1.0, mu=0.3, alpha=1.9)
     region = Region(index=-1, inner=0.0, outer=2.0)
-    agent = Agent(dist, trial_rng(2, "regbw", 0))
+    rng = trial_rng(2, "regbw", 0)
+    agent, bit_agent = Agent(dist, rng), BitAgent(dist, rng)
     queries = region_queries(region, 0.0)
     fast = [estimate_region(agent, region, 80, queries).mu_hat for _ in range(4000)]
-    slow = [estimate_region(agent, region, 80, queries, bitwise=True).mu_hat
-            for _ in range(4000)]
+    slow = [estimate_region(bit_agent, region, 80, queries).mu_hat for _ in range(4000)]
     se = math.sqrt(np.var(fast) / 4000 + np.var(slow) / 4000)
     assert float(np.mean(fast)) == approx(float(np.mean(slow)), abs=4 * se)
     assert float(np.var(fast, ddof=1)) == approx(
@@ -238,9 +245,9 @@ def test_variance_bound_holds_on_moment_saturating_fixture():
 def test_estimate_mean_bitwise_end_to_end():
     params = FamilyParams(2.0, 16.0, 1.0)
     dist = make_pair_grid(16.0, 1.0, 0.1).member(9, 1)
-    agent = Agent(dist, trial_rng(10, "bitwise_e2e", 0))
+    agent = BitAgent(dist, trial_rng(10, "bitwise_e2e", 0))
     tr = Transcript()
-    report = estimate_mean(agent, params, 0.5, 0.2, transcript=tr, bitwise=True)
+    report = estimate_mean(agent, params, 0.5, 0.2, transcript=tr)
     assert report.n_total == tr.total == predict_cost(params, 0.5, 0.2).total
     assert abs(report.mu_hat - dist.mean()) <= 0.5
 
@@ -252,3 +259,15 @@ def test_estimate_mean_validates_inputs():
         estimate_mean(agent, params, -1.0, 0.2)
     with pytest.raises(ValueError):
         estimate_mean(agent, params, 0.25, 1.2)
+
+
+def test_estimate_mean_at_largest_lam_over_sigma_meets_eps():
+    # lam/sigma = 2^52 is the largest ratio FamilyParams accepts
+    params = FamilyParams(2.0, 2.0 ** 52, 1.0)
+    dist = make_gaussian_budget_tight(2.0, 1.0, mu=0.77)
+    agent = Agent(dist, trial_rng(12, "lam2^52", 0))
+    tr = Transcript()
+    report = estimate_mean(agent, params, 0.25, 0.2, transcript=tr)
+    assert report.n_total == tr.total == predict_cost(params, 0.25, 0.2).total
+    assert report.localization.length <= 8.0
+    assert abs(report.mu_hat - dist.mean()) <= 0.25
