@@ -34,7 +34,6 @@ from .channel import (
     Transcript,
     UniformThreshold,
     evaluate_query,
-    query,
     query_probability,
     repeated_fraction,
     uniform_threshold_probability,

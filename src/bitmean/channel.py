@@ -42,7 +42,6 @@ __all__ = [
     "Agent",
     "BitAgent",
     "Transcript",
-    "query",
     "repeated_fraction",
 ]
 
@@ -223,14 +222,12 @@ def uniform_threshold_probability(dist: Distribution, direction: str,
 class Transcript:
     """Interaction history with exact per-phase budget accounting.
 
-    Counters only ever increase; the optional entry log stores (query, bit)
-    pairs for small runs and CSV dumps, never raw sample values.
+    Counters only ever increase; a transcript holds query counts, never raw
+    sample values.
     """
 
-    def __init__(self, record_entries: bool = False):
+    def __init__(self):
         self.counts: dict[str, int] = {}
-        self.entries: list[tuple[str, Query, int]] = []
-        self.record_entries = record_entries
         self._phase = "default"
 
     @property
@@ -241,11 +238,6 @@ class Transcript:
         self._phase = name
         self.counts.setdefault(name, 0)
 
-    def record(self, q: Query, bit: int) -> None:
-        self.counts[self._phase] = self.counts.get(self._phase, 0) + 1
-        if self.record_entries:
-            self.entries.append((self._phase, q, int(bit)))
-
     def record_batch(self, n: int) -> None:
         if n < 0:
             raise ValueError("batch size must be nonnegative")
@@ -254,29 +246,6 @@ class Transcript:
     @property
     def total(self) -> int:
         return sum(self.counts.values())
-
-    def write_csv(self, path) -> None:
-        """One line per recorded query: phase,query_kind,param1,param2,bit."""
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("phase,query_kind,param1,param2,bit\n")
-            for phase, q, bit in self.entries:
-                if isinstance(q, ThresholdGE):
-                    row = (phase, "threshold_ge", q.gamma, "", bit)
-                elif isinstance(q, ThresholdGT):
-                    row = (phase, "threshold_gt", q.gamma, "", bit)
-                elif isinstance(q, ThresholdLE):
-                    row = (phase, "threshold_le", q.gamma, "", bit)
-                elif isinstance(q, ThresholdLT):
-                    row = (phase, "threshold_lt", q.gamma, "", bit)
-                elif isinstance(q, Interval):
-                    row = (phase, "interval", q.lo, q.hi, bit)
-                elif isinstance(q, GrayBit):
-                    row = (phase, "gray_bit", q.level, q.shift, bit)
-                elif isinstance(q, UniformThreshold):
-                    row = (phase, f"uniform_threshold_{q.direction}", q.lo, q.hi, bit)
-                else:
-                    raise TypeError(f"unknown query type: {q!r}")
-                fh.write(",".join(str(v) for v in row) + "\n")
 
 
 class Agent:
@@ -323,13 +292,6 @@ class BitAgent(Agent):
 
     def respond_count(self, q: Query, n: int) -> int:
         return int(self.respond_bits(q, n).sum())
-
-
-def query(agent: Agent, q: Query, transcript: Transcript) -> int:
-    """Send one quantization function, receive one bit, account for it."""
-    bit = int(agent.respond_bits(q, 1)[0])
-    transcript.record(q, bit)
-    return bit
 
 
 def repeated_fraction(agent: Agent, q: Query, m: int, transcript: Transcript) -> float:

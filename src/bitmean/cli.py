@@ -1,8 +1,9 @@
 """Command-line harness over the experiment runners.
 
 Exit codes: 0 success, 1 configuration error, 2 verification/acceptance
-failure.  Flags override the optional JSON config file (``--config``), whose
-keys mirror the flag names.
+failure.  Settings come from ``ExperimentConfig``'s defaults, overridden by the
+optional JSON config file (``--config``, keyed by ``ExperimentConfig`` field
+names), overridden by the flags actually typed.
 """
 
 from __future__ import annotations
@@ -11,24 +12,23 @@ import argparse
 import json
 import sys
 
-from .harness import ExperimentConfig, run_anytime, run_gap, run_localize, run_pac, \
-    run_scale_adapt, run_scaling, run_verify
+from .harness import ExperimentConfig, _resolve_fixture, run_anytime, run_gap, run_localize, \
+    run_pac, run_scale_adapt, run_scaling, run_verify, trial_rng
 
 
 def _common_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--k", type=float, default=2.0)
-    sub.add_argument("--lambda", dest="lam", type=float, default=16.0)
-    sub.add_argument("--sigma", type=float, default=1.0)
-    sub.add_argument("--eps", type=float, default=0.25)
-    sub.add_argument("--delta", type=float, default=0.2)
-    sub.add_argument("--fixture", default="gauss_tight")
-    sub.add_argument("--trials", type=int, default=100)
-    sub.add_argument("--seed", type=int, default=20260808)
-    sub.add_argument("--out", default=None)
-    sub.add_argument("--profile", choices=["proof-safe", "empirical"],
-                     default="empirical")
-    sub.add_argument("--threads", type=int, default=1)
-    sub.add_argument("--config", default=None, help="JSON file of flag defaults")
+    sub.add_argument("--k", type=float)
+    sub.add_argument("--lambda", dest="lam", type=float)
+    sub.add_argument("--sigma", type=float)
+    sub.add_argument("--eps", type=float)
+    sub.add_argument("--delta", type=float)
+    sub.add_argument("--fixture")
+    sub.add_argument("--trials", type=int)
+    sub.add_argument("--seed", type=int)
+    sub.add_argument("--out")
+    sub.add_argument("--profile", help="proof-safe or empirical")
+    sub.add_argument("--threads", type=int)
+    sub.add_argument("--config", help="JSON file of settings; typed flags win")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -38,76 +38,51 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    run = subs.add_parser("run", help="single estimate with plan summary")
-    _common_flags(run)
-    run.add_argument("--two-stage", action="store_true")
+    def command(name: str, summary: str) -> argparse.ArgumentParser:
+        # SUPPRESS keeps untyped flags out of the namespace, so they cannot
+        # override the config file or ExperimentConfig's defaults
+        sub = subs.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
+        _common_flags(sub)
+        return sub
 
-    loc = subs.add_parser("localize", help="localization coverage trials")
-    _common_flags(loc)
-    loc.add_argument("--method", choices=["median", "gray"], default="median")
-
-    pac = subs.add_parser("pac", help="PAC success sweep")
-    _common_flags(pac)
-
-    scaling = subs.add_parser("scaling", help="predicted-cost scaling study")
-    _common_flags(scaling)
-    scaling.add_argument("--eps-list", type=float, nargs="+", required=True)
-
-    anytime = subs.add_parser("anytime", help="budget-oblivious estimation")
-    _common_flags(anytime)
-    anytime.add_argument("--budget", type=int, required=True)
-
-    scale = subs.add_parser("scale-adapt", help="unknown-scale grid search")
-    _common_flags(scale)
-    scale.add_argument("--sigma-min", type=float, required=True)
-    scale.add_argument("--sigma-max", type=float, required=True)
-    scale.add_argument("--ratio", type=float, default=0.25)
-
-    gap = subs.add_parser("gap", help="adaptive vs non-adaptive success curves")
-    _common_flags(gap)
-    gap.add_argument("--budgets", type=int, nargs="*", default=[])
-
-    hardness = subs.add_parser("hardness", help="hard-instance verifiers")
-    hardness_subs = hardness.add_subparsers(dest="hardness_command", required=True)
-    hv = hardness_subs.add_parser("verify", help="run all analytic checks")
-    _common_flags(hv)
-
-    verify = subs.add_parser("verify", help="full analytic verification suite")
-    _common_flags(verify)
-
+    command("run", "single estimate with plan summary").add_argument(
+        "--two-stage", action="store_true")
+    command("localize", "localization coverage trials").add_argument(
+        "--method", help="median or gray")
+    command("pac", "PAC success sweep")
+    command("scaling", "predicted-cost scaling study").add_argument(
+        "--eps-list", type=float, nargs="+")
+    command("anytime", "budget-oblivious estimation").add_argument("--budget", type=int)
+    scale = command("scale-adapt", "unknown-scale grid search")
+    scale.add_argument("--sigma-min", type=float)
+    scale.add_argument("--sigma-max", type=float)
+    scale.add_argument("--ratio", type=float)
+    command("gap", "adaptive vs non-adaptive success curves").add_argument(
+        "--budgets", type=int, nargs="*")
+    command("verify", "full analytic verification suite")
     return parser
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    overrides = {}
-    if getattr(args, "config", None):
+    typed = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
+    file_values = {}
+    if "config" in args:
         with open(args.config, "r", encoding="utf-8") as fh:
-            overrides = json.load(fh)
-    cfg = ExperimentConfig()
-    for name in vars(cfg):
-        if name in overrides:
-            setattr(cfg, name, overrides[name])
-        value = getattr(args, name.replace("-", "_"), None)
-        if value is not None and name in vars(args):
-            setattr(cfg, name, value)
-    if getattr(args, "eps_list", None):
-        cfg.eps_list = tuple(args.eps_list)
-    if getattr(args, "budgets", None):
-        cfg.budgets = tuple(args.budgets)
-    return cfg
+            file_values = json.load(fh)
+    return ExperimentConfig(**{**file_values, **typed})
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _config_from_args(args)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, TypeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
 
     try:
         if args.command == "run":
-            return _cmd_run(cfg, args)
+            return _cmd_run(cfg)
         if args.command == "localize":
             rows, summary, text = run_localize(cfg)
             print(text, end="")
@@ -136,7 +111,7 @@ def main(argv: list[str] | None = None) -> int:
             rows, text = run_gap(cfg)
             print(text, end="")
             return 0
-        if args.command in ("verify", "hardness"):
+        if args.command == "verify":
             report = run_verify(sigma=cfg.sigma, lam=cfg.lam)
             print(report.manifest())
             return 0 if report.passed else 2
@@ -146,16 +121,14 @@ def main(argv: list[str] | None = None) -> int:
     return 1
 
 
-def _cmd_run(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
+def _cmd_run(cfg: ExperimentConfig) -> int:
     from .channel import Agent
-    from .harness import acceptance_matrix, trial_rng
     from .refine import estimate_mean
     from .variants import two_stage_estimate
 
-    matrix = acceptance_matrix(sigma=cfg.sigma, lam=cfg.lam)
-    fixture = matrix[cfg.fixture]
+    fixture = _resolve_fixture(cfg)
     agent = Agent(fixture.dist, trial_rng(cfg.seed, "run", 0))
-    estimator = two_stage_estimate if getattr(args, "two_stage", False) else estimate_mean
+    estimator = two_stage_estimate if cfg.two_stage else estimate_mean
     report = estimator(agent, fixture.params, cfg.eps, cfg.delta, profile=cfg.profile)
     print(f"mu_hat: {report.mu_hat:.6f} (true mean {fixture.mean:.6f})")
     print(f"samples: localization={report.n_localization} "

@@ -166,8 +166,9 @@ class DiscreteMixture(Distribution):
                 merged_p.append(float(p))
         self._x = np.array(merged_x)
         self._p = np.array(merged_p)
-        self._cum = np.cumsum(self._p)
-        self._cum_xp = np.cumsum(self._x * self._p)
+        # zero-prefixed: entry i sums the first i atoms, so a searchsorted index reads it
+        self._cum = np.concatenate(([0.0], np.cumsum(self._p)))
+        self._cum_xp = np.concatenate(([0.0], np.cumsum(self._x * self._p)))
         self._mean = math.fsum(x * p for x, p in zip(merged_x, merged_p))
         for arr in (self._x, self._p, self._cum, self._cum_xp):
             arr.setflags(write=False)
@@ -191,9 +192,8 @@ class DiscreteMixture(Distribution):
         return self._cum_at(np.searchsorted(self._x, x, side="left"))
 
     def _cum_at(self, idx):
-        cum = np.concatenate(([0.0], self._cum))
-        out = cum[idx]
-        return float(out) if np.isscalar(idx) or np.ndim(idx) == 0 else out
+        out = self._cum[idx]
+        return out if np.ndim(idx) else float(out)
 
     def mean(self):
         return self._mean
@@ -203,12 +203,10 @@ class DiscreteMixture(Distribution):
         return math.fsum(p * abs(x - mu) ** order for x, p in zip(self._x, self._p))
 
     def partial_mean(self, x):
-        idx = int(np.searchsorted(self._x, x, side="right"))
-        return 0.0 if idx == 0 else float(self._cum_xp[idx - 1])
+        return float(self._cum_xp[np.searchsorted(self._x, x, side="right")])
 
     def partial_mean_strict(self, x):
-        idx = int(np.searchsorted(self._x, x, side="left"))
-        return 0.0 if idx == 0 else float(self._cum_xp[idx - 1])
+        return float(self._cum_xp[np.searchsorted(self._x, x, side="left")])
 
 
 class PointMass(DiscreteMixture):

@@ -35,7 +35,6 @@ __all__ = [
     "ExperimentConfig",
     "Fixture",
     "acceptance_matrix",
-    "fixture_from_spec",
     "run_pac",
     "run_scaling",
     "run_localize",
@@ -66,8 +65,15 @@ class Fixture:
         return self.dist.mean()
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
+    """Every experiment setting and its one default.
+
+    The CLI builds it from the ``--config`` file's values overridden by the
+    flags actually typed. ``trials`` and ``method`` are checked here; the other
+    values are checked by the runner or estimator that reads them.
+    """
+
     fixture: str = "gauss_tight"
     k: float = 2.0
     lam: float = 16.0
@@ -90,7 +96,11 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+            raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if self.method not in ("median", "gray"):
+            raise ValueError(f"method must be 'median' or 'gray', got {self.method!r}")
+        for name in ("budgets", "eps_list"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
 
 
 def acceptance_matrix(sigma: float = 1.0, lam: float = 16.0) -> dict[str, Fixture]:
@@ -120,30 +130,6 @@ def acceptance_matrix(sigma: float = 1.0, lam: float = 16.0) -> dict[str, Fixtur
                 FamilyParams(2.0, lam, sigma)),
     ]
     return {f.name: f for f in fixtures}
-
-
-def fixture_from_spec(spec: dict, k: float, lam: float, sigma: float) -> Fixture:
-    """Build a fixture from the CLI config format: ``kind`` plus kind keys.
-
-    kinds: discrete-mixture (points, probs), point-mass (location),
-    two-sided-pareto (alpha, mu, sigma_target), gaussian (mu, sigma_target).
-    """
-    kind = spec.get("kind")
-    params = FamilyParams(k=k, lam=lam, sigma=sigma)
-    if kind == "discrete-mixture":
-        dist: Distribution = make_discrete(spec["points"], spec["probs"])
-    elif kind == "point-mass":
-        dist = make_point_mass(float(spec["location"]))
-    elif kind == "two-sided-pareto":
-        dist = make_two_sided_pareto(k, float(spec.get("sigma_target", sigma)),
-                                     mu=float(spec.get("mu", 0.0)),
-                                     alpha=float(spec["alpha"]))
-    elif kind == "gaussian":
-        dist = make_gaussian_budget_tight(k, float(spec.get("sigma_target", sigma)),
-                                          mu=float(spec.get("mu", 0.0)))
-    else:
-        raise ValueError(f"unknown fixture kind {kind!r}")
-    return Fixture(spec.get("name", kind), dist, params)
 
 
 def _resolve_fixture(config: ExperimentConfig) -> Fixture:

@@ -16,7 +16,6 @@ from bitmean.channel import (
     Transcript,
     UniformThreshold,
     evaluate_query,
-    query,
     query_probability,
     repeated_fraction,
     uniform_threshold_probability,
@@ -32,11 +31,9 @@ def _agent(dist, seed=0, tag="chan"):
 
 def test_point_mass_threshold_is_deterministic():
     agent = _agent(make_point_mass(3.0))
-    tr = Transcript()
     for _ in range(10):
-        assert query(agent, ThresholdGE(2.0), tr) == 1
-        assert query(agent, Interval(4.0, 5.0), tr) == 0
-    assert tr.total == 20
+        assert agent.respond_count(ThresholdGE(2.0), 1) == 1
+        assert agent.respond_count(Interval(4.0, 5.0), 1) == 0
 
 
 def test_malformed_interval_rejected():
@@ -90,11 +87,7 @@ def test_deterministic_transcripts_same_seed():
     runs = []
     for _ in range(2):
         agent = Agent(d, trial_rng(7, "determinism", 0))
-        tr = Transcript(record_entries=True)
-        tr.begin_phase("probe")
-        for i in range(50):
-            query(agent, ThresholdGE(i * 0.1 - 2.0), tr)
-        runs.append([bit for _, _, bit in tr.entries])
+        runs.append([agent.respond_bits(ThresholdGE(i * 0.1 - 2.0), 1)[0] for i in range(50)])
     assert runs[0] == runs[1]
 
 
@@ -121,21 +114,6 @@ def test_learner_surface_exposes_no_samples(agent_type):
     assert not hasattr(agent, "distribution")
 
 
-def test_transcript_entries_hold_queries_and_bits_only(tmp_path):
-    agent = _agent(make_point_mass(1.0), seed=5)
-    tr = Transcript(record_entries=True)
-    tr.begin_phase("probe")
-    query(agent, ThresholdGE(0.5), tr)
-    query(agent, Interval(0.0, 2.0), tr)
-    query(agent, GrayBit(1, -4.0, 8.0), tr)
-    path = tmp_path / "dump.csv"
-    tr.write_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "phase,query_kind,param1,param2,bit"
-    assert len(lines) == 4
-    assert lines[1].startswith("probe,threshold_ge,0.5")
-
-
 def test_strict_thresholds_exclude_the_atom():
     d = make_discrete([1.0, 2.0], [0.3, 0.7])
     expected = {ThresholdGE(1.0): 1.0, ThresholdGT(1.0): 0.7,
@@ -151,19 +129,6 @@ def test_uniform_threshold_validation():
         UniformThreshold("gt", 0.0, 1.0)
     with pytest.raises(ValueError, match="lo < hi"):
         UniformThreshold("ge", 1.0, 1.0)
-
-
-def test_transcript_csv_names_every_kind(tmp_path):
-    tr = Transcript(record_entries=True)
-    for q in (ThresholdGT(1.0), ThresholdLT(1.0), UniformThreshold("le", 0.0, 2.0)):
-        tr.record(q, 1)
-    path = tmp_path / "kinds.csv"
-    tr.write_csv(path)
-    kinds = [line.split(",")[1] for line in path.read_text().splitlines()[1:]]
-    assert kinds == ["threshold_gt", "threshold_lt", "uniform_threshold_le"]
-    tr.record(object(), 0)
-    with pytest.raises(TypeError, match="unknown query type"):
-        tr.write_csv(path)
 
 
 def test_binomial_and_bitwise_paths_agree():

@@ -1,12 +1,10 @@
 import pytest
-from pytest import approx
 
 from bitmean.cli import main
 from bitmean.harness import (
     ExperimentConfig,
     acceptance_matrix,
     binomial_lower_bound,
-    fixture_from_spec,
     run_localize,
     run_pac,
     run_scaling,
@@ -98,21 +96,6 @@ def test_binomial_lower_bound_behaviour():
     assert binomial_lower_bound(248, 300) >= 0.75
 
 
-def test_fixture_from_spec_kinds():
-    f = fixture_from_spec({"kind": "discrete-mixture", "points": [0.0, 1.0],
-                           "probs": [0.5, 0.5]}, 2.0, 8.0, 1.0)
-    assert f.mean == approx(0.5)
-    f = fixture_from_spec({"kind": "point-mass", "location": 2.0}, 2.0, 8.0, 1.0)
-    assert f.mean == 2.0
-    f = fixture_from_spec({"kind": "two-sided-pareto", "alpha": 1.9, "mu": 1.0},
-                          1.5, 8.0, 1.0)
-    assert f.dist.abs_central_moment(1.5) == approx(1.0, rel=1e-12)
-    f = fixture_from_spec({"kind": "gaussian", "mu": -1.0}, 2.0, 8.0, 1.0)
-    assert f.dist.abs_central_moment(2.0) == approx(1.0, rel=1e-12)
-    with pytest.raises(ValueError):
-        fixture_from_spec({"kind": "cauchy"}, 2.0, 8.0, 1.0)
-
-
 def test_unknown_fixture_is_config_error():
     with pytest.raises(KeyError):
         run_pac(ExperimentConfig(fixture="nope", trials=2))
@@ -172,10 +155,6 @@ def test_cli_run_two_stage(capsys):
     assert "rounds of adaptivity: 2" in capsys.readouterr().out
 
 
-def test_cli_hardness_verify(capsys):
-    assert main(["hardness", "verify"]) == 0
-
-
 def test_cli_gap_small(capsys):
     code = main(["gap", "--lambda", "8", "--eps", "0.125", "--delta", "0.2",
                  "--trials", "5", "--budgets", "100", "1000"])
@@ -198,6 +177,46 @@ def test_cli_anytime_and_scale_adapt(tmp_path):
 
 def test_cli_config_file(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text('{"trials": 4, "eps": 0.5}')
-    assert main(["pac", "--fixture", "point_mass", "--config", str(cfg_path),
-                 "--trials", "4"]) == 0
+    cfg_path.write_text('{"trials": 3, "eps": 0.5, "fixture": "point_mass", "seed": 5}')
+
+    def pac_stdout(*argv):
+        assert main(["pac", *argv]) == 0
+        return capsys.readouterr().out
+
+    from_file = pac_stdout("--config", str(cfg_path))
+    rows = [line.split(",") for line in from_file.splitlines() if line.startswith("point_mass,")]
+    assert len(rows) == 3  # file values apply over ExperimentConfig's defaults
+    assert all(row[2] == "5" and row[6] == "0.5" for row in rows)
+    assert from_file == pac_stdout("--trials", "3", "--eps", "0.5", "--fixture", "point_mass",
+                                   "--seed", "5")
+    assert pac_stdout("--config", str(cfg_path), "--trials", "4").count("\npoint_mass,") == 4
+
+
+def _assert_configuration_error(argv, capsys):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [["pac", "--trials", "0"], ["localize", "--trials", "0"],
+                                  ["pac", "--trials", "-2"], ["localize", "--method", "mediam"]])
+def test_cli_invalid_setting_exits_one(argv, capsys):
+    _assert_configuration_error(argv, capsys)
+
+
+def test_cli_bad_config_file_exits_one(tmp_path, capsys):
+    unknown_key = tmp_path / "unknown.json"
+    unknown_key.write_text('{"trials": 2, "bogus": 1}')
+    for path in (unknown_key, tmp_path / "missing.json"):
+        _assert_configuration_error(["pac", "--config", str(path)], capsys)
+
+
+def test_experiment_config_checks_its_settings():
+    with pytest.raises(ValueError, match="trials"):
+        ExperimentConfig(trials=0)
+    with pytest.raises(ValueError, match="method"):
+        ExperimentConfig(method="mediam")
+    cfg = ExperimentConfig(budgets=[100, 1000])
+    assert cfg.budgets == (100, 1000)
+    with pytest.raises(AttributeError):
+        cfg.trials = 5
