@@ -54,7 +54,6 @@ from .refine import (
     EstimateReport,
     RefinementPlan,
     Region,
-    RegionEstimate,
     base_estimate,
     build_plan,
     cutoff_threshold,

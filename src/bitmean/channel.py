@@ -13,7 +13,9 @@ answers n repetitions of any query through one of two paths:
   Binomial(n, p) variate, with p computed from the distribution's analytic
   CDF.  This is distributionally identical to the bit-level path (the n bits
   are i.i.d. Bernoulli(p)) and is what makes the million-query experiments
-  tractable.
+  tractable.  With ``groups=K`` it answers the n repetitions as the counts of
+  K equal consecutive blocks, one Binomial(n/K, p) variate each, from one
+  draw; refinement asks each query once per round this way.
 
 The raw sample values never leave the Agent in either path.
 """
@@ -204,16 +206,15 @@ def uniform_threshold_probability(dist: Distribution, direction: str,
     if not hi > lo:
         raise ValueError(f"uniform threshold needs lo < hi, got [{lo}, {hi}]")
     span = hi - lo
+    ends = np.array([lo, hi])
     if direction == "ge":
-        above = 1.0 - float(dist.cdf_strict(hi))
+        cdf_lo, cdf_hi = dist.cdf_strict(ends).tolist()
         inner_mean = dist.partial_mean_strict(hi) - dist.partial_mean_strict(lo)
-        inner_prob = float(dist.cdf_strict(hi)) - float(dist.cdf_strict(lo))
-        p = above + (inner_mean - lo * inner_prob) / span
+        p = 1.0 - cdf_hi + (inner_mean - lo * (cdf_hi - cdf_lo)) / span
     elif direction == "le":
-        below = float(dist.cdf(lo))
+        cdf_lo, cdf_hi = dist.cdf(ends).tolist()
         inner_mean = dist.partial_mean(hi) - dist.partial_mean(lo)
-        inner_prob = float(dist.cdf(hi)) - float(dist.cdf(lo))
-        p = below + (hi * inner_prob - inner_mean) / span
+        p = cdf_lo + (hi * (cdf_hi - cdf_lo) - inner_mean) / span
     else:
         raise ValueError(f"direction must be 'ge' or 'le', got {direction!r}")
     return min(max(p, 0.0), 1.0)  # guard float cancellation in tail differences
@@ -254,7 +255,6 @@ class Agent:
     def __init__(self, distribution: Distribution, rng: np.random.Generator):
         self._distribution = distribution
         self._rng = rng
-        self._prob_cache: dict = {}
 
     def respond_bits(self, q: Query, n: int) -> np.ndarray:
         """n independent bits for the same query, one fresh sample each.
@@ -271,15 +271,18 @@ class Agent:
             return hits.astype(np.int64)
         return np.asarray(evaluate_query(q, x))
 
-    def respond_count(self, q: Query, n: int) -> int:
-        """Number of 1-bits among n repetitions of the query (exact Binomial)."""
-        if n < 1:
-            raise ValueError("need at least one query")
-        p = self._prob_cache.get(q)
-        if p is None:
-            p = query_probability(self._distribution, q)
-            self._prob_cache[q] = p
-        return int(self._rng.binomial(n, p))
+    def respond_count(self, q: Query, n: int, *,
+                      groups: int | None = None) -> int | np.ndarray:
+        """Number of 1-bits among n repetitions of the query (exact Binomial).
+
+        With ``groups=K`` the n repetitions form K equal consecutive blocks and
+        the answer is the int64 array of the K block counts, drawn at once.
+        """
+        block = _block_size(n, groups)
+        p = query_probability(self._distribution, q)
+        if groups is None:
+            return int(self._rng.binomial(n, p))
+        return self._rng.binomial(block, p, size=groups)
 
     def respond_count_uniform_threshold(self, direction: str, lo: float,
                                         hi: float, n: int) -> int:
@@ -290,8 +293,24 @@ class Agent:
 class BitAgent(Agent):
     """The bit-level reference: every count is a sum of ``respond_bits``, one sample per bit."""
 
-    def respond_count(self, q: Query, n: int) -> int:
-        return int(self.respond_bits(q, n).sum())
+    def respond_count(self, q: Query, n: int, *,
+                      groups: int | None = None) -> int | np.ndarray:
+        block = _block_size(n, groups)
+        if groups is None:
+            return int(self.respond_bits(q, n).sum())
+        return np.array([self.respond_bits(q, block).sum() for _ in range(groups)],
+                        dtype=np.int64)
+
+
+def _block_size(n: int, groups: int | None) -> int:
+    """Repetitions per block when n repetitions are split into ``groups`` blocks."""
+    if n < 1:
+        raise ValueError("need at least one query")
+    if groups is None:
+        return n
+    if groups < 1 or n % groups:
+        raise ValueError(f"{n} repetitions do not split into {groups} equal blocks")
+    return n // groups
 
 
 def repeated_fraction(agent: Agent, q: Query, m: int, transcript: Transcript) -> float:

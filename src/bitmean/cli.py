@@ -1,7 +1,7 @@
 """Command-line harness over the experiment runners.
 
-Exit codes: 0 success, 1 configuration error, 2 verification/acceptance
-failure.  Settings come from ``ExperimentConfig``'s defaults, overridden by the
+Exit codes: 0 success, 1 configuration error, 2 usage error (argparse),
+3 verification/acceptance failure.  Settings come from ``ExperimentConfig``'s defaults, overridden by the
 optional JSON config file (``--config``, keyed by ``ExperimentConfig`` field
 names), overridden by the flags actually typed.
 """
@@ -114,7 +114,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "verify":
             report = run_verify(sigma=cfg.sigma, lam=cfg.lam)
             print(report.manifest())
-            return 0 if report.passed else 2
+            return 0 if report.passed else 3
     except (ValueError, KeyError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1

@@ -253,13 +253,11 @@ class TwoSidedPareto(Distribution):
         return (self.x_min / y) ** self.alpha
 
     def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        y_left = self.mu - x
-        y_right = x - self.mu
-        left = 0.5 * self._survival_one_side(np.maximum(y_left, self.x_min))
-        right = 1.0 - 0.5 * self._survival_one_side(np.maximum(y_right, self.x_min))
-        out = np.where(x <= self.mu - self.x_min, left,
-                       np.where(x >= self.mu + self.x_min, right, 0.5))
+        # Inside the gap |x - mu| < x_min the clamped survival is 1, so both
+        # sides give 1/2 there.
+        y = np.asarray(x, dtype=float) - self.mu
+        half_tail = 0.5 * self._survival_one_side(np.maximum(np.abs(y), self.x_min))
+        out = np.where(y >= 0, 1.0 - half_tail, half_tail)
         return float(out) if out.ndim == 0 else out
 
     def cdf_strict(self, x):

@@ -14,7 +14,7 @@ import io
 import math
 import zlib
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -65,13 +65,37 @@ class Fixture:
         return self.dist.mean()
 
 
+def _is_int(value) -> bool:
+    # bool is an int subclass, and JSON true parses to it
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# ExperimentConfig's field annotations, as written, with the values they accept
+_FIELD_TYPES = {
+    "int": ("an integer", _is_int),
+    "float": ("a number", _is_number),
+    "bool": ("true or false", lambda v: isinstance(v, bool)),
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "str | None": ("a string or null", lambda v: v is None or isinstance(v, str)),
+    "tuple[int, ...]": ("a list of integers",
+                        lambda v: isinstance(v, (list, tuple)) and all(map(_is_int, v))),
+    "tuple[float, ...]": ("a list of numbers",
+                          lambda v: isinstance(v, (list, tuple)) and all(map(_is_number, v))),
+}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Every experiment setting and its one default.
 
     The CLI builds it from the ``--config`` file's values overridden by the
-    flags actually typed. ``trials`` and ``method`` are checked here; the other
-    values are checked by the runner or estimator that reads them.
+    flags actually typed. Every value's type is checked here, and so are the
+    values of ``trials`` and ``method``; the other values are checked by the
+    runner or estimator that reads them.
     """
 
     fixture: str = "gauss_tight"
@@ -95,6 +119,11 @@ class ExperimentConfig:
     threads: int = 1
 
     def __post_init__(self):
+        for f in fields(self):
+            kind, accepts = _FIELD_TYPES[f.type]
+            value = getattr(self, f.name)
+            if not accepts(value):
+                raise ValueError(f"{f.name} must be {kind}, got {value!r}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.method not in ("median", "gray"):

@@ -25,7 +25,6 @@ __all__ = [
     "cutoff_threshold",
     "Region",
     "RefinementPlan",
-    "RegionEstimate",
     "EstimateReport",
     "CostBreakdown",
     "build_plan",
@@ -41,6 +40,7 @@ __all__ = [
     "predict_cost",
     "analytic_region_probs",
     "analytic_region_mean",
+    "analytic_base_variance",
 ]
 
 # Centering after localization guarantees the shifted mean lies in
@@ -58,7 +58,11 @@ def allocation_constant(profile: str, k: float) -> float:
     at most (8/C) eps^2 2^{jk'}, the j <= 3 terms contribute at most 3 * 2^{3k'}
     and the j >= 4 tail at most 2^{2k'}, on both sides, so
     C = 256 (3 * 2^{3k'} + 2^{2k'}) forces Var(base) <= eps^2 / 16.
-    empirical: C = 16, validated by the Monte Carlo variance oracle.
+    empirical: C = 16, a lean constant that does not force that bound: at
+    eps = sigma/4 the exact Var(base) / (eps^2/16) (``analytic_base_variance``)
+    is 1.8 on gauss_tight and 2.9 on gauss_tight_k3 with the center at the
+    mean, and 104 on gauss_tight_k3 at mean + 3.9 sigma.  Criterion 04's Monte
+    Carlo check gates proof-safe only; ROADMAP item 1 tracks the gap.
     """
     if profile == "proof-safe":
         kk = min(k, 3.0)
@@ -189,15 +193,6 @@ def refinement_plan(params: FamilyParams, eps: float, delta: float,
     return build_plan(params, eps, delta, profile)
 
 
-@dataclass(frozen=True)
-class RegionEstimate:
-    index: int
-    p_a_hat: float
-    p_b_hat: float
-    mu_hat: float
-    samples: int
-
-
 def region_queries(region: Region, center: float) -> tuple[Query, Query, Query, Query]:
     """The region's four queries, in original coordinates around ``center``.
 
@@ -229,39 +224,36 @@ def query_table(plan: RefinementPlan, center: float) -> tuple[tuple[Query, ...],
 
 
 def estimate_region(agent: Agent, region: Region, n: int,
-                    queries: tuple[Query, Query, Query, Query],
-                    transcript: Transcript | None = None) -> RegionEstimate:
-    """Estimate the region's mean contribution E[Y 1(Y in cell)] with 4n queries.
+                    queries: tuple[Query, Query, Query, Query], batches: int,
+                    transcript: Transcript | None = None) -> np.ndarray:
+    """The region's mean contribution E[Y 1(Y in cell)], estimated once per batch.
 
-    ``queries`` are the region's ``region_queries``; the agent answers each
-    with the count of 1-bits among n repetitions, and mu = sign * (a p_a + b p_b).
+    ``queries`` are the region's ``region_queries``.  Each is asked n times
+    per batch, all ``batches`` blocks in one ``respond_count`` call, and each
+    batch's estimate is sign * (a p_a + b p_b); 4 n queries per batch.
     """
     if n < 1:
         raise ValueError("region allocation must be >= 1")
     if transcript is None:
         transcript = Transcript()
-    f1, f2, f3, f4 = (agent.respond_count(q, n) / n for q in queries)
-    p_a = f1 - f2
-    p_b = f3 - f4
-    mu_hat = region.sign * (region.inner * p_a + region.outer * p_b)
-    transcript.record_batch(4 * n)
-    return RegionEstimate(index=region.index, p_a_hat=p_a, p_b_hat=p_b,
-                          mu_hat=mu_hat, samples=4 * n)
+    f1, f2, f3, f4 = (agent.respond_count(q, batches * n, groups=batches) / n
+                      for q in queries)
+    transcript.record_batch(4 * batches * n)
+    return region.sign * (region.inner * (f1 - f2) + region.outer * (f3 - f4))
 
 
 def base_estimate(agent: Agent, plan: RefinementPlan, center: float,
-                  table: tuple[tuple[Query, ...], ...],
-                  transcript: Transcript | None = None) -> float:
-    """Sum of region estimates plus the localization center (one batch).
+                  table: tuple[tuple[Query, ...], ...], batches: int,
+                  transcript: Transcript | None = None) -> np.ndarray:
+    """The base estimator's value in each of ``batches`` independent batches:
+    the localization center plus the sum of the region estimates.
 
-    ``table`` is ``query_table(plan, center)``, built once and shared by all
-    batches around the same center.
+    ``table`` is ``query_table(plan, center)``.
     """
-    total = center
+    total = np.full(batches, center)
     for region, queries in zip(plan.regions, table):
         n = plan.n_by_magnitude[abs(region.index)]
-        est = estimate_region(agent, region, n, queries, transcript=transcript)
-        total += est.mu_hat
+        total += estimate_region(agent, region, n, queries, batches, transcript)
     return total
 
 
@@ -286,12 +278,9 @@ def refine_from_center(agent: Agent, plan: RefinementPlan, center: float,
     if transcript is None:
         transcript = Transcript()
     transcript.begin_phase("refinement")
-    table = query_table(plan, center)
-    values = tuple(
-        base_estimate(agent, plan, center, table, transcript=transcript)
-        for _ in range(plan.batches)
-    )
-    return float(np.median(values)), values
+    values = base_estimate(agent, plan, center, query_table(plan, center), plan.batches,
+                           transcript)
+    return float(np.median(values)), tuple(values.tolist())
 
 
 @dataclass(frozen=True)
@@ -380,3 +369,19 @@ def analytic_region_mean(dist: Distribution, center: float, region: Region) -> f
     """
     p_a, p_b = analytic_region_probs(dist, center, region)
     return region.sign * (region.inner * p_a + region.outer * p_b)
+
+
+def analytic_base_variance(dist: Distribution, center: float, plan: RefinementPlan) -> float:
+    """Exact variance of one batch of the base estimator around ``center``.
+
+    Every count is an independent Binomial(n_i, p), so a region contributes
+    (a^2 (v1 + v2) + b^2 (v3 + v4)) / n_i with v = p (1 - p) for its four
+    ``region_queries``.
+    """
+    total = 0.0
+    for region in plan.regions:
+        v1, v2, v3, v4 = (p * (1.0 - p) for p in (
+            query_probability(dist, q) for q in region_queries(region, center)))
+        n = plan.n_by_magnitude[abs(region.index)]
+        total += (region.inner ** 2 * (v1 + v2) + region.outer ** 2 * (v3 + v4)) / n
+    return total

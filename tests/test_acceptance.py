@@ -108,7 +108,7 @@ def test_criterion_04_variance_constraint():
         center = round(dist.mean() * 2) / 2
         agent = Agent(dist, trial_rng(404, f"variance/{name}", 0))
         table = query_table(plan, center)
-        values = [base_estimate(agent, plan, center, table) for _ in range(2000)]
+        values = base_estimate(agent, plan, center, table, batches=2000)
         results[name] = float(np.var(values, ddof=1))
     ok = all(v <= bound for v in results.values())
     ok = _report(4, ok, f"sample variances {results} vs bound {bound:.3e}")

@@ -201,3 +201,27 @@ def test_transcript_counters_never_decrease():
     assert tr.total == 8
     with pytest.raises(ValueError):
         tr.record_batch(-1)
+
+
+@pytest.mark.parametrize("q", [UniformThreshold("ge", 0.0, 2.0), ThresholdGE(0.1)])
+def test_block_counts_have_binomial_moments_on_both_agents(q):
+    d = make_two_sided_pareto(1.5, 1.0, mu=0.3, alpha=1.9)
+    p = query_probability(d, q)
+    n_block, blocks = 50, 4000
+    var = n_block * p * (1 - p)
+    excess_kurtosis = (1 - 6 * p * (1 - p)) / var
+    var_se = var * math.sqrt(2 / (blocks - 1) + excess_kurtosis / blocks)
+    for agent_type in (Agent, BitAgent):
+        agent = agent_type(d, trial_rng(12, f"blocks/{agent_type.__name__}", 0))
+        counts = agent.respond_count(q, blocks * n_block, groups=blocks)
+        assert counts.dtype == np.int64 and counts.shape == (blocks,)
+        assert float(np.mean(counts)) == approx(n_block * p, abs=4 * math.sqrt(var / blocks))
+        assert float(np.var(counts, ddof=1)) == approx(var, abs=4 * var_se)
+
+
+@pytest.mark.parametrize("agent_type", [Agent, BitAgent])
+def test_indivisible_block_split_rejected(agent_type):
+    agent = agent_type(make_point_mass(0.0), trial_rng(0, "chan", 0))
+    for groups in (3, 0):
+        with pytest.raises(ValueError, match="equal blocks"):
+            agent.respond_count(ThresholdGE(0.0), 10, groups=groups)

@@ -1,5 +1,6 @@
 import pytest
 
+from bitmean import cli
 from bitmean.cli import main
 from bitmean.harness import (
     ExperimentConfig,
@@ -207,8 +208,27 @@ def test_cli_invalid_setting_exits_one(argv, capsys):
 def test_cli_bad_config_file_exits_one(tmp_path, capsys):
     unknown_key = tmp_path / "unknown.json"
     unknown_key.write_text('{"trials": 2, "bogus": 1}')
-    for path in (unknown_key, tmp_path / "missing.json"):
+    fractional_trials = tmp_path / "fractional.json"
+    fractional_trials.write_text('{"trials": 2.5, "fixture": "point_mass"}')
+    string_eps = tmp_path / "string_eps.json"
+    string_eps.write_text('{"trials": 2, "eps": "0.5", "fixture": "point_mass"}')
+    for path in (unknown_key, tmp_path / "missing.json", fractional_trials, string_eps):
         _assert_configuration_error(["pac", "--config", str(path)], capsys)
+
+
+def test_cli_usage_error_and_failed_verify_exit_differently(monkeypatch, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["pac", "--trials", "abc"])
+    assert exc.value.code == 2
+
+    def corrupt(masses):
+        return [masses[0] + 1e-3, *masses[1:]]
+
+    monkeypatch.setattr(cli, "run_verify",
+                        lambda sigma, lam: run_verify(sigma=sigma, lam=lam, corrupt=corrupt))
+    capsys.readouterr()
+    assert main(["verify"]) == 3
+    assert "k2/null_variance" in capsys.readouterr().out
 
 
 def test_experiment_config_checks_its_settings():
@@ -216,6 +236,13 @@ def test_experiment_config_checks_its_settings():
         ExperimentConfig(trials=0)
     with pytest.raises(ValueError, match="method"):
         ExperimentConfig(method="mediam")
+    with pytest.raises(ValueError, match="trials must be an integer"):
+        ExperimentConfig(trials=True)  # JSON true is an int in Python
+    with pytest.raises(ValueError, match="eps must be a number"):
+        ExperimentConfig(eps="0.5")
+    with pytest.raises(ValueError, match="budgets must be a list of integers"):
+        ExperimentConfig(budgets=[100, 2.5])
+    assert ExperimentConfig(eps=1).eps == 1  # an integer is a number
     cfg = ExperimentConfig(budgets=[100, 1000])
     assert cfg.budgets == (100, 1000)
     with pytest.raises(AttributeError):

@@ -8,10 +8,11 @@ from bitmean.channel import Agent, BitAgent, Transcript
 from bitmean.distributions import FamilyParams, make_discrete, make_gaussian_budget_tight, \
     make_point_mass, make_two_sided_pareto
 from bitmean.hardness import make_pair_grid
-from bitmean.harness import trial_rng
+from bitmean.harness import acceptance_matrix, trial_rng
 from bitmean.refine import (
     Region,
     allocation_constant,
+    analytic_base_variance,
     analytic_region_mean,
     analytic_region_probs,
     base_estimate,
@@ -78,6 +79,20 @@ def test_allocation_beyond_int64_rejected_by_plan_predictor_and_estimator():
     assert predict_cost(params, 1e-8, 0.2).n_per_region[1] < 2 ** 63
 
 
+def test_region_blocks_beyond_int64_in_total():
+    # build_plan accepts n_i up to the int64 maximum; K blocks of it total more
+    # than int64 holds, while each block's draw still fits
+    n_i, batches = int(np.iinfo(np.int64).max), 19
+    region = Region(index=1, inner=0.0, outer=2.0)
+    agent = Agent(make_point_mass(1.0), trial_rng(11, "int64-blocks", 0))
+    tr = Transcript()
+    vals = estimate_region(agent, region, n_i, region_queries(region, 0.0),
+                           batches=batches, transcript=tr)
+    assert tr.total == 4 * batches * n_i > 2 ** 63
+    assert vals.shape == (batches,)
+    assert np.all(np.abs(vals - 1.0) < 1e-6)  # p_a = p_b = 1/2 at the cell midpoint
+
+
 def test_build_plan_rejects_eps_at_bypass_scale():
     with pytest.raises(ValueError, match="4 sigma"):
         build_plan(FamilyParams(2.0, 64.0, 1.0), 4.0, 0.1)
@@ -122,10 +137,11 @@ def test_estimate_region_point_mass_outside_is_zero():
     dist = make_point_mass(-5.0)
     region = Region(index=1, inner=0.0, outer=2.0)
     agent = Agent(dist, trial_rng(0, "regzero", 0))
-    for _ in range(5):
-        est = estimate_region(agent, region, 50, region_queries(region, 0.0))
-        assert est.mu_hat == 0.0
-        assert est.samples == 200
+    tr = Transcript()
+    est = estimate_region(agent, region, 50, region_queries(region, 0.0), batches=5,
+                          transcript=tr)
+    assert est.tolist() == [0.0] * 5
+    assert tr.total == 5 * 200
 
 
 def test_estimate_region_unbiased_monte_carlo():
@@ -133,7 +149,7 @@ def test_estimate_region_unbiased_monte_carlo():
     region = Region(index=1, inner=0.0, outer=2.0)
     agent = Agent(dist, trial_rng(1, "regmc", 0))
     queries = region_queries(region, 0.0)
-    vals = [estimate_region(agent, region, 50, queries).mu_hat for _ in range(10_000)]
+    vals = estimate_region(agent, region, 50, queries, batches=10_000)
     stderr = float(np.std(vals, ddof=1)) / math.sqrt(len(vals))
     assert float(np.mean(vals)) == approx(0.3, abs=4 * stderr)
 
@@ -144,8 +160,8 @@ def test_estimate_region_bitwise_matches_fast_path_distribution():
     rng = trial_rng(2, "regbw", 0)
     agent, bit_agent = Agent(dist, rng), BitAgent(dist, rng)
     queries = region_queries(region, 0.0)
-    fast = [estimate_region(agent, region, 80, queries).mu_hat for _ in range(4000)]
-    slow = [estimate_region(bit_agent, region, 80, queries).mu_hat for _ in range(4000)]
+    fast = estimate_region(agent, region, 80, queries, batches=4000)
+    slow = estimate_region(bit_agent, region, 80, queries, batches=4000)
     se = math.sqrt(np.var(fast) / 4000 + np.var(slow) / 4000)
     assert float(np.mean(fast)) == approx(float(np.mean(slow)), abs=4 * se)
     assert float(np.var(fast, ddof=1)) == approx(
@@ -157,8 +173,7 @@ def test_base_estimate_point_mass_at_center_is_exact():
     plan = build_plan(params, 0.25, 0.2)
     dist = make_point_mass(1.5)
     agent = Agent(dist, trial_rng(3, "basepm", 0))
-    for _ in range(5):
-        assert base_estimate(agent, plan, 1.5, query_table(plan, 1.5)) == 1.5
+    assert base_estimate(agent, plan, 1.5, query_table(plan, 1.5), batches=5).tolist() == [1.5] * 5
 
 
 def test_base_estimate_unbiased_for_pair_member():
@@ -170,7 +185,7 @@ def test_base_estimate_unbiased_for_pair_member():
         analytic_region_mean(dist, center, r) for r in plan.regions)
     agent = Agent(dist, trial_rng(4, "basemc", 0))
     table = query_table(plan, center)
-    vals = [base_estimate(agent, plan, center, table) for _ in range(4000)]
+    vals = base_estimate(agent, plan, center, table, batches=4000)
     stderr = float(np.std(vals, ddof=1)) / math.sqrt(len(vals))
     assert float(np.mean(vals)) == approx(expected, abs=4 * stderr)
     # truncation bias at this cutoff is zero for the two-point member,
@@ -226,6 +241,23 @@ def test_predict_cost_eps_halving_ratio_heavy_tail():
     assert ratios[-1] == approx(8.0, rel=0.15)
 
 
+@pytest.mark.parametrize("fixture", ["pareto15", "gauss_tight_k3"])
+@pytest.mark.parametrize("offset", [0.0, 3.9])
+def test_batch_variance_matches_analytic_base_variance(fixture, offset):
+    # batches that shared draws would keep the mean but not this variance
+    fx = acceptance_matrix()[fixture]
+    sigma = fx.params.sigma
+    plan = build_plan(fx.params, sigma / 4, 0.2)
+    center = fx.mean + offset * sigma
+    agent = Agent(fx.dist, trial_rng(13, f"basevar/{fixture}/{offset}", 0))
+    n = 4000
+    vals = base_estimate(agent, plan, center, query_table(plan, center), batches=n)
+    s2 = float(np.var(vals, ddof=1))
+    m4 = float(np.mean((vals - vals.mean()) ** 4))
+    se = math.sqrt((m4 - s2 ** 2 * (n - 3) / (n - 1)) / n)
+    assert s2 == approx(analytic_base_variance(fx.dist, center, plan), abs=4 * se)
+
+
 def test_variance_bound_holds_on_moment_saturating_fixture():
     # mass pushed far out until the second-moment budget binds: the harshest
     # shape for the allocation chain; proof-safe must still meet eps^2/16
@@ -238,7 +270,7 @@ def test_variance_bound_holds_on_moment_saturating_fixture():
     plan = build_plan(params, eps, 0.2, "proof-safe")
     agent = Agent(dist, trial_rng(9, "stressvar", 0))
     table = query_table(plan, 0.0)
-    vals = [base_estimate(agent, plan, 0.0, table) for _ in range(2000)]
+    vals = base_estimate(agent, plan, 0.0, table, batches=2000)
     assert float(np.var(vals, ddof=1)) <= (eps ** 2 / 16) * 1.10
 
 
