@@ -27,6 +27,7 @@ from .channel import (
     GrayBit,
     Interval,
     Query,
+    QueryTable,
     ThresholdGE,
     ThresholdGT,
     ThresholdLE,
@@ -34,6 +35,7 @@ from .channel import (
     Transcript,
     UniformThreshold,
     evaluate_query,
+    query_probabilities,
     query_probability,
     repeated_fraction,
     uniform_threshold_probability,

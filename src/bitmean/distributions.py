@@ -107,22 +107,25 @@ class Distribution:
         """E|X - mean|**order, in closed form."""
         raise NotImplementedError
 
-    def partial_mean(self, x: float) -> float:
-        """E[X * 1(X <= x)], in closed form."""
+    def partial_mean(self, x):
+        """E[X * 1(X <= x)], in closed form; vectorized over numpy arrays."""
         raise NotImplementedError
 
-    def partial_mean_strict(self, x: float) -> float:
+    def partial_mean_strict(self, x):
         """E[X * 1(X < x)]."""
         raise NotImplementedError
 
     # -- derived quantities ------------------------------------------------
-    def prob_interval(self, lo: float, hi: float) -> float:
-        """Pr(lo <= X <= hi), both endpoints included."""
-        if lo > hi:
+    def prob_interval(self, lo, hi):
+        """Pr(lo <= X <= hi), both endpoints included; vectorized over arrays."""
+        lo = np.asarray(lo, dtype=float)
+        hi = np.asarray(hi, dtype=float)
+        if np.any(lo > hi):
             raise ValueError(f"interval endpoints out of order: [{lo}, {hi}]")
-        hi_part = 1.0 if hi == math.inf else float(self.cdf(hi))
-        lo_part = 0.0 if lo == -math.inf else float(self.cdf_strict(lo))
-        return hi_part - lo_part
+        # infinite ends are exact: a discrete cdf's last cumulative sum may miss 1
+        hi_part = np.where(hi == math.inf, 1.0, self.cdf(hi))
+        lo_part = np.where(lo == -math.inf, 0.0, self.cdf_strict(lo))
+        return _scalar_or_array(hi_part - lo_part)
 
     def shifted_tail_contribution(self, center: float, t: float) -> float:
         """E[(X - center) * 1(|X - center| > t)], strict inequality."""
@@ -132,6 +135,11 @@ class Distribution:
         inner_prob = float(self.cdf(center + t)) - float(self.cdf_strict(center - t))
         total = self.mean() - center
         return total - (inner_mean - center * inner_prob)
+
+
+def _scalar_or_array(out):
+    """A float for a 0-d result, so scalar calls keep returning floats."""
+    return float(out) if np.ndim(out) == 0 else out
 
 
 class DiscreteMixture(Distribution):
@@ -186,14 +194,10 @@ class DiscreteMixture(Distribution):
         return self._x[idx]
 
     def cdf(self, x):
-        return self._cum_at(np.searchsorted(self._x, x, side="right"))
+        return _scalar_or_array(self._cum[np.searchsorted(self._x, x, side="right")])
 
     def cdf_strict(self, x):
-        return self._cum_at(np.searchsorted(self._x, x, side="left"))
-
-    def _cum_at(self, idx):
-        out = self._cum[idx]
-        return out if np.ndim(idx) else float(out)
+        return _scalar_or_array(self._cum[np.searchsorted(self._x, x, side="left")])
 
     def mean(self):
         return self._mean
@@ -203,10 +207,10 @@ class DiscreteMixture(Distribution):
         return math.fsum(p * abs(x - mu) ** order for x, p in zip(self._x, self._p))
 
     def partial_mean(self, x):
-        return float(self._cum_xp[np.searchsorted(self._x, x, side="right")])
+        return _scalar_or_array(self._cum_xp[np.searchsorted(self._x, x, side="right")])
 
     def partial_mean_strict(self, x):
-        return float(self._cum_xp[np.searchsorted(self._x, x, side="left")])
+        return _scalar_or_array(self._cum_xp[np.searchsorted(self._x, x, side="left")])
 
 
 class PointMass(DiscreteMixture):
@@ -248,17 +252,17 @@ class TwoSidedPareto(Distribution):
         magnitude = self.x_min * (1.0 - u) ** (-1.0 / self.alpha)
         return self.mu + side * magnitude
 
-    def _survival_one_side(self, y):
-        # Pr(Y >= y) for the one-sided magnitude Y, valid for y >= x_min.
-        return (self.x_min / y) ** self.alpha
+    def _tail_ratio(self, x):
+        # (x - mu, x_min / max(|x - mu|, x_min)): inside the gap the ratio is 1
+        d = np.asarray(x, dtype=float) - self.mu
+        return d, self.x_min / np.maximum(np.abs(d), self.x_min)
 
     def cdf(self, x):
-        # Inside the gap |x - mu| < x_min the clamped survival is 1, so both
-        # sides give 1/2 there.
-        y = np.asarray(x, dtype=float) - self.mu
-        half_tail = 0.5 * self._survival_one_side(np.maximum(np.abs(y), self.x_min))
-        out = np.where(y >= 0, 1.0 - half_tail, half_tail)
-        return float(out) if out.ndim == 0 else out
+        # Pr(|X - mu| >= y) = r^alpha with r = x_min / y, half on each side;
+        # both sides give 1/2 inside the gap |x - mu| < x_min.
+        d, r = self._tail_ratio(x)
+        half_tail = 0.5 * r ** self.alpha
+        return _scalar_or_array(np.where(d >= 0, 1.0 - half_tail, half_tail))
 
     def cdf_strict(self, x):
         return self.cdf(x)
@@ -271,27 +275,16 @@ class TwoSidedPareto(Distribution):
             return math.inf
         return self.alpha * self.x_min ** order / (self.alpha - order)
 
-    def _one_side_partial(self, y: float) -> float:
-        # E[Y * 1(Y <= y)] for the one-sided magnitude, y >= x_min.
-        a, xm = self.alpha, self.x_min
-        full = a * xm / (a - 1.0)
-        return full - a * xm ** a * y ** (1.0 - a) / (a - 1.0)
-
     def partial_mean(self, x):
-        a, xm, mu = self.alpha, self.x_min, self.mu
-        mean_mag = a * xm / (a - 1.0)
-        if x <= mu - xm:
-            y = mu - x
-            surv = self._survival_one_side(y)
-            # E[(mu - Y) 1(Y >= y)] weighted by the 1/2 left-side mass
-            return 0.5 * (mu * surv - (mean_mag - self._one_side_partial(y)))
-        left_full = 0.5 * (mu - mean_mag)
-        if x < mu + xm:
-            return left_full
-        y = x - mu
-        surv = self._survival_one_side(y)
-        right_part = 0.5 * (mu * (1.0 - surv) + self._one_side_partial(y))
-        return left_full + right_part
+        # With y = max(|x - mu|, x_min) and r = x_min / y, one side's mass
+        # beyond y is r^alpha / 2 and its magnitude mean there is
+        # (alpha x_min / (alpha - 1)) r^(alpha - 1) / 2; the left side sums
+        # mu - magnitude over X <= x, the right side subtracts X > x from mu.
+        d, r = self._tail_ratio(x)
+        mass = 0.5 * r ** self.alpha
+        magnitude = 0.5 * self.alpha * self.x_min / (self.alpha - 1.0) * r ** (self.alpha - 1.0)
+        return _scalar_or_array(np.where(d >= 0, self.mu - (self.mu * mass + magnitude),
+                                         self.mu * mass - magnitude))
 
     def partial_mean_strict(self, x):
         return self.partial_mean(x)
@@ -315,8 +308,7 @@ class Gaussian(Distribution):
         return rng.normal(self.mu, self.scale, size=size)
 
     def cdf(self, x):
-        out = ndtr((np.asarray(x, dtype=float) - self.mu) / self.scale)
-        return float(out) if np.ndim(out) == 0 else out
+        return _scalar_or_array(ndtr((np.asarray(x, dtype=float) - self.mu) / self.scale))
 
     def cdf_strict(self, x):
         return self.cdf(x)
@@ -328,9 +320,11 @@ class Gaussian(Distribution):
         return self.scale ** order * gaussian_abs_moment_factor(order)
 
     def partial_mean(self, x):
-        z = (x - self.mu) / self.scale
-        pdf = math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
-        return self.mu * float(ndtr(z)) - self.scale * pdf
+        z = (np.asarray(x, dtype=float) - self.mu) / self.scale
+        # z * z overflows only for |z| > 1e154, where the pdf is 0 anyway
+        with np.errstate(over="ignore"):
+            pdf = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+        return _scalar_or_array(self.mu * ndtr(z) - self.scale * pdf)
 
     def partial_mean_strict(self, x):
         return self.partial_mean(x)

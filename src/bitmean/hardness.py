@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import Agent, Interval, Transcript
+from .channel import Agent, Interval, QueryTable, Transcript
 from .distributions import DiscreteMixture, make_discrete
 
 __all__ = [
@@ -246,33 +246,24 @@ class BaselineEstimate:
 def nonadaptive_baseline(agent: Agent, lam: float, sigma: float, eps: float,
                          budget: int,
                          transcript: Transcript | None = None) -> BaselineEstimate:
-    """Run the fixed plan, pick the pair by presence fraction and the sign by
-    comparing the sign fraction to 1/2; return center + sign * eps."""
+    """Run the fixed plan as one draw, pick the pair by presence fraction and
+    the sign by comparing the sign fraction to 1/2; return center + sign * eps."""
     if transcript is None:
         transcript = Transcript()
     transcript.begin_phase("nonadaptive")
     plan = baseline_query_plan(lam, sigma, eps, budget)
-    n_pairs = len(plan) // 2
-
-    presence = np.zeros(n_pairs)
-    sign_frac = np.zeros(n_pairs)
-    centers = [0.0] * n_pairs
-    used = 0
-    for j, kind, q, m in plan:
-        ones = agent.respond_count(q, m)
-        transcript.record_batch(m)
-        used += m
-        if kind == "presence":
-            presence[j - 1] = ones / m
-        else:
-            sign_frac[j - 1] = ones / m
-            centers[j - 1] = q.lo  # the sign interval is [c_j, c_j + sigma]
+    table = QueryTable(tuple(q for _, _, q, _ in plan), tuple(m for _, _, _, m in plan))
+    ones = agent.respond_count(table, table.per_block)
+    transcript.record_batch(table.per_block)
+    frac = ones / np.array(table.reps)
+    presence, sign_frac = frac[0::2], frac[1::2]  # the plan alternates the two per pair
 
     j_hat = int(np.argmax(presence)) + 1
     sign = 1 if sign_frac[j_hat - 1] >= 0.5 else -1
+    center = table.queries[2 * j_hat - 1].lo  # the sign interval is [c_j, c_j + sigma]
     return BaselineEstimate(
-        mu_hat=centers[j_hat - 1] + sign * eps,
+        mu_hat=center + sign * eps,
         pair_index=j_hat,
         sign=sign,
-        samples_used=used,
+        samples_used=table.per_block,
     )

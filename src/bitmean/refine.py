@@ -13,8 +13,8 @@ from typing import Callable
 
 import numpy as np
 
-from .channel import Agent, Query, ThresholdGE, ThresholdGT, ThresholdLE, ThresholdLT, \
-    Transcript, UniformThreshold, query_probability
+from .channel import Agent, Query, QueryTable, ThresholdGE, ThresholdGT, ThresholdLE, \
+    ThresholdLT, Transcript, UniformThreshold, query_probabilities, query_probability
 from .distributions import Distribution, FamilyParams
 from .localization import LocalizationResult, localize_median, median_search_cost
 
@@ -218,9 +218,30 @@ def region_queries(region: Region, center: float) -> tuple[Query, Query, Query, 
         UniformThreshold("ge", lo, hi)
 
 
-def query_table(plan: RefinementPlan, center: float) -> tuple[tuple[Query, ...], ...]:
-    """``region_queries`` for every region of the plan, in ``plan.regions`` order."""
-    return tuple(region_queries(region, center) for region in plan.regions)
+def query_table(plan: RefinementPlan, center: float) -> QueryTable:
+    """The refinement round as one table: the four ``region_queries`` of every
+    region, in ``plan.regions`` order, each repeated n_i times per batch, so
+    ``per_block`` is ``plan.samples_per_batch``."""
+    return QueryTable(
+        tuple(q for region in plan.regions for q in region_queries(region, center)),
+        tuple(plan.n_by_magnitude[abs(region.index)]
+              for region in plan.regions for _ in range(4)))
+
+
+def _region_sums(agent: Agent, regions, table: QueryTable, batches: int,
+                 transcript: Transcript | None) -> np.ndarray:
+    """Each batch's sum over ``regions`` of sign * (a p_a + b p_b), from one
+    draw of ``table``, which holds the regions' four queries in order."""
+    n = batches * table.per_block
+    counts = agent.respond_count(table, n, groups=batches)
+    if transcript is not None:
+        transcript.record_batch(n)
+    f = (counts / np.array(table.reps, dtype=float)).reshape(batches, len(regions), 4)
+    sign = np.array([region.sign for region in regions], dtype=float)
+    inner = np.array([region.inner for region in regions])
+    outer = np.array([region.outer for region in regions])
+    values = sign * (inner * (f[..., 0] - f[..., 1]) + outer * (f[..., 2] - f[..., 3]))
+    return values.sum(axis=1)
 
 
 def estimate_region(agent: Agent, region: Region, n: int,
@@ -229,32 +250,26 @@ def estimate_region(agent: Agent, region: Region, n: int,
     """The region's mean contribution E[Y 1(Y in cell)], estimated once per batch.
 
     ``queries`` are the region's ``region_queries``.  Each is asked n times
-    per batch, all ``batches`` blocks in one ``respond_count`` call, and each
-    batch's estimate is sign * (a p_a + b p_b); 4 n queries per batch.
+    per batch, all ``batches`` blocks in one draw, and each batch's estimate
+    is sign * (a p_a + b p_b); 4 n queries per batch.  This is
+    ``base_estimate``'s draw and combination for a single region.
     """
     if n < 1:
         raise ValueError("region allocation must be >= 1")
-    if transcript is None:
-        transcript = Transcript()
-    f1, f2, f3, f4 = (agent.respond_count(q, batches * n, groups=batches) / n
-                      for q in queries)
-    transcript.record_batch(4 * batches * n)
-    return region.sign * (region.inner * (f1 - f2) + region.outer * (f3 - f4))
+    return _region_sums(agent, (region,), QueryTable(tuple(queries), (n,) * 4), batches,
+                        transcript)
 
 
 def base_estimate(agent: Agent, plan: RefinementPlan, center: float,
-                  table: tuple[tuple[Query, ...], ...], batches: int,
+                  table: QueryTable, batches: int,
                   transcript: Transcript | None = None) -> np.ndarray:
     """The base estimator's value in each of ``batches`` independent batches:
     the localization center plus the sum of the region estimates.
 
-    ``table`` is ``query_table(plan, center)``.
+    ``table`` is ``query_table(plan, center)``; the whole round is one
+    ``respond_count`` draw of it.
     """
-    total = np.full(batches, center)
-    for region, queries in zip(plan.regions, table):
-        n = plan.n_by_magnitude[abs(region.index)]
-        total += estimate_region(agent, region, n, queries, batches, transcript)
-    return total
+    return center + _region_sums(agent, plan.regions, table, batches, transcript)
 
 
 @dataclass(frozen=True)
@@ -378,10 +393,9 @@ def analytic_base_variance(dist: Distribution, center: float, plan: RefinementPl
     (a^2 (v1 + v2) + b^2 (v3 + v4)) / n_i with v = p (1 - p) for its four
     ``region_queries``.
     """
-    total = 0.0
-    for region in plan.regions:
-        v1, v2, v3, v4 = (p * (1.0 - p) for p in (
-            query_probability(dist, q) for q in region_queries(region, center)))
-        n = plan.n_by_magnitude[abs(region.index)]
-        total += (region.inner ** 2 * (v1 + v2) + region.outer ** 2 * (v3 + v4)) / n
-    return total
+    table = query_table(plan, center)
+    p = query_probabilities(dist, table.queries)
+    v = (p * (1.0 - p) / np.array(table.reps, dtype=float)).reshape(len(plan.regions), 4)
+    inner = np.array([region.inner for region in plan.regions])
+    outer = np.array([region.outer for region in plan.regions])
+    return float(np.sum(inner ** 2 * (v[:, 0] + v[:, 1]) + outer ** 2 * (v[:, 2] + v[:, 3])))

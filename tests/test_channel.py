@@ -9,6 +9,7 @@ from bitmean.channel import (
     BitAgent,
     GrayBit,
     Interval,
+    QueryTable,
     ThresholdGE,
     ThresholdGT,
     ThresholdLE,
@@ -16,6 +17,7 @@ from bitmean.channel import (
     Transcript,
     UniformThreshold,
     evaluate_query,
+    query_probabilities,
     query_probability,
     repeated_fraction,
     uniform_threshold_probability,
@@ -225,3 +227,84 @@ def test_indivisible_block_split_rejected(agent_type):
     for groups in (3, 0):
         with pytest.raises(ValueError, match="equal blocks"):
             agent.respond_count(ThresholdGE(0.0), 10, groups=groups)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ThresholdGE(math.nan), lambda: ThresholdGT(math.nan),
+    lambda: ThresholdLE(math.nan), lambda: ThresholdLT(math.nan),
+    lambda: UniformThreshold("ge", -math.inf, 0.0), lambda: UniformThreshold("le", 0.0, math.inf),
+    lambda: UniformThreshold("ge", math.nan, 1.0), lambda: UniformThreshold("le", 0.0, math.nan),
+    lambda: GrayBit(1, math.nan, 1.0), lambda: GrayBit(2, 0.0, math.inf),
+    lambda: GrayBit(1, -math.inf, 1.0), lambda: GrayBit(3, 0.0, math.nan),
+], ids=["ge-nan", "gt-nan", "le-nan", "lt-nan", "uniform-lo-inf", "uniform-hi-inf",
+        "uniform-lo-nan", "uniform-hi-nan", "gray-shift-nan", "gray-scale-inf",
+        "gray-shift-inf", "gray-scale-nan"])
+def test_queries_reject_non_finite_parameters(make):
+    with pytest.raises(ValueError):
+        make()
+
+
+def test_infinite_thresholds_stay_valid():
+    d = make_gaussian_budget_tight(2.0, 1.0)
+    assert query_probability(d, ThresholdGE(math.inf)) == 0.0
+    assert query_probability(d, ThresholdLE(math.inf)) == 1.0
+    assert query_probability(d, ThresholdGT(-math.inf)) == 1.0
+    assert query_probability(d, ThresholdLT(-math.inf)) == 0.0
+
+
+MIXED_TABLE = QueryTable(
+    (ThresholdGE(0.1), UniformThreshold("le", -1.0, 2.0), Interval(-0.5, 1.5),
+     GrayBit(2, -4.0, 8.0)),
+    (50, 30, 40, 20))
+
+
+def test_table_counts_have_binomial_moments_on_both_agents():
+    d = make_two_sided_pareto(1.5, 1.0, mu=0.3, alpha=1.9)
+    table, blocks = MIXED_TABLE, 2000
+    p = query_probabilities(d, table.queries)
+    assert p.tolist() == approx([query_probability(d, q) for q in table.queries], abs=1e-15)
+    reps = np.array(table.reps)
+    var = reps * p * (1 - p)
+    excess_kurtosis = (1 - 6 * p * (1 - p)) / var
+    var_se = var * np.sqrt(2 / (blocks - 1) + excess_kurtosis / blocks)
+    for agent_type in (Agent, BitAgent):
+        agent = agent_type(d, trial_rng(14, f"table/{agent_type.__name__}", 0))
+        counts = agent.respond_count(table, blocks * table.per_block, groups=blocks)
+        assert counts.dtype == np.int64 and counts.shape == (blocks, 4)
+        mean, sample_var = counts.mean(axis=0), counts.var(axis=0, ddof=1)
+        assert np.all(np.abs(mean - reps * p) <= 4 * np.sqrt(var / blocks))
+        assert np.all(np.abs(sample_var - var) <= 4 * var_se)
+
+
+@pytest.mark.parametrize("agent_type", [Agent, BitAgent])
+def test_table_count_shapes_and_wrong_totals(agent_type):
+    agent = agent_type(make_point_mass(0.0), trial_rng(0, "chan", 0))
+    table = MIXED_TABLE
+    one = agent.respond_count(table, table.per_block)
+    assert one.dtype == np.int64 and one.shape == (4,)
+    # at the atom 0: x >= 0.1 never, 0 in [-0.5, 1.5] always, u = 1/2 has Gray bit 1
+    assert one[[0, 2, 3]].tolist() == [0, 40, 20] and 0 <= one[1] <= 30
+    assert agent.respond_count(table, 3 * table.per_block, groups=3).shape == (3, 4)
+    for n, groups in ((table.per_block + 1, None), (table.per_block, 2),
+                      (2 * table.per_block, None), (0, 0)):
+        with pytest.raises(ValueError):
+            agent.respond_count(table, n, groups=groups)
+    with pytest.raises(ValueError, match="int64"):  # numpy would raise OverflowError
+        agent.respond_count(ThresholdGE(0.0), 2 ** 63)
+
+
+@pytest.mark.parametrize("queries, reps", [
+    ((), ()),
+    ((ThresholdGE(0.0),), ()),
+    ((ThresholdGE(0.0), ThresholdLE(0.0)), (1,)),
+    ((ThresholdGE(0.0),), (0,)),
+    ((ThresholdGE(0.0),), (-3,)),
+    ((ThresholdGE(0.0),), (2.0,)),
+    ((ThresholdGE(0.0),), (True,)),
+    ((ThresholdGE(0.0),), (2 ** 63,)),
+    ((0.5,), (1,)),
+], ids=["empty", "no-reps", "short-reps", "zero-rep", "negative-rep", "float-rep",
+        "bool-rep", "rep-beyond-int64", "not-a-query"])
+def test_malformed_query_tables_rejected(queries, reps):
+    with pytest.raises(ValueError):
+        QueryTable(queries, reps)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from pytest import approx
 
+from bitmean.channel import uniform_threshold_probability
 from bitmean.distributions import (
     FamilyParams,
     gaussian_abs_moment_factor,
@@ -210,3 +211,41 @@ def test_discrete_arrays_are_immutable():
     d = make_discrete([0.0, 1.0], [0.5, 0.5])
     with pytest.raises(ValueError):
         d.points[0] = 3.0
+
+
+def _oracle_inputs(fx) -> np.ndarray:
+    # atoms, the Pareto gap and its edges +-x_min (with their float neighbours),
+    # +-inf and the refinement cell endpoints around the mean
+    dist, sigma = fx.dist, fx.params.sigma
+    mean = dist.mean()
+    xs = [-math.inf, math.inf, mean]
+    xs += [mean + side * 2.0 ** i * sigma for side in (1, -1) for i in range(-2, 8)]
+    if hasattr(dist, "points"):
+        xs += dist.points.tolist()
+    if hasattr(dist, "x_min"):
+        for edge in (mean - dist.x_min, mean + dist.x_min):
+            xs += [edge, np.nextafter(edge, -math.inf), np.nextafter(edge, math.inf)]
+        xs += [mean + dist.x_min / 2, mean - dist.x_min / 2]
+    return np.array(xs)
+
+
+@pytest.mark.parametrize("name", sorted(acceptance_matrix()))
+def test_array_oracles_equal_scalar_loop(name):
+    fx = acceptance_matrix()[name]
+    dist = fx.dist
+    xs = _oracle_inputs(fx)
+    for oracle in (dist.cdf, dist.cdf_strict, dist.partial_mean, dist.partial_mean_strict):
+        values = oracle(xs)
+        assert isinstance(values, np.ndarray) and values.shape == xs.shape
+        np.testing.assert_allclose(values, [oracle(float(x)) for x in xs], rtol=0, atol=1e-15)
+    lo, hi = np.meshgrid(xs, xs, indexing="ij")
+    ordered = lo <= hi
+    np.testing.assert_allclose(
+        dist.prob_interval(lo[ordered], hi[ordered]),
+        [dist.prob_interval(a, b) for a, b in zip(lo[ordered], hi[ordered])], rtol=0, atol=1e-15)
+    finite = ordered & (lo < hi) & np.isfinite(lo) & np.isfinite(hi)
+    for direction in ("ge", "le"):
+        np.testing.assert_allclose(
+            uniform_threshold_probability(dist, direction, lo[finite], hi[finite]),
+            [uniform_threshold_probability(dist, direction, a, b)
+             for a, b in zip(lo[finite], hi[finite])], rtol=0, atol=1e-15)

@@ -7,12 +7,13 @@ import math
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
+from pytest import approx
 
-from bitmean.channel import query_probability
+from bitmean.channel import query_probabilities, query_probability
 from bitmean.distributions import FamilyParams, make_discrete, \
     make_gaussian_budget_tight, make_two_sided_pareto
 from bitmean.localization import gray_bit_value, gray_decode
-from bitmean.refine import build_plan, region_queries
+from bitmean.refine import build_plan, query_table, region_queries
 
 SIGMA = 1.0
 PARAMS = FamilyParams(2.0, 16.0, SIGMA)
@@ -42,6 +43,10 @@ def test_decomposition_identity_with_endpoint_atoms(dist, center_step, eps):
         total += region.sign * (region.inner * (f1 - f2) + region.outer * (f3 - f4))
     tail = dist.shifted_tail_contribution(center, plan.t)
     assert math.isclose(total + tail, dist.mean() - center, abs_tol=1e-9)
+    # the round's table, evaluated as arrays, gives the same probabilities
+    queries = query_table(plan, center).queries
+    assert query_probabilities(dist, queries).tolist() == approx(
+        [query_probability(dist, q) for q in queries], abs=1e-15)
 
 
 oracle_fixtures = st.one_of(
@@ -64,6 +69,14 @@ def test_cdf_monotone_and_partial_mean_matches_cdf(dist, x, width):
     inner = dist.partial_mean(y) - dist.partial_mean(x)
     slack = 1e-9 * (1.0 + abs(x) + abs(y))
     assert x * mass - slack <= inner <= y * mass + slack
+    # the array oracles equal their scalar calls, at the ends and at +-inf
+    xs = np.array([x, y, -math.inf, math.inf])
+    for oracle in (dist.cdf, dist.cdf_strict, dist.partial_mean, dist.partial_mean_strict):
+        np.testing.assert_allclose(oracle(xs), [oracle(float(v)) for v in xs],
+                                   rtol=0, atol=1e-15)
+    if width > 0:
+        assert dist.prob_interval(xs[:2], xs[:2] + width) == approx(
+            [dist.prob_interval(v, v + width) for v in xs[:2]], abs=1e-15)
 
 
 @PROPERTY

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from pytest import approx
 
-from bitmean.channel import Agent, BitAgent, Transcript
+from bitmean.channel import Agent, BitAgent, QueryTable, ThresholdGE, Transcript, \
+    query_probabilities, query_probability
 from bitmean.distributions import FamilyParams, make_discrete, make_gaussian_budget_tight, \
     make_point_mass, make_two_sided_pareto
 from bitmean.hardness import make_pair_grid
@@ -91,6 +92,12 @@ def test_region_blocks_beyond_int64_in_total():
     assert tr.total == 4 * batches * n_i > 2 ** 63
     assert vals.shape == (batches,)
     assert np.all(np.abs(vals - 1.0) < 1e-6)  # p_a = p_b = 1/2 at the cell midpoint
+    # the same region as a table with one more query: K * per_block > int64
+    table = QueryTable(region_queries(region, 0.0) + (ThresholdGE(3.0),), (n_i,) * 4 + (5,))
+    counts = agent.respond_count(table, batches * table.per_block, groups=batches)
+    assert batches * table.per_block > 2 ** 63 and counts.shape == (batches, 5)
+    assert np.all(counts[:, [0, 2]] == n_i) and np.all(counts[:, 4] == 0)
+    assert np.all(np.abs(counts[:, [1, 3]] / n_i - 0.5) < 1e-6)
 
 
 def test_build_plan_rejects_eps_at_bypass_scale():
@@ -303,3 +310,17 @@ def test_estimate_mean_at_largest_lam_over_sigma_meets_eps():
     assert report.n_total == tr.total == predict_cost(params, 0.25, 0.2).total
     assert report.localization.length <= 8.0
     assert abs(report.mu_hat - dist.mean()) <= 0.25
+
+
+@pytest.mark.parametrize("name", sorted(acceptance_matrix()))
+def test_table_probabilities_equal_per_query_loop(name):
+    fx = acceptance_matrix()[name]
+    sigma = fx.params.sigma
+    for eps in (sigma / 4, sigma / 64):
+        plan = build_plan(fx.params, eps, 0.2)
+        for offset in (0.0, 3.9, -2.5):
+            queries = query_table(plan, fx.mean + offset * sigma).queries
+            p = query_probabilities(fx.dist, queries)
+            assert p.shape == (len(queries),)
+            np.testing.assert_allclose(p, [query_probability(fx.dist, q) for q in queries],
+                                       rtol=0, atol=1e-15)
