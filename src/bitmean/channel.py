@@ -15,8 +15,9 @@ answers n repetitions of any query through one of two paths:
   are i.i.d. Bernoulli(p)) and is what makes the million-query experiments
   tractable.  It also answers a whole ``QueryTable`` -- query j repeated
   reps[j] times per block, in K blocks -- as one Binomial draw over the
-  table's probabilities, which ``query_probabilities`` computes as arrays;
-  a refinement round and the non-adaptive baseline are each one such draw.
+  table's probabilities, which ``query_probabilities`` computes from the
+  table's parameter columns; a refinement round and the non-adaptive
+  baseline are each one such draw.
 
 The raw sample values never leave the Agent in either path.
 """
@@ -24,7 +25,7 @@ The raw sample values never leave the Agent in either path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -57,9 +58,14 @@ INT64_MAX = int(np.iinfo(np.int64).max)
 class _Threshold:
     gamma: float
 
+    _rule = "threshold query needs a gamma that is not NaN"
+
+    @staticmethod
+    def _valid(gamma):
+        return gamma == gamma  # +-inf stays valid
+
     def __post_init__(self):
-        if math.isnan(self.gamma):
-            raise ValueError(f"threshold query needs a gamma that is not NaN, got {self.gamma}")
+        _require_valid(self)
 
 
 @dataclass(frozen=True)
@@ -89,9 +95,14 @@ class Interval:
     lo: float
     hi: float
 
+    _rule = "malformed interval query: needs lo <= hi, neither NaN"
+
+    @staticmethod
+    def _valid(lo, hi):
+        return lo <= hi
+
     def __post_init__(self):
-        if math.isnan(self.lo) or math.isnan(self.hi) or self.lo > self.hi:
-            raise ValueError(f"malformed interval query [{self.lo}, {self.hi}]")
+        _require_valid(self)
 
 
 @dataclass(frozen=True)
@@ -106,14 +117,14 @@ class GrayBit:
     shift: float
     scale: float
 
+    _rule = "Gray bit needs level >= 1, a finite shift and a finite positive scale"
+
+    @staticmethod
+    def _valid(level, shift, scale):
+        return (level >= 1) & (abs(shift) < math.inf) & (abs(scale) < math.inf) & (scale > 0)
+
     def __post_init__(self):
-        if self.level < 1:
-            raise ValueError(f"Gray bit level must be >= 1, got {self.level}")
-        if not (math.isfinite(self.shift) and math.isfinite(self.scale)):
-            raise ValueError(f"Gray bit shift and scale must be finite, got "
-                             f"shift={self.shift}, scale={self.scale}")
-        if not self.scale > 0:
-            raise ValueError(f"Gray bit scale must be positive, got {self.scale}")
+        _require_valid(self)
 
 
 @dataclass(frozen=True)
@@ -128,42 +139,153 @@ class UniformThreshold:
     lo: float
     hi: float
 
+    _rule = "uniform threshold needs direction 'ge' or 'le' and finite lo < hi"
+
+    @staticmethod
+    def _valid(direction, lo, hi):
+        return ((direction == "ge") | (direction == "le")) & (abs(lo) < math.inf) \
+            & (abs(hi) < math.inf) & (hi > lo)
+
     def __post_init__(self):
-        if self.direction not in ("ge", "le"):
-            raise ValueError(f"direction must be 'ge' or 'le', got {self.direction!r}")
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi) and self.hi > self.lo):
-            raise ValueError(f"uniform threshold needs finite lo < hi, got [{self.lo}, {self.hi}]")
+        _require_valid(self)
 
 
 Query = ThresholdGE | ThresholdGT | ThresholdLE | ThresholdLT | Interval | GrayBit \
     | UniformThreshold
 
 
-@dataclass(frozen=True)
+def _require_valid(q: Query) -> None:
+    # Each kind's _valid holds on scalars and, elementwise, on parameter
+    # columns, so QueryTable.from_columns checks its rows by the same rule.
+    if not q._valid(**vars(q)):
+        raise ValueError(f"{q._rule}, got {q!r}")
+
+
+def _is_count(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 class QueryTable:
     """A batch of queries fixed before any is answered: query j is repeated
-    ``reps[j]`` times in every block, so one block holds ``per_block`` queries."""
+    ``reps[j]`` times in every block, so one block holds ``per_block`` queries.
 
-    queries: tuple[Query, ...]
-    reps: tuple[int, ...]
+    The table holds its rows as columns, grouped by query kind once when it
+    is built: for each kind, its rows' positions and one array per parameter.
+    ``QueryTable(queries, reps)`` builds it from query values and
+    ``QueryTable.from_columns`` from parameter arrays, under the same checks;
+    ``queries`` builds the query values only when asked.  ``reps`` is a
+    read-only int64 array and ``per_block`` an exact Python int.
+    """
 
-    def __post_init__(self):
-        if not self.queries or len(self.queries) != len(self.reps):
+    __slots__ = ("_blocks", "_reps", "_per_block")
+
+    def __init__(self, queries, reps):
+        queries, reps = tuple(queries), tuple(reps)
+        if not queries or len(queries) != len(reps):
             raise ValueError(f"a query table needs as many reps as queries, and at least one; "
-                             f"got {len(self.queries)} queries and {len(self.reps)} reps")
-        unknown = set(map(type, self.queries)) - _ORACLES.keys()
+                             f"got {len(queries)} queries and {len(reps)} reps")
+        unknown = set(map(type, queries)) - _ORACLES.keys()
         if unknown:
             raise ValueError(f"not query kinds: {sorted(kind.__name__ for kind in unknown)}")
-        if any(kind is bool or not issubclass(kind, (int, np.integer))
-               for kind in set(map(type, self.reps))) \
-                or not 1 <= min(self.reps) <= max(self.reps) <= INT64_MAX:
+        if not all(map(_is_count, reps)) or not 1 <= min(reps) <= max(reps) <= INT64_MAX:
             raise ValueError(f"repetitions must be ints in [1, 2^63 - 1], got "
-                             f"{min(self.reps)!r} to {max(self.reps)!r}")
-        object.__setattr__(self, "reps", tuple(map(int, self.reps)))
+                             f"{min(reps)!r} to {max(reps)!r}")
+        self._set(_group(queries), np.array(reps, dtype=np.int64))
+
+    @classmethod
+    def from_columns(cls, kinds, reps, **columns) -> QueryTable:
+        """A table whose row j is a query of kind ``kinds[j]`` (of the one kind
+        ``kinds``, if it is a class) repeated ``reps[j]`` times per block.
+
+        Its parameters are entry j of the columns named after the kind's
+        fields (``gamma``, ``lo``, ``hi``, ``direction``, ``level``,
+        ``shift``, ``scale``); a row ignores the columns its kind lacks.
+        Every row is checked by its kind's own rule, and ``reps`` must hold
+        ints in [1, 2^63 - 1].
+        """
+        reps = np.asarray(reps)
+        if reps.ndim != 1 or not reps.size:
+            raise ValueError(f"a query table needs a flat, non-empty array of reps, "
+                             f"got shape {reps.shape}")
+        if reps.dtype.kind not in "iu" or reps.min() < 1 \
+                or reps.dtype.kind == "u" and reps.max() > INT64_MAX:
+            raise ValueError(f"repetitions must be ints in [1, 2^63 - 1], got {reps.dtype} "
+                             f"reps {reps}")
+        size = reps.size
+        if isinstance(kinds, type):
+            groups = {kinds: np.arange(size)}
+        else:
+            if len(kinds) != size:
+                raise ValueError(f"{size} reps need {size} kinds, got {len(kinds)}")
+            groups = _rows_by_kind(kinds)
+        blocks = []
+        for kind, rows in groups.items():
+            if kind not in _ORACLES:
+                raise ValueError(f"not a query kind: {kind!r}")
+            params = {}
+            for name in _FIELDS[kind]:
+                if name not in columns:
+                    raise ValueError(f"{kind.__name__} rows need a {name!r} column")
+                column = np.asarray(columns[name], dtype=_COLUMN_TYPES[name])
+                if column.shape != (size,):
+                    raise ValueError(f"column {name!r} needs shape ({size},), "
+                                     f"got {column.shape}")
+                params[name] = column[rows]  # a copy the caller cannot change
+            valid = np.asarray(kind._valid(**params))
+            if not valid.all():
+                bad = int(np.argmin(valid))
+                row = {name: column[bad].item() for name, column in params.items()}
+                raise ValueError(f"{kind._rule}, got row {rows[bad]}: {kind.__name__}{row}")
+            blocks.append((kind, rows, params))
+        table = cls.__new__(cls)
+        table._set(tuple(blocks), reps.astype(np.int64))
+        return table
+
+    def _set(self, blocks, reps: np.ndarray) -> None:
+        reps.setflags(write=False)
+        self._blocks, self._reps = blocks, reps
+        self._per_block = sum(reps.tolist())  # exact: may exceed int64
+
+    @property
+    def reps(self) -> np.ndarray:
+        return self._reps
 
     @property
     def per_block(self) -> int:
-        return sum(self.reps)
+        return self._per_block
+
+    def __len__(self) -> int:
+        return self._reps.size
+
+    @property
+    def queries(self) -> tuple[Query, ...]:
+        """The rows as query values, built anew on each access."""
+        out = [None] * self._reps.size
+        for kind, rows, params in self._blocks:
+            for row, *values in zip(rows.tolist(), *(col.tolist() for col in params.values())):
+                out[row] = kind(*values)
+        return tuple(out)
+
+
+def _rows_by_kind(kinds) -> dict:
+    """Each kind's row positions, kinds in order of first use."""
+    rows: dict = {}
+    for j, kind in enumerate(kinds):
+        rows.setdefault(kind, []).append(j)
+    return {kind: np.array(at, dtype=np.intp) for kind, at in rows.items()}
+
+
+def _group(queries) -> tuple:
+    """(kind, rows, parameter columns) for each query kind, in order of first use."""
+    blocks = []
+    for kind, rows in _rows_by_kind(map(type, queries)).items():
+        if kind not in _ORACLES:
+            raise TypeError(f"unknown query type: {kind.__name__}")
+        members = [queries[j] for j in rows.tolist()]
+        blocks.append((kind, rows, {name: np.array([getattr(q, name) for q in members],
+                                                   dtype=_COLUMN_TYPES[name])
+                                    for name in _FIELDS[kind]}))
+    return tuple(blocks)
 
 
 def _gray_value(level: int, u) -> np.ndarray:
@@ -199,74 +321,72 @@ def evaluate_query(q: Query, x) -> np.ndarray:
 def query_probabilities(dist: Distribution, queries) -> np.ndarray:
     """Pr(bit = 1) of each query under the distribution, from its analytic CDF.
 
-    Queries are grouped by kind and each kind's oracle is evaluated once, on
-    the arrays of its queries' parameters.
+    ``queries`` is a ``QueryTable`` or a sequence of queries.  Each kind's
+    oracle is evaluated once, on the parameter columns of its rows.
     """
-    kinds = list(map(type, queries))
-    p = np.empty(len(kinds))
-    for kind in dict.fromkeys(kinds):
-        oracle = _ORACLES.get(kind)
-        if oracle is None:
-            raise TypeError(f"unknown query type: {kind.__name__}")
-        idx = [j for j, k in enumerate(kinds) if k is kind]
-        p[idx] = oracle(dist, [queries[j] for j in idx])
+    if isinstance(queries, QueryTable):
+        blocks, size = queries._blocks, len(queries)
+    else:
+        blocks, size = _group(queries), len(queries)
+    p = np.empty(size)
+    for kind, rows, params in blocks:
+        p[rows] = _ORACLES[kind](dist, **params)
     return np.minimum(np.maximum(p, 0.0), 1.0)  # guard float cancellation in tail differences
 
 
 def query_probability(dist: Distribution, q: Query) -> float:
-    """Pr(bit = 1) for one query: ``query_probabilities`` of a one-query batch."""
-    return float(query_probabilities(dist, (q,))[0])
+    """Pr(bit = 1) for one query: its kind's oracle on one-row columns."""
+    oracle = _ORACLES.get(type(q))
+    if oracle is None:
+        raise TypeError(f"unknown query type: {type(q).__name__}")
+    p = oracle(dist, **{name: np.array([value], dtype=_COLUMN_TYPES[name])
+                        for name, value in vars(q).items()})
+    return min(max(float(p[0]), 0.0), 1.0)  # as query_probabilities clamps
 
 
-def _gammas(qs) -> np.ndarray:
-    return np.array([q.gamma for q in qs], dtype=float)
-
-
-def _interval_probability(dist: Distribution, qs) -> np.ndarray:
-    return dist.prob_interval(np.array([q.lo for q in qs], dtype=float),
-                              np.array([q.hi for q in qs], dtype=float))
-
-
-def _gray_probability(dist: Distribution, qs) -> np.ndarray:
+def _gray_probability(dist: Distribution, level, shift, scale) -> np.ndarray:
     # Cells j of width 2**-level on [0, 1) carry bit 1 iff j mod 4 in {1, 2};
     # the clamp sends u <= 0 to bit 0 and u >= 1 to the bit of g_level(1),
     # which is 1 only at level 1, whose one cell ends at shift + scale.
+    rows = list(zip(level.tolist(), shift.tolist(), scale.tolist()))
     lows, highs = [], []
-    for q in qs:
-        width = 0.5 ** q.level
-        j = np.arange(1, 2 ** q.level, 4)
-        lows.append(q.shift + q.scale * (j * width))
-        highs.append(q.shift + q.scale * (np.minimum(j + 2, 2 ** q.level) * width))
+    for lv, sh, sc in rows:
+        width = 0.5 ** lv
+        j = np.arange(1, 2 ** lv, 4)
+        lows.append(sh + sc * (j * width))
+        highs.append(sh + sc * (np.minimum(j + 2, 2 ** lv) * width))
     ends = np.cumsum([len(cells) for cells in lows])
     cdf_high = dist.cdf_strict(np.concatenate(highs))
     mass = cdf_high - dist.cdf_strict(np.concatenate(lows))
     prob = np.array([float(np.sum(cells)) for cells in np.split(mass, ends[:-1])])
-    for i, q in enumerate(qs):
-        if q.level == 1:
+    for i, (lv, _, _) in enumerate(rows):
+        if lv == 1:
             prob[i] += 1.0 - float(cdf_high[ends[i] - 1])
     return prob
 
 
-def _uniform_probability(dist: Distribution, qs) -> np.ndarray:
-    lo = np.array([q.lo for q in qs], dtype=float)
-    hi = np.array([q.hi for q in qs], dtype=float)
-    ge = np.array([q.direction == "ge" for q in qs])
-    p = np.empty(len(qs))
-    for direction, rows in (("ge", ge), ("le", ~ge)):
+def _uniform_probability(dist: Distribution, direction, lo, hi) -> np.ndarray:
+    ge = direction == "ge"
+    p = np.empty(len(lo))
+    for side, rows in (("ge", ge), ("le", ~ge)):
         if rows.any():
-            p[rows] = uniform_threshold_probability(dist, direction, lo[rows], hi[rows])
+            p[rows] = uniform_threshold_probability(dist, side, lo[rows], hi[rows])
     return p
 
 
+# Each kind's oracle takes its parameters as equal-length columns.
 _ORACLES = {
-    ThresholdGE: lambda dist, qs: 1.0 - dist.cdf_strict(_gammas(qs)),
-    ThresholdGT: lambda dist, qs: 1.0 - dist.cdf(_gammas(qs)),
-    ThresholdLE: lambda dist, qs: dist.cdf(_gammas(qs)),
-    ThresholdLT: lambda dist, qs: dist.cdf_strict(_gammas(qs)),
-    Interval: _interval_probability,
+    ThresholdGE: lambda dist, gamma: 1.0 - dist.cdf_strict(gamma),
+    ThresholdGT: lambda dist, gamma: 1.0 - dist.cdf(gamma),
+    ThresholdLE: lambda dist, gamma: dist.cdf(gamma),
+    ThresholdLT: lambda dist, gamma: dist.cdf_strict(gamma),
+    Interval: lambda dist, lo, hi: dist.prob_interval(lo, hi),
     GrayBit: _gray_probability,
     UniformThreshold: _uniform_probability,
 }
+_FIELDS = {kind: tuple(f.name for f in fields(kind)) for kind in _ORACLES}
+_COLUMN_TYPES = {"gamma": float, "lo": float, "hi": float, "shift": float, "scale": float,
+                 "level": np.int64, "direction": str}
 
 
 def uniform_threshold_probability(dist: Distribution, direction: str, lo, hi):
@@ -356,15 +476,17 @@ class Agent:
         the answer is the int64 array of the K block counts, drawn at once.
         A ``QueryTable`` is answered in one draw, with n the total number of
         queries, K times ``per_block``: the int64 counts have shape (Q,), or
-        (K, Q) with ``groups=K``.
+        (K, Q) with ``groups=K``.  A single query goes straight to its kind's
+        oracle, with no table built.
         """
-        queries, reps = _table_of(q, n, groups)
-        p = query_probabilities(self._distribution, queries)
-        if len(reps) == 1:  # numpy's scalar-argument path is ~8x cheaper, same stream
-            reps, p = reps[0], float(p[0])
-        counts = self._rng.binomial(np.asarray(reps, dtype=np.int64), p,
-                                    size=(groups or 1, np.size(reps)))
-        return _shaped(counts, q, groups)
+        if isinstance(q, QueryTable):
+            blocks = _table_blocks(q, n, groups)
+            p = query_probabilities(self._distribution, q)
+            counts = self._rng.binomial(q.reps, p, size=(blocks, len(q)))
+            return counts if groups is not None else counts[0]
+        _, per_block = _query_blocks(n, groups)
+        p = query_probability(self._distribution, q)
+        return self._rng.binomial(per_block, p, size=groups)
 
     def respond_count_uniform_threshold(self, direction: str, lo: float,
                                         hi: float, n: int) -> int:
@@ -377,36 +499,46 @@ class BitAgent(Agent):
 
     def respond_count(self, q: Query | QueryTable, n: int, *,
                       groups: int | None = None) -> int | np.ndarray:
-        queries, reps = _table_of(q, n, groups)
+        if isinstance(q, QueryTable):
+            blocks, queries, reps = _table_blocks(q, n, groups), q.queries, q.reps.tolist()
+        else:
+            (blocks, per_block), queries = _query_blocks(n, groups), (q,)
+            reps = (per_block,)
         counts = np.array([[self.respond_bits(query, r).sum() for query, r in zip(queries, reps)]
-                           for _ in range(groups or 1)], dtype=np.int64)
-        return _shaped(counts, q, groups)
+                           for _ in range(blocks)], dtype=np.int64)
+        if isinstance(q, QueryTable):
+            return counts if groups is not None else counts[0]
+        return counts[:, 0] if groups is not None else int(counts[0, 0])
 
 
-def _table_of(q: Query | QueryTable, n: int,
-              groups: int | None) -> tuple[tuple[Query, ...], tuple[int, ...]]:
-    """The queries and per-block repetitions that n repetitions of ``q`` in
-    ``groups`` blocks ask; a single query is a one-query table."""
+def _split(n: int, groups: int | None) -> tuple[int, int]:
+    """(K, queries per block) for n queries in ``groups`` equal blocks, one if None."""
+    if not _is_count(n) or not (groups is None or _is_count(groups)):
+        raise ValueError(f"query and block counts must be ints, got n={n!r}, "
+                         f"groups={groups!r}")
     blocks = 1 if groups is None else groups
-    if isinstance(q, QueryTable):
-        if blocks < 1 or n != blocks * q.per_block:
-            raise ValueError(f"{n} queries are not {blocks} blocks of the table's "
-                             f"{q.per_block}")
-        return q.queries, q.reps
     if n < 1:
         raise ValueError("need at least one query")
     if blocks < 1 or n % blocks:
         raise ValueError(f"{n} repetitions do not split into {groups} equal blocks")
-    if n // blocks > INT64_MAX:
-        raise ValueError(f"{n // blocks} repetitions per block exceed int64")
-    return (q,), (n // blocks,)
+    return blocks, n // blocks
 
 
-def _shaped(counts: np.ndarray, q: Query | QueryTable, groups: int | None):
-    """(K, Q) counts as ``respond_count`` returns them for ``q`` and ``groups``."""
-    if isinstance(q, QueryTable):
-        return counts if groups is not None else counts[0]
-    return counts[:, 0] if groups is not None else int(counts[0, 0])
+def _table_blocks(table: QueryTable, n: int, groups: int | None) -> int:
+    """The number of blocks K when n queries answer ``table`` in ``groups`` blocks."""
+    blocks, per_block = _split(n, groups)
+    if per_block != table.per_block:
+        raise ValueError(f"{n} queries are not {blocks} blocks of the table's "
+                         f"{table.per_block}")
+    return blocks
+
+
+def _query_blocks(n: int, groups: int | None) -> tuple[int, int]:
+    """(K, repetitions per block) when n repetitions of one query form ``groups`` blocks."""
+    blocks, per_block = _split(n, groups)
+    if per_block > INT64_MAX:
+        raise ValueError(f"{per_block} repetitions per block exceed int64")
+    return blocks, per_block
 
 
 def repeated_fraction(agent: Agent, q: Query, m: int, transcript: Transcript) -> float:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import Agent, Interval, QueryTable, Transcript
+from .channel import INT64_MAX, Agent, Interval, QueryTable, Transcript
 from .distributions import DiscreteMixture, make_discrete
 
 __all__ = [
@@ -68,6 +68,8 @@ def make_pair_grid(lam: float, sigma: float, eps: float) -> PairGrid:
     Requires eps < sigma/2 (else the two-point masses leave [0, 1]); lam is
     rounded up to an integer multiple of sigma.
     """
+    if not (math.isfinite(lam) and math.isfinite(sigma)):
+        raise ValueError(f"lam and sigma must be finite, got lam={lam}, sigma={sigma}")
     if not sigma > 0:
         raise ValueError("sigma must be positive")
     if not 0 < eps < sigma / 2.0:
@@ -76,7 +78,7 @@ def make_pair_grid(lam: float, sigma: float, eps: float) -> PairGrid:
     n_pairs = int(round(lam_grid / sigma)) - 1
     if n_pairs < 1:
         raise ValueError(f"lam={lam} leaves no room for any pair at sigma={sigma}")
-    centers = tuple(-lam_grid + 2.0 * j * sigma for j in range(1, n_pairs + 1))
+    centers = tuple((-lam_grid + 2.0 * np.arange(1, n_pairs + 1) * sigma).tolist())
     return PairGrid(lam=lam_grid, sigma=sigma, eps=eps, n_pairs=n_pairs,
                     centers=centers)
 
@@ -214,25 +216,36 @@ def verify_kl_bound(pair: K2HardPair, slack: float = 1e-15) -> KLVerification:
     )
 
 
-def baseline_query_plan(lam: float, sigma: float, eps: float,
-                        budget: int) -> list[tuple[int, str, Interval, int]]:
-    """The baseline's full query list -- a pure function of the parameters.
+def _baseline_table(grid: PairGrid, budget: int) -> QueryTable:
+    """The baseline's queries as one table, built from the grid's centers.
 
     Splits the budget evenly over 2N slots: per pair, a presence interval
-    covering both support points and a sign interval covering only the upper
-    one.  Computable before any response, which is what non-adaptive means.
+    [c - sigma, c + sigma] covering both support points, then a sign interval
+    [c, c + sigma] covering only the upper one, each repeated budget // 2N
+    times.  Computable before any response, which is what non-adaptive means.
     """
-    grid = make_pair_grid(lam, sigma, eps)
-    per_slot = budget // (2 * grid.n_pairs)
+    if isinstance(budget, bool) or not isinstance(budget, (int, np.integer)):
+        raise ValueError(f"budget must be an int, got {budget!r}")
+    slots = 2 * grid.n_pairs
+    per_slot = budget // slots
     if per_slot < 1:
-        raise ValueError(
-            f"budget {budget} below the 2N = {2 * grid.n_pairs} queries needed"
-        )
-    plan = []
-    for j, c in enumerate(grid.centers, start=1):
-        plan.append((j, "presence", Interval(c - sigma, c + sigma), per_slot))
-        plan.append((j, "sign", Interval(c, c + sigma), per_slot))
-    return plan
+        raise ValueError(f"budget {budget} below the 2N = {slots} queries needed")
+    if per_slot > INT64_MAX:
+        raise ValueError(f"budget {budget} puts {per_slot} queries in one slot, beyond int64")
+    c = np.array(grid.centers)
+    return QueryTable.from_columns(Interval, np.full(slots, per_slot),
+                                   lo=np.column_stack([c - grid.sigma, c]).ravel(),
+                                   hi=np.repeat(c + grid.sigma, 2))
+
+
+def baseline_query_plan(lam: float, sigma: float, eps: float,
+                        budget: int) -> list[tuple[int, str, Interval, int]]:
+    """The baseline's full query list -- a pure function of the parameters:
+    (pair index, "presence" or "sign", interval, repetitions) per row of its
+    table, pair by pair."""
+    table = _baseline_table(make_pair_grid(lam, sigma, eps), budget)
+    return [(row // 2 + 1, ("presence", "sign")[row % 2], q, m)
+            for row, (q, m) in enumerate(zip(table.queries, table.reps.tolist()))]
 
 
 @dataclass(frozen=True)
@@ -251,18 +264,17 @@ def nonadaptive_baseline(agent: Agent, lam: float, sigma: float, eps: float,
     if transcript is None:
         transcript = Transcript()
     transcript.begin_phase("nonadaptive")
-    plan = baseline_query_plan(lam, sigma, eps, budget)
-    table = QueryTable(tuple(q for _, _, q, _ in plan), tuple(m for _, _, _, m in plan))
+    grid = make_pair_grid(lam, sigma, eps)
+    table = _baseline_table(grid, budget)
     ones = agent.respond_count(table, table.per_block)
     transcript.record_batch(table.per_block)
-    frac = ones / np.array(table.reps)
-    presence, sign_frac = frac[0::2], frac[1::2]  # the plan alternates the two per pair
+    frac = ones / table.reps
+    presence, sign_frac = frac[0::2], frac[1::2]  # the table alternates the two per pair
 
     j_hat = int(np.argmax(presence)) + 1
     sign = 1 if sign_frac[j_hat - 1] >= 0.5 else -1
-    center = table.queries[2 * j_hat - 1].lo  # the sign interval is [c_j, c_j + sigma]
     return BaselineEstimate(
-        mu_hat=center + sign * eps,
+        mu_hat=grid.centers[j_hat - 1] + sign * eps,
         pair_index=j_hat,
         sign=sign,
         samples_used=table.per_block,

@@ -194,7 +194,14 @@ def refinement_plan(params: FamilyParams, eps: float, delta: float,
 
 
 def region_queries(region: Region, center: float) -> tuple[Query, Query, Query, Query]:
-    """The region's four queries, in original coordinates around ``center``.
+    """The region's four queries, in original coordinates around ``center``:
+    the one-region case of ``_region_table``, materialized."""
+    return _region_table((region,), (1,), center).queries
+
+
+def _region_table(regions, reps, center: float) -> QueryTable:
+    """The four queries of each region around ``center`` as table rows, built
+    from the regions' inner/outer arrays; region i's rows repeat reps[i] times.
 
     With Y = X - center and T ~ Uniform(a, b), a right region (a, b] uses
 
@@ -206,26 +213,38 @@ def region_queries(region: Region, center: float) -> tuple[Query, Query, Query, 
     onto [-b, -a).  The inner endpoint is strict so an atom on a cell boundary
     is counted once; regions +-1 keep f1 closed at the center, where a = 0.
     """
-    a, b = region.inner, region.outer
-    if region.index > 0:
-        lo, hi = center + a, center + b
-        near = ThresholdGE(lo) if region.index == 1 else ThresholdGT(lo)
-        return near, UniformThreshold("ge", lo, hi), ThresholdLE(hi), \
-            UniformThreshold("le", lo, hi)
-    lo, hi = center - b, center - a
-    near = ThresholdLE(hi) if region.index == -1 else ThresholdLT(hi)
-    return near, UniformThreshold("le", lo, hi), ThresholdGE(lo), \
-        UniformThreshold("ge", lo, hi)
+    inner = np.array([region.inner for region in regions])
+    outer = np.array([region.outer for region in regions])
+    right = np.array([region.index > 0 for region in regions])
+    lo = np.where(right, center + inner, center - outer)
+    hi = np.where(right, center + outer, center - inner)
+    toward, away = np.where(right, "ge", "le"), np.where(right, "le", "ge")
+    # Rows f1..f4 per region; a threshold row reads gamma, a uniform one
+    # direction, lo and hi.
+    return QueryTable.from_columns(
+        [kind for region in regions for kind in _region_kinds(region.index)],
+        np.repeat(reps, 4),
+        gamma=np.array([np.where(right, lo, hi), lo, np.where(right, hi, lo), lo]).T.ravel(),
+        direction=np.array([toward, toward, away, away]).T.ravel(),
+        lo=np.repeat(lo, 4), hi=np.repeat(hi, 4))
+
+
+def _region_kinds(index: int) -> tuple[type, type, type, type]:
+    """The kinds of f1..f4 in the region of this index; f1 is closed only
+    in regions +-1."""
+    if index > 0:
+        return ThresholdGE if index == 1 else ThresholdGT, UniformThreshold, ThresholdLE, \
+            UniformThreshold
+    return ThresholdLE if index == -1 else ThresholdLT, UniformThreshold, ThresholdGE, \
+        UniformThreshold
 
 
 def query_table(plan: RefinementPlan, center: float) -> QueryTable:
     """The refinement round as one table: the four ``region_queries`` of every
     region, in ``plan.regions`` order, each repeated n_i times per batch, so
     ``per_block`` is ``plan.samples_per_batch``."""
-    return QueryTable(
-        tuple(q for region in plan.regions for q in region_queries(region, center)),
-        tuple(plan.n_by_magnitude[abs(region.index)]
-              for region in plan.regions for _ in range(4)))
+    return _region_table(plan.regions, [plan.n_by_magnitude[abs(region.index)]
+                                        for region in plan.regions], center)
 
 
 def _region_sums(agent: Agent, regions, table: QueryTable, batches: int,
@@ -236,7 +255,7 @@ def _region_sums(agent: Agent, regions, table: QueryTable, batches: int,
     counts = agent.respond_count(table, n, groups=batches)
     if transcript is not None:
         transcript.record_batch(n)
-    f = (counts / np.array(table.reps, dtype=float)).reshape(batches, len(regions), 4)
+    f = (counts / table.reps).reshape(batches, len(regions), 4)
     sign = np.array([region.sign for region in regions], dtype=float)
     inner = np.array([region.inner for region in regions])
     outer = np.array([region.outer for region in regions])
@@ -394,8 +413,8 @@ def analytic_base_variance(dist: Distribution, center: float, plan: RefinementPl
     ``region_queries``.
     """
     table = query_table(plan, center)
-    p = query_probabilities(dist, table.queries)
-    v = (p * (1.0 - p) / np.array(table.reps, dtype=float)).reshape(len(plan.regions), 4)
+    p = query_probabilities(dist, table)
+    v = (p * (1.0 - p) / table.reps).reshape(len(plan.regions), 4)
     inner = np.array([region.inner for region in plan.regions])
     outer = np.array([region.outer for region in plan.regions])
     return float(np.sum(inner ** 2 * (v[:, 0] + v[:, 1]) + outer ** 2 * (v[:, 2] + v[:, 3])))

@@ -229,19 +229,40 @@ def test_indivisible_block_split_rejected(agent_type):
             agent.respond_count(ThresholdGE(0.0), 10, groups=groups)
 
 
-@pytest.mark.parametrize("make", [
-    lambda: ThresholdGE(math.nan), lambda: ThresholdGT(math.nan),
-    lambda: ThresholdLE(math.nan), lambda: ThresholdLT(math.nan),
-    lambda: UniformThreshold("ge", -math.inf, 0.0), lambda: UniformThreshold("le", 0.0, math.inf),
-    lambda: UniformThreshold("ge", math.nan, 1.0), lambda: UniformThreshold("le", 0.0, math.nan),
-    lambda: GrayBit(1, math.nan, 1.0), lambda: GrayBit(2, 0.0, math.inf),
-    lambda: GrayBit(1, -math.inf, 1.0), lambda: GrayBit(3, 0.0, math.nan),
-], ids=["ge-nan", "gt-nan", "le-nan", "lt-nan", "uniform-lo-inf", "uniform-hi-inf",
-        "uniform-lo-nan", "uniform-hi-nan", "gray-shift-nan", "gray-scale-inf",
-        "gray-shift-inf", "gray-scale-nan"])
-def test_queries_reject_non_finite_parameters(make):
+BAD_QUERIES = [
+    (ThresholdGE, {"gamma": math.nan}), (ThresholdGT, {"gamma": math.nan}),
+    (ThresholdLE, {"gamma": math.nan}), (ThresholdLT, {"gamma": math.nan}),
+    (UniformThreshold, {"direction": "ge", "lo": -math.inf, "hi": 0.0}),
+    (UniformThreshold, {"direction": "le", "lo": 0.0, "hi": math.inf}),
+    (UniformThreshold, {"direction": "ge", "lo": math.nan, "hi": 1.0}),
+    (UniformThreshold, {"direction": "le", "lo": 0.0, "hi": math.nan}),
+    (GrayBit, {"level": 1, "shift": math.nan, "scale": 1.0}),
+    (GrayBit, {"level": 2, "shift": 0.0, "scale": math.inf}),
+    (GrayBit, {"level": 1, "shift": -math.inf, "scale": 1.0}),
+    (GrayBit, {"level": 3, "shift": 0.0, "scale": math.nan}),
+]
+BAD_QUERY_IDS = ["ge-nan", "gt-nan", "le-nan", "lt-nan", "uniform-lo-inf", "uniform-hi-inf",
+                 "uniform-lo-nan", "uniform-hi-nan", "gray-shift-nan", "gray-scale-inf",
+                 "gray-shift-inf", "gray-scale-nan"]
+
+
+@pytest.mark.parametrize("kind, params", BAD_QUERIES, ids=BAD_QUERY_IDS)
+def test_queries_reject_non_finite_parameters(kind, params):
     with pytest.raises(ValueError):
-        make()
+        kind(**params)
+
+
+@pytest.mark.parametrize("kind, params", BAD_QUERIES, ids=BAD_QUERY_IDS)
+def test_table_columns_reject_what_queries_reject(kind, params):
+    # the same row through the array route, as the table's one kind and as a
+    # row of a mixed table behind a valid threshold
+    columns = {name: [value] for name, value in params.items()}
+    with pytest.raises(ValueError, match=kind._rule):
+        QueryTable.from_columns(kind, [3], **columns)
+    mixed = {name: [values[0]] * 2 for name, values in columns.items()}
+    mixed["gamma"] = [0.0, params.get("gamma", 0.0)]
+    with pytest.raises(ValueError, match="row 1"):
+        QueryTable.from_columns([ThresholdGE, kind], [3, 3], **mixed)
 
 
 def test_infinite_thresholds_stay_valid():
@@ -293,7 +314,7 @@ def test_table_count_shapes_and_wrong_totals(agent_type):
         agent.respond_count(ThresholdGE(0.0), 2 ** 63)
 
 
-@pytest.mark.parametrize("queries, reps", [
+BAD_TABLES = [
     ((), ()),
     ((ThresholdGE(0.0),), ()),
     ((ThresholdGE(0.0), ThresholdLE(0.0)), (1,)),
@@ -303,8 +324,75 @@ def test_table_count_shapes_and_wrong_totals(agent_type):
     ((ThresholdGE(0.0),), (True,)),
     ((ThresholdGE(0.0),), (2 ** 63,)),
     ((0.5,), (1,)),
-], ids=["empty", "no-reps", "short-reps", "zero-rep", "negative-rep", "float-rep",
-        "bool-rep", "rep-beyond-int64", "not-a-query"])
+]
+BAD_TABLE_IDS = ["empty", "no-reps", "short-reps", "zero-rep", "negative-rep", "float-rep",
+                 "bool-rep", "rep-beyond-int64", "not-a-query"]
+
+
+@pytest.mark.parametrize("queries, reps", BAD_TABLES, ids=BAD_TABLE_IDS)
 def test_malformed_query_tables_rejected(queries, reps):
     with pytest.raises(ValueError):
         QueryTable(queries, reps)
+
+
+@pytest.mark.parametrize("queries, reps", BAD_TABLES, ids=BAD_TABLE_IDS)
+def test_malformed_table_columns_rejected(queries, reps):
+    with pytest.raises(ValueError):
+        QueryTable.from_columns([type(q) for q in queries], reps,
+                                gamma=[getattr(q, "gamma", 0.0) for q in queries])
+
+
+def test_table_columns_build_the_same_rows_as_queries():
+    queries = MIXED_TABLE.queries
+    assert queries == (ThresholdGE(0.1), UniformThreshold("le", -1.0, 2.0),
+                       Interval(-0.5, 1.5), GrayBit(2, -4.0, 8.0))
+    # every row reads only its kind's fields; the others hold placeholders
+    table = QueryTable.from_columns(
+        [ThresholdGE, UniformThreshold, Interval, GrayBit], np.array([50, 30, 40, 20]),
+        gamma=[0.1, math.nan, math.nan, math.nan], direction=["", "le", "", ""],
+        lo=[math.nan, -1.0, -0.5, math.nan], hi=[math.nan, 2.0, 1.5, math.nan],
+        level=[0, 0, 0, 2], shift=[math.nan, math.nan, math.nan, -4.0],
+        scale=[math.nan, math.nan, math.nan, 8.0])
+    assert table.queries == queries and table.reps.tolist() == MIXED_TABLE.reps.tolist()
+    d = make_two_sided_pareto(1.5, 1.0, mu=0.3, alpha=1.9)
+    assert query_probabilities(d, table).tolist() == query_probabilities(d, queries).tolist()
+    with pytest.raises(ValueError, match="'lo' column"):
+        QueryTable.from_columns(Interval, [1], hi=[1.0])
+    with pytest.raises(ValueError, match="shape"):
+        QueryTable.from_columns(ThresholdGE, [1, 1], gamma=[0.0])
+
+
+def test_per_block_stays_exact_beyond_int64():
+    big = 2 ** 63 - 1
+    for table in (QueryTable((ThresholdGE(0.0), ThresholdLE(0.0), Interval(0.0, 1.0)),
+                             (big, big - 1, big)),
+                  QueryTable.from_columns(ThresholdGE, np.array([big, big - 1, big]),
+                                          gamma=np.zeros(3))):
+        assert table.reps.dtype == np.int64 and table.reps.tolist() == [big, big - 1, big]
+        assert type(table.per_block) is int and table.per_block == 3 * big - 1
+        with pytest.raises(ValueError):  # read-only
+            table.reps[0] = 1
+
+
+def test_single_query_draws_the_one_row_table_stream():
+    # the single-query path skips the table, but not a single draw of the stream
+    d = make_two_sided_pareto(1.5, 1.0, mu=0.3, alpha=1.9)
+    fast, table = _agent(d, seed=15), _agent(d, seed=15)
+    for i in range(400):
+        q = ThresholdLE(-5.0 + 0.025 * i)
+        n = 1000 + 7 * i
+        assert fast.respond_count(q, n) == int(table.respond_count(QueryTable((q,), (n,)), n)[0])
+    assert fast.respond_count(ThresholdGE(0.2), 60, groups=3).tolist() == \
+        table.respond_count(QueryTable((ThresholdGE(0.2),), (20,)), 60, groups=3)[:, 0].tolist()
+
+
+@pytest.mark.parametrize("agent_type", [Agent, BitAgent])
+@pytest.mark.parametrize("n", [5.0, True, math.nan])
+def test_non_integer_query_counts_rejected(agent_type, n):
+    agent = agent_type(make_point_mass(0.0), trial_rng(0, "chan", 0))
+    with pytest.raises(ValueError, match="must be ints"):
+        agent.respond_count(ThresholdGE(0.0), n)
+    with pytest.raises(ValueError, match="must be ints"):
+        agent.respond_count(QueryTable((ThresholdGE(0.0),), (1,)), n)
+    with pytest.raises(ValueError, match="must be ints"):
+        agent.respond_count(ThresholdGE(0.0), 10, groups=2.0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from pytest import approx
 
-from bitmean.channel import Agent
+from bitmean.channel import Agent, Interval, QueryTable
 from bitmean.distributions import FamilyParams, validate_family
 from bitmean.hardness import (
     baseline_query_plan,
@@ -170,3 +170,56 @@ def test_baseline_consistent_with_large_budget():
         assert est.pair_index == j
         assert est.sign == sign
         assert abs(est.mu_hat - dist.mean()) <= 1e-12
+
+
+@pytest.mark.parametrize("sigma", [0.3, 1.0, 2.5])
+@pytest.mark.parametrize("lam", [4.0, 77.3, 1000.5, 2.0 ** 10, 2.0 ** 16])
+def test_pair_grid_centers_equal_per_pair_loop(lam, sigma):
+    grid = make_pair_grid(lam, sigma, 0.1)
+    assert grid.centers == tuple(-grid.lam + 2.0 * j * sigma for j in range(1, grid.n_pairs + 1))
+
+
+@pytest.mark.parametrize("lam, sigma, eps, per_slot", [
+    (4.0, 1.0, 0.1, 10), (77.3, 0.3, 0.1, 9), (2.0 ** 10, 1.0, 0.125, 520)])
+def test_baseline_table_equals_object_built_rows(lam, sigma, eps, per_slot):
+    grid = make_pair_grid(lam, sigma, eps)
+    budget = 2 * grid.n_pairs * per_slot + 1  # the remainder is never spent
+    rows = [(j, kind, q, per_slot) for j, c in enumerate(grid.centers, start=1)
+            for kind, q in (("presence", Interval(c - sigma, c + sigma)),
+                            ("sign", Interval(c, c + sigma)))]
+    assert baseline_query_plan(lam, sigma, eps, budget) == rows
+    # the baseline's estimate equals answering an object-built table of those
+    # rows from the same stream
+    table = QueryTable([q for _, _, q, _ in rows], [m for *_, m in rows])
+    for trial in range(5):
+        dist = grid.member(1 + (7 * trial) % grid.n_pairs, 1 if trial % 2 else -1)
+        est = nonadaptive_baseline(Agent(dist, trial_rng(6, "table", trial)), lam, sigma, eps,
+                                   budget)
+        ones = Agent(dist, trial_rng(6, "table", trial)).respond_count(table, table.per_block)
+        j_hat = int(np.argmax(ones[0::2])) + 1
+        sign = 1 if ones[2 * j_hat - 1] / per_slot >= 0.5 else -1
+        assert (est.pair_index, est.sign, est.samples_used) == (j_hat, sign, table.per_block)
+        assert est.mu_hat == grid.centers[j_hat - 1] + sign * eps
+
+
+def _baseline_agent():
+    return Agent(make_pair_grid(4.0, 1.0, 0.1).member(1, 1), trial_rng(2, "b", 0))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: make_pair_grid(math.inf, 1.0, 0.1), "finite"),
+    (lambda: make_pair_grid(math.nan, 1.0, 0.1), "finite"),
+    (lambda: make_pair_grid(4.0, math.inf, 0.1), "finite"),
+    (lambda: nonadaptive_baseline(_baseline_agent(), math.inf, 1.0, 0.1, 60), "finite"),
+    (lambda: baseline_query_plan(4.0, 1.0, 0.1, math.nan), "budget must be an int"),
+    (lambda: baseline_query_plan(4.0, 1.0, 0.1, True), "budget must be an int"),
+    (lambda: nonadaptive_baseline(_baseline_agent(), 4.0, 1.0, 0.1, True),
+     "budget must be an int"),
+    (lambda: baseline_query_plan(4.0, 1.0, 0.1, 60.0), "budget must be an int"),
+    (lambda: baseline_query_plan(4.0, 1.0, 0.1, 2 ** 70), "int64"),
+], ids=["grid-lam-inf", "grid-lam-nan", "grid-sigma-inf", "baseline-lam-inf",
+        "plan-budget-nan", "plan-budget-bool", "baseline-budget-bool", "plan-budget-float",
+        "plan-budget-beyond-int64"])
+def test_baseline_inputs_rejected_at_the_boundary(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from pytest import approx
 
-from bitmean.channel import Agent, BitAgent, QueryTable, ThresholdGE, Transcript, \
-    query_probabilities, query_probability
+from bitmean.channel import Agent, BitAgent, QueryTable, ThresholdGE, ThresholdGT, \
+    ThresholdLE, ThresholdLT, Transcript, UniformThreshold, query_probabilities, query_probability
 from bitmean.distributions import FamilyParams, make_discrete, make_gaussian_budget_tight, \
     make_point_mass, make_two_sided_pareto
 from bitmean.hardness import make_pair_grid
@@ -312,6 +312,20 @@ def test_estimate_mean_at_largest_lam_over_sigma_meets_eps():
     assert abs(report.mu_hat - dist.mean()) <= 0.25
 
 
+def _loop_region_queries(region, center):
+    # the per-region query list, one query value at a time: the reference
+    # the array-built refinement table is held to
+    a, b = region.inner, region.outer
+    if region.index > 0:
+        lo, hi = center + a, center + b
+        near = ThresholdGE(lo) if region.index == 1 else ThresholdGT(lo)
+        return near, UniformThreshold("ge", lo, hi), ThresholdLE(hi), \
+            UniformThreshold("le", lo, hi)
+    lo, hi = center - b, center - a
+    near = ThresholdLE(hi) if region.index == -1 else ThresholdLT(hi)
+    return near, UniformThreshold("le", lo, hi), ThresholdGE(lo), UniformThreshold("ge", lo, hi)
+
+
 @pytest.mark.parametrize("name", sorted(acceptance_matrix()))
 def test_table_probabilities_equal_per_query_loop(name):
     fx = acceptance_matrix()[name]
@@ -319,8 +333,17 @@ def test_table_probabilities_equal_per_query_loop(name):
     for eps in (sigma / 4, sigma / 64):
         plan = build_plan(fx.params, eps, 0.2)
         for offset in (0.0, 3.9, -2.5):
-            queries = query_table(plan, fx.mean + offset * sigma).queries
+            center = fx.mean + offset * sigma
+            table = query_table(plan, center)
+            queries = table.queries
+            assert queries == tuple(q for region in plan.regions
+                                    for q in _loop_region_queries(region, center))
+            assert all(region_queries(region, center) == _loop_region_queries(region, center)
+                       for region in plan.regions)
+            assert table.reps.tolist() == [plan.n_by_magnitude[abs(region.index)]
+                                           for region in plan.regions for _ in range(4)]
             p = query_probabilities(fx.dist, queries)
+            assert p.tolist() == query_probabilities(fx.dist, table).tolist()
             assert p.shape == (len(queries),)
             np.testing.assert_allclose(p, [query_probability(fx.dist, q) for q in queries],
                                        rtol=0, atol=1e-15)
