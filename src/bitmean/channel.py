@@ -173,8 +173,9 @@ class QueryTable:
     is built: for each kind, its rows' positions and one array per parameter.
     ``QueryTable(queries, reps)`` builds it from query values and
     ``QueryTable.from_columns`` from parameter arrays, under the same checks;
-    ``queries`` builds the query values only when asked.  ``reps`` is a
-    read-only int64 array and ``per_block`` an exact Python int.
+    ``queries`` builds the query values only when asked, and ``shifted``
+    translates every row at once.  Every array a table holds is read-only:
+    ``reps`` is int64 and ``per_block`` an exact Python int.
     """
 
     __slots__ = ("_blocks", "_reps", "_per_block")
@@ -231,18 +232,36 @@ class QueryTable:
                     raise ValueError(f"column {name!r} needs shape ({size},), "
                                      f"got {column.shape}")
                 params[name] = column[rows]  # a copy the caller cannot change
-            valid = np.asarray(kind._valid(**params))
-            if not valid.all():
-                bad = int(np.argmin(valid))
-                row = {name: column[bad].item() for name, column in params.items()}
-                raise ValueError(f"{kind._rule}, got row {rows[bad]}: {kind.__name__}{row}")
+            _check_block(kind, rows, params)
             blocks.append((kind, rows, params))
         table = cls.__new__(cls)
         table._set(tuple(blocks), reps.astype(np.int64))
         return table
 
+    def shifted(self, offset: float) -> QueryTable:
+        """The same table translated by ``offset``: every location parameter
+        (``gamma``, ``lo``, ``hi``, a Gray bit's ``shift``) moves by it, while
+        the kinds, ``reps`` and ``per_block`` stay.  The shifted rows are
+        checked by their kinds' rules, as ``from_columns`` checks them, so a
+        NaN offset, or one so large that an interval collapses, raises
+        ``ValueError``.
+        """
+        blocks = []
+        with np.errstate(invalid="ignore"):  # inf - inf is NaN, which the rules reject
+            for kind, rows, params in self._blocks:
+                moved = {name: column + offset if name in _LOCATIONS else column
+                         for name, column in params.items()}
+                _check_block(kind, rows, moved)
+                _read_only(*moved.values())
+                blocks.append((kind, rows, moved))
+        table = type(self).__new__(type(self))
+        table._blocks, table._reps, table._per_block = tuple(blocks), self._reps, self._per_block
+        return table
+
     def _set(self, blocks, reps: np.ndarray) -> None:
-        reps.setflags(write=False)
+        for _, rows, params in blocks:
+            _read_only(rows, *params.values())
+        _read_only(reps)
         self._blocks, self._reps = blocks, reps
         self._per_block = sum(reps.tolist())  # exact: may exceed int64
 
@@ -265,6 +284,22 @@ class QueryTable:
             for row, *values in zip(rows.tolist(), *(col.tolist() for col in params.values())):
                 out[row] = kind(*values)
         return tuple(out)
+
+
+def _check_block(kind, rows: np.ndarray, params: dict) -> None:
+    """Raise ``ValueError`` naming the first of a kind's rows its rule rejects."""
+    valid = np.asarray(kind._valid(**params))
+    if not valid.all():
+        bad = int(np.argmin(valid))
+        row = {name: column[bad].item() for name, column in params.items()}
+        raise ValueError(f"{kind._rule}, got row {rows[bad]}: {kind.__name__}{row}")
+
+
+def _read_only(*arrays: np.ndarray) -> None:
+    # A table may be shared (a cached refinement plan holds one), so none of
+    # its arrays can be written through.
+    for array in arrays:
+        array.setflags(write=False)
 
 
 def _rows_by_kind(kinds) -> dict:
@@ -385,6 +420,8 @@ _ORACLES = {
     UniformThreshold: _uniform_probability,
 }
 _FIELDS = {kind: tuple(f.name for f in fields(kind)) for kind in _ORACLES}
+# The parameters that place a query on the line, which QueryTable.shifted moves.
+_LOCATIONS = frozenset({"gamma", "lo", "hi", "shift"})
 _COLUMN_TYPES = {"gamma": float, "lo": float, "hi": float, "shift": float, "scale": float,
                  "level": np.int64, "direction": str}
 

@@ -110,6 +110,9 @@ class K2HardPair:
 
 
 def make_k2_pair(sigma: float, eps: float, lam: float | None = None) -> K2HardPair:
+    for name, value in (("sigma", sigma), ("eps", eps), ("lam", lam)):
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {name}={value}")
     if not sigma > 0:
         raise ValueError("sigma must be positive")
     if not eps > 0:

@@ -23,7 +23,7 @@ from scipy.stats import beta
 from .channel import Agent
 from .distributions import Distribution, FamilyParams, make_discrete, \
     make_gaussian_budget_tight, make_point_mass, make_two_sided_pareto, validate_family
-from .hardness import PairGrid, make_k2_pair, make_pair_grid, nonadaptive_baseline, \
+from .hardness import K2HardPair, PairGrid, make_k2_pair, make_pair_grid, nonadaptive_baseline, \
     verify_kl_bound
 from .localization import gray_change_points, gray_decode, gray_bit_value, \
     localize_gray, localize_median
@@ -132,6 +132,41 @@ class ExperimentConfig:
             object.__setattr__(self, name, tuple(getattr(self, name)))
 
 
+def _pair_grid(sigma: float, lam: float) -> PairGrid:
+    return make_pair_grid(lam, sigma, sigma / 10.0)
+
+
+def _middle_pair_upper(sigma: float, lam: float) -> Distribution:
+    grid = _pair_grid(sigma, lam)
+    return grid.member((grid.n_pairs + 1) // 2, 1)
+
+
+def _k2(sigma: float, lam: float) -> K2HardPair:
+    return make_k2_pair(sigma, sigma / 48.0, lam)
+
+
+# Each fixture's moment order k and its distribution at (sigma, lam), built
+# only when the fixture is asked for.
+_FIXTURES: dict[str, tuple[float, Callable[[float, float], Distribution]]] = {
+    "pair_plus_center": (2.0, _middle_pair_upper),
+    "pair_minus_edge": (2.0, lambda sigma, lam: _pair_grid(sigma, lam).member(1, -1)),
+    "k2_null": (2.0, lambda sigma, lam: _k2(sigma, lam).null),
+    "k2_mixture": (2.0, lambda sigma, lam: _k2(sigma, lam).mixture),
+    "pareto15": (1.5, lambda sigma, lam: make_two_sided_pareto(1.5, sigma, mu=0.3 * sigma,
+                                                               alpha=1.9)),
+    "gauss_tight": (2.0, lambda sigma, lam: make_gaussian_budget_tight(2.0, sigma,
+                                                                       mu=0.77 * sigma)),
+    "gauss_tight_k3": (3.0, lambda sigma, lam: make_gaussian_budget_tight(3.0, sigma,
+                                                                          mu=-1.3 * sigma)),
+    "point_mass": (2.0, lambda sigma, lam: make_point_mass(1.7 * sigma)),
+}
+
+
+def _fixture(name: str, sigma: float, lam: float) -> Fixture:
+    k, build = _FIXTURES[name]
+    return Fixture(name, build(sigma, lam), FamilyParams(k, lam, sigma))
+
+
 def acceptance_matrix(sigma: float = 1.0, lam: float = 16.0) -> dict[str, Fixture]:
     """The fixture matrix the acceptance criteria sweep.
 
@@ -139,35 +174,16 @@ def acceptance_matrix(sigma: float = 1.0, lam: float = 16.0) -> dict[str, Fixtur
     pair a sigma/48 one; the Pareto fixture exercises k in (1, 2); both
     Gaussian fixtures are sized so the moment budget binds exactly.
     """
-    grid = make_pair_grid(lam, sigma, sigma / 10.0)
-    mid = (grid.n_pairs + 1) // 2
-    k2 = make_k2_pair(sigma, sigma / 48.0, lam)
-    fixtures = [
-        Fixture("pair_plus_center", grid.member(mid, 1),
-                FamilyParams(2.0, lam, sigma)),
-        Fixture("pair_minus_edge", grid.member(1, -1),
-                FamilyParams(2.0, lam, sigma)),
-        Fixture("k2_null", k2.null, FamilyParams(2.0, lam, sigma)),
-        Fixture("k2_mixture", k2.mixture, FamilyParams(2.0, lam, sigma)),
-        Fixture("pareto15", make_two_sided_pareto(1.5, sigma, mu=0.3 * sigma, alpha=1.9),
-                FamilyParams(1.5, lam, sigma)),
-        Fixture("gauss_tight", make_gaussian_budget_tight(2.0, sigma, mu=0.77 * sigma),
-                FamilyParams(2.0, lam, sigma)),
-        Fixture("gauss_tight_k3", make_gaussian_budget_tight(3.0, sigma, mu=-1.3 * sigma),
-                FamilyParams(3.0, lam, sigma)),
-        Fixture("point_mass", make_point_mass(1.7 * sigma),
-                FamilyParams(2.0, lam, sigma)),
-    ]
-    return {f.name: f for f in fixtures}
+    return {name: _fixture(name, sigma, lam) for name in _FIXTURES}
 
 
 def _resolve_fixture(config: ExperimentConfig) -> Fixture:
-    matrix = acceptance_matrix(sigma=config.sigma, lam=config.lam)
-    if config.fixture not in matrix:
+    """The configured fixture, built alone."""
+    if config.fixture not in _FIXTURES:
         raise KeyError(
-            f"unknown fixture {config.fixture!r}; available: {sorted(matrix)}"
+            f"unknown fixture {config.fixture!r}; available: {sorted(_FIXTURES)}"
         )
-    return matrix[config.fixture]
+    return _fixture(config.fixture, config.sigma, config.lam)
 
 
 def _run_trials(config: ExperimentConfig, exp_id: str, source: Distribution | PairGrid,

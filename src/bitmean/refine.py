@@ -7,9 +7,12 @@ All sample counts are deterministic functions of the parameters, so
 
 from __future__ import annotations
 
+import functools
 import math
+import statistics
 from dataclasses import dataclass, field
-from typing import Callable
+from types import MappingProxyType
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -47,6 +50,7 @@ __all__ = [
 # [-4 sigma, 4 sigma]; the cutoff and allocation constants assume it.
 SHIFTED_MEAN_BOUND = 4.0
 MIN_CUTOFF_EXPONENT = 4  # t >= 16 sigma keeps t > 8 sigma with margin
+PLAN_CACHE_SIZE = 256  # plans build_plan keeps, least recently used dropped first
 
 ALLOCATION_PROFILES = ("proof-safe", "empirical")
 
@@ -121,18 +125,30 @@ class Region:
 
 @dataclass(frozen=True)
 class RefinementPlan:
+    """The refinement round, fixed by (params, eps, delta, profile) before any
+    query.  ``build_plan`` builds each plan once and shares it, so every part
+    is read-only: ``n_by_magnitude`` is a read-only mapping, ``table`` holds
+    the round's queries around center 0 (``query_table`` shifts it to the
+    localized center), and ``sign``/``inner``/``outer`` are the regions'
+    read-only columns.  Those four are derived, so ``==`` ignores them.
+    """
+
     t: float
     i_max: int
     regions: tuple[Region, ...]
-    n_by_magnitude: dict[int, int]
+    n_by_magnitude: Mapping[int, int]
     batches: int
     profile: str
     params: FamilyParams
     eps: float
+    table: QueryTable = field(compare=False, repr=False)
+    sign: np.ndarray = field(compare=False, repr=False)
+    inner: np.ndarray = field(compare=False, repr=False)
+    outer: np.ndarray = field(compare=False, repr=False)
 
     @property
     def samples_per_batch(self) -> int:
-        return sum(4 * self.n_by_magnitude[abs(r.index)] for r in self.regions)
+        return self.table.per_block
 
     @property
     def total_samples(self) -> int:
@@ -150,7 +166,20 @@ def _region_magnitudes(sigma: float, i_max: int) -> list[tuple[int, float, float
 
 def build_plan(params: FamilyParams, eps: float, delta: float,
                profile: str = "empirical") -> RefinementPlan:
-    """Partition, allocation, and batch count for one refinement run."""
+    """Partition, allocation, batch count and center-0 query table for one
+    refinement run.
+
+    Each plan is built once per (params, eps, delta, profile) and shared
+    after that: the last ``PLAN_CACHE_SIZE`` plans are kept, and
+    ``build_plan.cache_clear()`` drops them.
+    """
+    return _cached_plan(params, eps, delta, profile)
+
+
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _cached_plan(params: FamilyParams, eps: float, delta: float,
+                 profile: str) -> RefinementPlan:
+    # keyed on all four arguments as passed, so build_plan passes them all
     if not 0 < delta < 1:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
     if not 0 < eps < SHIFTED_MEAN_BOUND * params.sigma:
@@ -172,12 +201,21 @@ def build_plan(params: FamilyParams, eps: float, delta: float,
             f"eps={eps} needs n_i={n_max} queries in one region, beyond int64"
         )
     batches = math.ceil(8.0 * math.log(2.0 / delta))
-    regions = [Region(index=side * i, inner=inner, outer=outer)
-               for side in (1, -1) for i, inner, outer in _region_magnitudes(sigma, i_max)]
+    regions = tuple(Region(index=side * i, inner=inner, outer=outer)
+                    for side in (1, -1) for i, inner, outer in _region_magnitudes(sigma, i_max))
+    sign, inner, outer = _region_columns(regions)
+    for column in (sign, inner, outer):
+        column.setflags(write=False)
     return RefinementPlan(
-        t=t, i_max=i_max, regions=tuple(regions), n_by_magnitude=n_by_magnitude,
+        t=t, i_max=i_max, regions=regions, n_by_magnitude=MappingProxyType(n_by_magnitude),
         batches=batches, profile=profile, params=params, eps=eps,
+        table=_region_table(regions, [n_by_magnitude[abs(r.index)] for r in regions], 0.0),
+        sign=sign, inner=inner, outer=outer,
     )
+
+
+build_plan.cache_clear = _cached_plan.cache_clear
+build_plan.cache_info = _cached_plan.cache_info
 
 
 def refinement_plan(params: FamilyParams, eps: float, delta: float,
@@ -213,9 +251,8 @@ def _region_table(regions, reps, center: float) -> QueryTable:
     onto [-b, -a).  The inner endpoint is strict so an atom on a cell boundary
     is counted once; regions +-1 keep f1 closed at the center, where a = 0.
     """
-    inner = np.array([region.inner for region in regions])
-    outer = np.array([region.outer for region in regions])
-    right = np.array([region.index > 0 for region in regions])
+    sign, inner, outer = _region_columns(regions)
+    right = sign > 0
     lo = np.where(right, center + inner, center - outer)
     hi = np.where(right, center + outer, center - inner)
     toward, away = np.where(right, "ge", "le"), np.where(right, "le", "ge")
@@ -227,6 +264,13 @@ def _region_table(regions, reps, center: float) -> QueryTable:
         gamma=np.array([np.where(right, lo, hi), lo, np.where(right, hi, lo), lo]).T.ravel(),
         direction=np.array([toward, toward, away, away]).T.ravel(),
         lo=np.repeat(lo, 4), hi=np.repeat(hi, 4))
+
+
+def _region_columns(regions) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The regions' sign (+-1.0), inner and outer magnitudes as arrays."""
+    return (np.array([region.sign for region in regions], dtype=float),
+            np.array([region.inner for region in regions]),
+            np.array([region.outer for region in regions]))
 
 
 def _region_kinds(index: int) -> tuple[type, type, type, type]:
@@ -242,23 +286,23 @@ def _region_kinds(index: int) -> tuple[type, type, type, type]:
 def query_table(plan: RefinementPlan, center: float) -> QueryTable:
     """The refinement round as one table: the four ``region_queries`` of every
     region, in ``plan.regions`` order, each repeated n_i times per batch, so
-    ``per_block`` is ``plan.samples_per_batch``."""
-    return _region_table(plan.regions, [plan.n_by_magnitude[abs(region.index)]
-                                        for region in plan.regions], center)
+    ``per_block`` is ``plan.samples_per_batch``.  It is ``plan.table`` shifted
+    to ``center``: adding the center to an offset gives the same bits as
+    ``_region_table`` around that center."""
+    return plan.table.shifted(center)
 
 
-def _region_sums(agent: Agent, regions, table: QueryTable, batches: int,
+def _region_sums(agent: Agent, table: QueryTable, sign, inner, outer, batches: int,
                  transcript: Transcript | None) -> np.ndarray:
-    """Each batch's sum over ``regions`` of sign * (a p_a + b p_b), from one
-    draw of ``table``, which holds the regions' four queries in order."""
+    """Each batch's sum over the regions of sign * (a p_a + b p_b), from one
+    draw of ``table``, which holds the regions' four queries in order;
+    ``sign``, ``inner`` and ``outer`` are the regions' columns (or one
+    region's values)."""
     n = batches * table.per_block
     counts = agent.respond_count(table, n, groups=batches)
     if transcript is not None:
         transcript.record_batch(n)
-    f = (counts / table.reps).reshape(batches, len(regions), 4)
-    sign = np.array([region.sign for region in regions], dtype=float)
-    inner = np.array([region.inner for region in regions])
-    outer = np.array([region.outer for region in regions])
+    f = (counts / table.reps).reshape(batches, -1, 4)
     values = sign * (inner * (f[..., 0] - f[..., 1]) + outer * (f[..., 2] - f[..., 3]))
     return values.sum(axis=1)
 
@@ -275,8 +319,8 @@ def estimate_region(agent: Agent, region: Region, n: int,
     """
     if n < 1:
         raise ValueError("region allocation must be >= 1")
-    return _region_sums(agent, (region,), QueryTable(tuple(queries), (n,) * 4), batches,
-                        transcript)
+    return _region_sums(agent, QueryTable(tuple(queries), (n,) * 4), region.sign,
+                        region.inner, region.outer, batches, transcript)
 
 
 def base_estimate(agent: Agent, plan: RefinementPlan, center: float,
@@ -288,7 +332,8 @@ def base_estimate(agent: Agent, plan: RefinementPlan, center: float,
     ``table`` is ``query_table(plan, center)``; the whole round is one
     ``respond_count`` draw of it.
     """
-    return center + _region_sums(agent, plan.regions, table, batches, transcript)
+    return center + _region_sums(agent, table, plan.sign, plan.inner, plan.outer, batches,
+                                 transcript)
 
 
 @dataclass(frozen=True)
@@ -313,8 +358,9 @@ def refine_from_center(agent: Agent, plan: RefinementPlan, center: float,
         transcript = Transcript()
     transcript.begin_phase("refinement")
     values = base_estimate(agent, plan, center, query_table(plan, center), plan.batches,
-                           transcript)
-    return float(np.median(values)), tuple(values.tolist())
+                           transcript).tolist()
+    # the middle value, or the mean of the middle two, as np.median gives it
+    return statistics.median(values), tuple(values)
 
 
 @dataclass(frozen=True)
@@ -414,7 +460,6 @@ def analytic_base_variance(dist: Distribution, center: float, plan: RefinementPl
     """
     table = query_table(plan, center)
     p = query_probabilities(dist, table)
-    v = (p * (1.0 - p) / table.reps).reshape(len(plan.regions), 4)
-    inner = np.array([region.inner for region in plan.regions])
-    outer = np.array([region.outer for region in plan.regions])
-    return float(np.sum(inner ** 2 * (v[:, 0] + v[:, 1]) + outer ** 2 * (v[:, 2] + v[:, 3])))
+    v = (p * (1.0 - p) / table.reps).reshape(-1, 4)
+    return float(np.sum(plan.inner ** 2 * (v[:, 0] + v[:, 1])
+                        + plan.outer ** 2 * (v[:, 2] + v[:, 3])))

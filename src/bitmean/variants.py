@@ -81,8 +81,11 @@ def anytime_estimate(agent: Agent, params: FamilyParams, delta: float, budget: i
     round, committing to a round only when its predicted cost still fits.
 
     The cost check happens before each round, so mid-round exhaustion cannot
-    occur; the returned estimate is the last completed round's.
+    occur; the returned estimate is the last completed round's.  ``budget``
+    must be an int, checked before any query.
     """
+    if isinstance(budget, bool) or not isinstance(budget, (int, np.integer)):
+        raise ValueError(f"budget must be an int, got {budget!r}")
     if transcript is None:
         transcript = Transcript()
     loc_cost = median_search_cost(params, delta)

@@ -362,6 +362,47 @@ def test_table_columns_build_the_same_rows_as_queries():
         QueryTable.from_columns(ThresholdGE, [1, 1], gamma=[0.0])
 
 
+ALL_KINDS_TABLE = QueryTable(
+    (ThresholdGE(0.1), ThresholdGT(-0.4), ThresholdLE(1.5), ThresholdLT(-math.inf),
+     Interval(-0.5, 1.5), GrayBit(3, -4.0, 8.0), UniformThreshold("ge", -1.0, 2.0),
+     UniformThreshold("le", 0.25, 0.5)),
+    (5, 6, 7, 8, 9, 10, 11, 2 ** 62))
+
+
+def _translated(q, c):
+    # the per-query translation that QueryTable.shifted is held to
+    if isinstance(q, Interval):
+        return Interval(q.lo + c, q.hi + c)
+    if isinstance(q, UniformThreshold):
+        return UniformThreshold(q.direction, q.lo + c, q.hi + c)
+    if isinstance(q, GrayBit):
+        return GrayBit(q.level, q.shift + c, q.scale)
+    return type(q)(q.gamma + c)
+
+
+@pytest.mark.parametrize("offset", [0.0, 0.3, -7.25, 1e6])
+def test_shifted_table_translates_every_kind(offset):
+    shifted = ALL_KINDS_TABLE.shifted(offset)
+    expected = tuple(_translated(q, offset) for q in ALL_KINDS_TABLE.queries)
+    assert shifted.queries == expected
+    assert shifted.reps is ALL_KINDS_TABLE.reps
+    assert shifted.per_block == ALL_KINDS_TABLE.per_block
+    d = make_two_sided_pareto(1.5, 1.0, mu=0.3, alpha=1.9)
+    assert query_probabilities(d, shifted).tobytes() == \
+        query_probabilities(d, QueryTable(expected, ALL_KINDS_TABLE.reps.tolist())).tobytes()
+
+
+@pytest.mark.parametrize("offset,rule", [
+    (math.nan, "threshold query needs a gamma that is not NaN"),
+    (math.inf, "threshold query needs a gamma that is not NaN"),  # -inf + inf
+    (2.0 ** 60, "uniform threshold needs"),  # 0.25 + c == 0.5 + c: the cutoff range collapses
+], ids=["nan", "inf", "collapsing"])
+def test_shifted_table_rejects_what_from_columns_rejects(offset, rule):
+    with pytest.raises(ValueError, match=f"^{rule}.*, got row"):
+        ALL_KINDS_TABLE.shifted(offset)
+    assert ALL_KINDS_TABLE.queries[7] == UniformThreshold("le", 0.25, 0.5)  # left unchanged
+
+
 def test_per_block_stays_exact_beyond_int64():
     big = 2 ** 63 - 1
     for table in (QueryTable((ThresholdGE(0.0), ThresholdLE(0.0), Interval(0.0, 1.0)),

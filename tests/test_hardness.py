@@ -103,6 +103,20 @@ def test_k2_pair_rejects_oversized_shift():
         make_k2_pair(1.0, 1 / 48, lam=0.05)
 
 
+@pytest.mark.parametrize("args,message", [
+    ((math.inf, 0.1), "sigma=inf"),
+    ((math.nan, 0.1), "sigma=nan"),
+    ((1.0, math.inf), "eps=inf"),
+    ((1.0, math.nan), "eps=nan"),
+    ((1.0, 1 / 48, math.nan), "lam=nan"),
+    ((1.0, 1 / 48, math.inf), "lam=inf"),
+    ((1.0, 1 / 48, -math.inf), "lam=-inf"),
+], ids=["sigma-inf", "sigma-nan", "eps-inf", "eps-nan", "lam-nan", "lam-inf", "lam-minus-inf"])
+def test_k2_pair_rejects_non_finite_inputs(args, message):
+    with pytest.raises(ValueError, match=f"must be finite, got {message}$"):
+        make_k2_pair(*args)
+
+
 def test_kl_bound_value_and_exhaustive_pass():
     pair = make_k2_pair(1.0, 1 / 48)
     res = verify_kl_bound(pair)

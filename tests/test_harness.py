@@ -1,6 +1,6 @@
 import pytest
 
-from bitmean import cli
+from bitmean import cli, harness
 from bitmean.cli import main
 from bitmean.harness import (
     ExperimentConfig,
@@ -13,6 +13,7 @@ from bitmean.harness import (
     trial_rng,
     write_csv,
 )
+from bitmean.refine import build_plan
 
 
 def test_trial_rng_reproducible_and_independent():
@@ -98,8 +99,33 @@ def test_binomial_lower_bound_behaviour():
 
 
 def test_unknown_fixture_is_config_error():
-    with pytest.raises(KeyError):
+    with pytest.raises(KeyError) as info:
         run_pac(ExperimentConfig(fixture="nope", trials=2))
+    assert str(sorted(acceptance_matrix()))[1:-1] in str(info.value)
+
+
+def test_resolve_fixture_builds_only_the_named_fixture(monkeypatch):
+    matrix = acceptance_matrix(2.0, 32.0)
+
+    def unused(*args):
+        raise AssertionError("built a fixture that was not asked for")
+
+    monkeypatch.setattr(harness, "make_pair_grid", unused)
+    monkeypatch.setattr(harness, "make_k2_pair", unused)
+    for name in ("pareto15", "gauss_tight", "gauss_tight_k3", "point_mass"):
+        fixture = harness._resolve_fixture(ExperimentConfig(fixture=name, sigma=2.0, lam=32.0))
+        assert (fixture.name, fixture.params, fixture.mean) == \
+            (name, matrix[name].params, matrix[name].mean)
+
+
+def test_run_pac_same_text_on_cold_and_warm_plan_memo():
+    config = ExperimentConfig(fixture="pareto15", eps=1 / 16, delta=0.1, trials=3, seed=5)
+    build_plan.cache_clear()
+    _, _, cold = run_pac(config)
+    hits = build_plan.cache_info().hits
+    _, _, warm = run_pac(config)
+    assert build_plan.cache_info().hits > hits  # the second run reused the plan
+    assert warm == cold
 
 
 def test_write_csv_format(tmp_path):

@@ -12,8 +12,9 @@ from pytest import approx
 from bitmean.channel import query_probabilities, query_probability
 from bitmean.distributions import FamilyParams, make_discrete, \
     make_gaussian_budget_tight, make_two_sided_pareto
+from bitmean.harness import acceptance_matrix
 from bitmean.localization import gray_bit_value, gray_decode
-from bitmean.refine import build_plan, query_table, region_queries
+from bitmean.refine import _region_table, build_plan, query_table, region_queries
 
 SIGMA = 1.0
 PARAMS = FamilyParams(2.0, 16.0, SIGMA)
@@ -47,6 +48,25 @@ def test_decomposition_identity_with_endpoint_atoms(dist, center_step, eps):
     queries = query_table(plan, center).queries
     assert query_probabilities(dist, queries).tolist() == approx(
         [query_probability(dist, q) for q in queries], abs=1e-15)
+
+
+FIXTURES = acceptance_matrix()
+
+
+@PROPERTY
+@given(name=st.sampled_from(sorted(FIXTURES)), eps_div=st.sampled_from([4, 64]),
+       # + 0.0 maps a center of -0.0 to 0.0, which only signs the zero offsets
+       center=st.floats(-PARAMS.lam, PARAMS.lam).map(lambda c: c + 0.0))
+def test_round_table_is_the_center_zero_table_shifted(name, eps_div, center):
+    fx = FIXTURES[name]
+    plan = build_plan(fx.params, fx.params.sigma / eps_div, 0.2)
+    table = query_table(plan, center)
+    reps = [plan.n_by_magnitude[abs(region.index)] for region in plan.regions]
+    fresh = _region_table(plan.regions, reps, center)
+    assert table.queries == fresh.queries
+    assert table.reps.tolist() == fresh.reps.tolist() and table.per_block == fresh.per_block
+    assert query_probabilities(fx.dist, table).tobytes() == \
+        query_probabilities(fx.dist, fresh).tobytes()
 
 
 oracle_fixtures = st.one_of(

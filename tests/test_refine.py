@@ -23,6 +23,7 @@ from bitmean.refine import (
     estimate_region,
     predict_cost,
     query_table,
+    refinement_plan,
     region_queries,
     worst_case_tail_bound,
 )
@@ -52,6 +53,35 @@ def test_build_plan_allocation_examples():
     plan3 = build_plan(FamilyParams(3.0, 64.0, 1.0), 1 / 8, 0.05)
     assert [plan3.n_by_magnitude[i] for i in (1, 2, 3)] == [512, 256, 128]
     assert plan.batches == 30  # ceil(8 ln 40)
+
+
+def test_build_plan_builds_each_plan_once_and_read_only():
+    params = FamilyParams(1.5, 64.0, 1.0)
+    plan = build_plan(params, 1 / 16, 0.1)
+    assert build_plan(FamilyParams(1.5, 64.0, 1.0), 1 / 16, 0.1) is plan
+    assert refinement_plan(params, 1 / 16, 0.1) is plan
+    assert build_plan(params, 1 / 16, 0.1, "proof-safe") is not plan
+    with pytest.raises(TypeError):
+        plan.n_by_magnitude[1] = 5
+    for column in (plan.sign, plan.inner, plan.outer, plan.table.reps):
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = 0
+    for _, rows, columns in plan.table._blocks:
+        assert not any(array.flags.writeable for array in (rows, *columns.values()))
+    assert plan.samples_per_batch == sum(4 * plan.n_by_magnitude[abs(region.index)]
+                                         for region in plan.regions)
+    # the derived table and columns take no part in ==
+    build_plan.cache_clear()
+    rebuilt = build_plan(params, 1 / 16, 0.1)
+    assert rebuilt is not plan and rebuilt == plan
+
+
+@pytest.mark.parametrize("delta,batches", [(0.1, 24), (0.2, 19)])
+def test_refinement_takes_the_median_of_even_and_odd_batch_counts(delta, batches):
+    fx = acceptance_matrix()["pareto15"]
+    report = estimate_mean(Agent(fx.dist, trial_rng(14, "median", 0)), fx.params, 0.25, delta)
+    assert len(report.batch_values) == batches
+    assert report.mu_hat == float(np.median(report.batch_values))
 
 
 def test_build_plan_rejects_unknown_profile():

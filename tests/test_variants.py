@@ -63,6 +63,17 @@ def test_anytime_budget_invariants():
     assert res.n_total + next_cost > budget
 
 
+@pytest.mark.parametrize("budget", [math.nan, math.inf, 2.5e6])
+def test_anytime_rejects_a_budget_that_is_not_an_int(budget):
+    # rejected before localization: an inf budget would otherwise run rounds
+    # until a plan's counts pass int64
+    agent = Agent(make_gaussian_budget_tight(2.0, 1.0, 0.3), trial_rng(3, "any-budget", 0))
+    tr = Transcript()
+    with pytest.raises(ValueError, match="budget must be an int"):
+        anytime_estimate(agent, PARAMS, 0.2, budget, transcript=tr)
+    assert tr.total == 0
+
+
 @pytest.mark.parametrize("k,min_ratio", [(2.0, 4.0), (2.5, 4.0), (1.5, 8.0)])
 def test_anytime_round_costs_grow_geometrically(k, min_ratio):
     params = FamilyParams(k, 64.0, 1.0)
