@@ -38,6 +38,7 @@ __all__ = [
     "ThresholdLT",
     "Interval",
     "GrayBit",
+    "MAX_GRAY_LEVEL",
     "UniformThreshold",
     "Query",
     "QueryTable",
@@ -105,23 +106,32 @@ class Interval:
         _require_valid(self)
 
 
+# The exact Gray oracle enumerates 2**(level - 2) cells per row: a level-24 row
+# took 0.47 s and 160 MiB over the import on a 2-core x86-64 host, and each 2
+# further levels cost about 4x the time and memory, so deeper ones are refused.
+MAX_GRAY_LEVEL = 24
+
+
 @dataclass(frozen=True)
 class GrayBit:
     """Bit = level-th Gray function of the affinely rescaled sample.
 
     The rescaling is u = (x - shift) / scale, clamped to [0, 1] before the
-    Gray function is applied.
+    Gray function is applied.  ``level`` is an int (not a bool) from 1 to
+    ``MAX_GRAY_LEVEL``.
     """
 
     level: int
     shift: float
     scale: float
 
-    _rule = "Gray bit needs level >= 1, a finite shift and a finite positive scale"
+    _rule = (f"Gray bit needs an int level from 1 to {MAX_GRAY_LEVEL}, a finite shift "
+             f"and a finite positive scale")
 
     @staticmethod
     def _valid(level, shift, scale):
-        return (level >= 1) & (abs(shift) < math.inf) & (abs(scale) < math.inf) & (scale > 0)
+        return _is_int(level) and (level >= 1) & (level <= MAX_GRAY_LEVEL) \
+            & (abs(shift) < math.inf) & (abs(scale) < math.inf) & (scale > 0)
 
     def __post_init__(self):
         _require_valid(self)
@@ -165,33 +175,41 @@ def _is_count(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _is_int(value) -> bool:
+    """An int that is not a bool, or an array of such ints."""
+    return value.dtype.kind in "iu" if isinstance(value, np.ndarray) else _is_count(value)
+
+
+def _ints(values) -> np.ndarray:
+    """``values`` as an array of int dtype only if every value is an int (not a
+    bool), else of object dtype, which every int check rejects."""
+    if isinstance(values, np.ndarray):
+        return values
+    values = list(values)
+    return np.array(values, dtype=None if all(map(_is_count, values)) else object)
+
+
 class QueryTable:
     """A batch of queries fixed before any is answered: query j is repeated
     ``reps[j]`` times in every block, so one block holds ``per_block`` queries.
 
     The table holds its rows as columns, grouped by query kind once when it
     is built: for each kind, its rows' positions and one array per parameter.
-    ``QueryTable(queries, reps)`` builds it from query values and
-    ``QueryTable.from_columns`` from parameter arrays, under the same checks;
-    ``queries`` builds the query values only when asked, and ``shifted``
-    translates every row at once.  Every array a table holds is read-only:
-    ``reps`` is int64 and ``per_block`` an exact Python int.
+    ``QueryTable.from_columns`` builds it from parameter arrays, and
+    ``QueryTable(queries, reps)`` from query values, by turning them into
+    columns first; ``queries`` builds the query values only when asked, and
+    ``shifted`` translates every row at once.  Every array a table holds is
+    read-only: ``reps`` is int64 and ``per_block`` an exact Python int.
     """
 
     __slots__ = ("_blocks", "_reps", "_per_block")
 
     def __init__(self, queries, reps):
-        queries, reps = tuple(queries), tuple(reps)
-        if not queries or len(queries) != len(reps):
-            raise ValueError(f"a query table needs as many reps as queries, and at least one; "
-                             f"got {len(queries)} queries and {len(reps)} reps")
-        unknown = set(map(type, queries)) - _ORACLES.keys()
-        if unknown:
-            raise ValueError(f"not query kinds: {sorted(kind.__name__ for kind in unknown)}")
-        if not all(map(_is_count, reps)) or not 1 <= min(reps) <= max(reps) <= INT64_MAX:
-            raise ValueError(f"repetitions must be ints in [1, 2^63 - 1], got "
-                             f"{min(reps)!r} to {max(reps)!r}")
-        self._set(_group(queries), np.array(reps, dtype=np.int64))
+        queries = tuple(queries)
+        # a row's placeholder stands in for each field its kind lacks
+        self._build([type(q) for q in queries], reps,
+                    {name: [getattr(q, name, blank) for q in queries]
+                     for name, blank in _PLACEHOLDERS.items()})
 
     @classmethod
     def from_columns(cls, kinds, reps, **columns) -> QueryTable:
@@ -204,7 +222,13 @@ class QueryTable:
         Every row is checked by its kind's own rule, and ``reps`` must hold
         ints in [1, 2^63 - 1].
         """
-        reps = np.asarray(reps)
+        table = cls.__new__(cls)
+        table._build(kinds, reps, columns)
+        return table
+
+    def _build(self, kinds, reps, columns: dict) -> None:
+        # the one place a table's rows are grouped and checked
+        reps = _ints(reps)
         if reps.ndim != 1 or not reps.size:
             raise ValueError(f"a query table needs a flat, non-empty array of reps, "
                              f"got shape {reps.shape}")
@@ -218,7 +242,10 @@ class QueryTable:
         else:
             if len(kinds) != size:
                 raise ValueError(f"{size} reps need {size} kinds, got {len(kinds)}")
-            groups = _rows_by_kind(kinds)
+            at: dict = {}  # each kind's rows, kinds in order of first use
+            for j, kind in enumerate(kinds):
+                at.setdefault(kind, []).append(j)
+            groups = {kind: np.array(rows, dtype=np.intp) for kind, rows in at.items()}
         blocks = []
         for kind, rows in groups.items():
             if kind not in _ORACLES:
@@ -227,16 +254,19 @@ class QueryTable:
             for name in _FIELDS[kind]:
                 if name not in columns:
                     raise ValueError(f"{kind.__name__} rows need a {name!r} column")
-                column = np.asarray(columns[name], dtype=_COLUMN_TYPES[name])
+                dtype = _COLUMN_TYPES[name]
+                column = _ints(columns[name]) if dtype is None \
+                    else np.asarray(columns[name], dtype=dtype)
                 if column.shape != (size,):
                     raise ValueError(f"column {name!r} needs shape ({size},), "
                                      f"got {column.shape}")
                 params[name] = column[rows]  # a copy the caller cannot change
             _check_block(kind, rows, params)
+            _read_only(rows, *params.values())
             blocks.append((kind, rows, params))
-        table = cls.__new__(cls)
-        table._set(tuple(blocks), reps.astype(np.int64))
-        return table
+        self._blocks, self._reps = tuple(blocks), reps.astype(np.int64)
+        _read_only(self._reps)
+        self._per_block = sum(self._reps.tolist())  # exact: may exceed int64
 
     def shifted(self, offset: float) -> QueryTable:
         """The same table translated by ``offset``: every location parameter
@@ -257,13 +287,6 @@ class QueryTable:
         table = type(self).__new__(type(self))
         table._blocks, table._reps, table._per_block = tuple(blocks), self._reps, self._per_block
         return table
-
-    def _set(self, blocks, reps: np.ndarray) -> None:
-        for _, rows, params in blocks:
-            _read_only(rows, *params.values())
-        _read_only(reps)
-        self._blocks, self._reps = blocks, reps
-        self._per_block = sum(reps.tolist())  # exact: may exceed int64
 
     @property
     def reps(self) -> np.ndarray:
@@ -291,7 +314,7 @@ def _check_block(kind, rows: np.ndarray, params: dict) -> None:
     valid = np.asarray(kind._valid(**params))
     if not valid.all():
         bad = int(np.argmin(valid))
-        row = {name: column[bad].item() for name, column in params.items()}
+        row = {name: column.tolist()[bad] for name, column in params.items()}
         raise ValueError(f"{kind._rule}, got row {rows[bad]}: {kind.__name__}{row}")
 
 
@@ -300,27 +323,6 @@ def _read_only(*arrays: np.ndarray) -> None:
     # its arrays can be written through.
     for array in arrays:
         array.setflags(write=False)
-
-
-def _rows_by_kind(kinds) -> dict:
-    """Each kind's row positions, kinds in order of first use."""
-    rows: dict = {}
-    for j, kind in enumerate(kinds):
-        rows.setdefault(kind, []).append(j)
-    return {kind: np.array(at, dtype=np.intp) for kind, at in rows.items()}
-
-
-def _group(queries) -> tuple:
-    """(kind, rows, parameter columns) for each query kind, in order of first use."""
-    blocks = []
-    for kind, rows in _rows_by_kind(map(type, queries)).items():
-        if kind not in _ORACLES:
-            raise TypeError(f"unknown query type: {kind.__name__}")
-        members = [queries[j] for j in rows.tolist()]
-        blocks.append((kind, rows, {name: np.array([getattr(q, name) for q in members],
-                                                   dtype=_COLUMN_TYPES[name])
-                                    for name in _FIELDS[kind]}))
-    return tuple(blocks)
 
 
 def _gray_value(level: int, u) -> np.ndarray:
@@ -353,18 +355,12 @@ def evaluate_query(q: Query, x) -> np.ndarray:
     return bits if bits.ndim else int(bits)
 
 
-def query_probabilities(dist: Distribution, queries) -> np.ndarray:
-    """Pr(bit = 1) of each query under the distribution, from its analytic CDF.
-
-    ``queries`` is a ``QueryTable`` or a sequence of queries.  Each kind's
-    oracle is evaluated once, on the parameter columns of its rows.
-    """
-    if isinstance(queries, QueryTable):
-        blocks, size = queries._blocks, len(queries)
-    else:
-        blocks, size = _group(queries), len(queries)
-    p = np.empty(size)
-    for kind, rows, params in blocks:
+def query_probabilities(dist: Distribution, table: QueryTable) -> np.ndarray:
+    """Pr(bit = 1) of each row of the table under the distribution, from its
+    analytic CDF.  Each kind's oracle is evaluated once, on the parameter
+    columns of its rows."""
+    p = np.empty(len(table))
+    for kind, rows, params in table._blocks:
         p[rows] = _ORACLES[kind](dist, **params)
     return np.minimum(np.maximum(p, 0.0), 1.0)  # guard float cancellation in tail differences
 
@@ -382,21 +378,16 @@ def query_probability(dist: Distribution, q: Query) -> float:
 def _gray_probability(dist: Distribution, level, shift, scale) -> np.ndarray:
     # Cells j of width 2**-level on [0, 1) carry bit 1 iff j mod 4 in {1, 2};
     # the clamp sends u <= 0 to bit 0 and u >= 1 to the bit of g_level(1),
-    # which is 1 only at level 1, whose one cell ends at shift + scale.
-    rows = list(zip(level.tolist(), shift.tolist(), scale.tolist()))
-    lows, highs = [], []
-    for lv, sh, sc in rows:
+    # which is 1 only at level 1, whose one cell ends at shift + scale.  Rows
+    # are summed one at a time, so memory peaks at one level's cells.
+    prob = np.empty(len(level))
+    for i, (lv, sh, sc) in enumerate(zip(level.tolist(), shift.tolist(), scale.tolist())):
         width = 0.5 ** lv
         j = np.arange(1, 2 ** lv, 4)
-        lows.append(sh + sc * (j * width))
-        highs.append(sh + sc * (np.minimum(j + 2, 2 ** lv) * width))
-    ends = np.cumsum([len(cells) for cells in lows])
-    cdf_high = dist.cdf_strict(np.concatenate(highs))
-    mass = cdf_high - dist.cdf_strict(np.concatenate(lows))
-    prob = np.array([float(np.sum(cells)) for cells in np.split(mass, ends[:-1])])
-    for i, (lv, _, _) in enumerate(rows):
+        cdf_high = dist.cdf_strict(sh + sc * (np.minimum(j + 2, 2 ** lv) * width))
+        prob[i] = float(np.sum(cdf_high - dist.cdf_strict(sh + sc * (j * width))))
         if lv == 1:
-            prob[i] += 1.0 - float(cdf_high[ends[i] - 1])
+            prob[i] += 1.0 - float(cdf_high[-1])
     return prob
 
 
@@ -422,8 +413,11 @@ _ORACLES = {
 _FIELDS = {kind: tuple(f.name for f in fields(kind)) for kind in _ORACLES}
 # The parameters that place a query on the line, which QueryTable.shifted moves.
 _LOCATIONS = frozenset({"gamma", "lo", "hi", "shift"})
+# None keeps an int column as given, so the kind's rule sees a float or bool level.
 _COLUMN_TYPES = {"gamma": float, "lo": float, "hi": float, "shift": float, "scale": float,
-                 "level": np.int64, "direction": str}
+                 "level": None, "direction": str}
+_PLACEHOLDERS = {"gamma": math.nan, "lo": math.nan, "hi": math.nan, "shift": math.nan,
+                 "scale": math.nan, "level": 0, "direction": ""}
 
 
 def uniform_threshold_probability(dist: Distribution, direction: str, lo, hi):

@@ -9,18 +9,20 @@ Two routes:
   as errors.  Sample count is deterministic: 2 searches x levels x votes.
 
 * ``localize_gray`` -- non-adaptive: the whole query plan (M bit groups of J
-  Gray-function queries) is fixed before any response is read; majority vote
-  per bit, decode to a dyadic cell, widen, map back.
+  Gray-function queries) is one table fixed before any response is read and
+  answered in one draw; majority vote per bit, decode to a dyadic cell,
+  widen, map back.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import Agent, GrayBit, ThresholdLE, Transcript, repeated_fraction
+from .channel import MAX_GRAY_LEVEL, Agent, GrayBit, QueryTable, ThresholdLE, Transcript, \
+    repeated_fraction
 from .distributions import FamilyParams
 
 __all__ = [
@@ -186,30 +188,30 @@ def gray_decode(bits) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class GrayPlan:
-    """Fixed, response-independent query plan for non-adaptive localization."""
+    """Fixed, response-independent query plan for non-adaptive localization.
+
+    ``table`` has one row per level l = 1..M, the Gray bit of level l
+    repeated J times, so the whole plan is one draw; it is derived from the
+    other fields, so ``==`` ignores it.
+    """
 
     n_bits: int
     votes_per_bit: int
     shift: float
     scale: float
+    table: QueryTable = field(compare=False, repr=False)
 
     @property
     def total_queries(self) -> int:
-        return self.n_bits * self.votes_per_bit
-
-    def queries(self) -> list[GrayBit]:
-        return [
-            GrayBit(level, self.shift, self.scale)
-            for level in range(1, self.n_bits + 1)
-            for _ in range(self.votes_per_bit)
-        ]
+        return self.table.per_block
 
 
 def gray_plan(params: FamilyParams, delta: float) -> GrayPlan | None:
     """M = floor(log2(lam/sigma) - 1 - 2/k') bits, J = ceil(8 ln(2M/delta)) votes.
 
     Returns None when lam/sigma < 2**(2 + 2/k'): the search space is already
-    O(sigma) long and localization is bypassed entirely.
+    O(sigma) long and localization is bypassed entirely.  Raises
+    ``ValueError`` when M exceeds ``MAX_GRAY_LEVEL``, before any query.
     """
     if not 0 < delta < 1:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
@@ -218,9 +220,14 @@ def gray_plan(params: FamilyParams, delta: float) -> GrayPlan | None:
     if ratio < 2.0 ** (2.0 + 2.0 / k):
         return None
     n_bits = int(math.floor(math.log2(ratio) - 1.0 - 2.0 / k))
+    if n_bits > MAX_GRAY_LEVEL:
+        raise ValueError(f"lam/sigma = {ratio:g} needs {n_bits} Gray levels, beyond "
+                         f"MAX_GRAY_LEVEL = {MAX_GRAY_LEVEL}")
     votes = math.ceil(8.0 * math.log(2.0 * n_bits / delta))
-    return GrayPlan(n_bits=n_bits, votes_per_bit=votes,
-                    shift=-params.lam, scale=2.0 * params.lam)
+    shift, scale = -params.lam, 2.0 * params.lam
+    table = QueryTable([GrayBit(level, shift, scale) for level in range(1, n_bits + 1)],
+                       [votes] * n_bits)
+    return GrayPlan(n_bits=n_bits, votes_per_bit=votes, shift=shift, scale=scale, table=table)
 
 
 def gray_cost(params: FamilyParams, delta: float) -> int:
@@ -240,8 +247,9 @@ def localize_gray(agent: Agent, params: FamilyParams, delta: float,
                   transcript: Transcript | None = None) -> LocalizationResult:
     """Non-adaptive localization via Gray bits of the rescaled mean.
 
-    Majority-votes each of the M bits from J fixed queries, decodes the dyadic
-    cell, widens each endpoint outward by 2**-(M+2) to absorb the at most one
+    Majority-votes each of the M bits from J fixed queries, all M * J
+    answered in one draw of ``plan.table``; decodes the dyadic cell, widens
+    each endpoint outward by 2**-(M+2) to absorb the at most one
     boundary-proximate bit, clamps to [0, 1], and maps back to [-lam, lam].
     Uses exactly M * J samples; covers the mean w.p. >= 1 - delta/2.
     """
@@ -254,13 +262,10 @@ def localize_gray(agent: Agent, params: FamilyParams, delta: float,
         return LocalizationResult(low=-params.lam, high=params.lam, center=0.0,
                                   samples_used=0, method="gray-bypass", rounds=0)
 
-    bits = []
-    for level in range(1, plan.n_bits + 1):
-        q = GrayBit(level, plan.shift, plan.scale)
-        frac = repeated_fraction(agent, q, plan.votes_per_bit, transcript)
-        bits.append(1 if frac >= 0.5 else 0)
-
-    x0, x1 = gray_decode(bits)
+    counts = agent.respond_count(plan.table, plan.total_queries)
+    transcript.record_batch(plan.total_queries)
+    frac = counts / plan.table.reps
+    x0, x1 = gray_decode((frac >= 0.5).astype(int).tolist())
     pad = 0.5 ** (plan.n_bits + 2)
     lo_unit = max(0.0, x0 - pad)
     hi_unit = min(1.0, x1 + pad)

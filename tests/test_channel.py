@@ -5,6 +5,7 @@ import pytest
 from pytest import approx
 
 from bitmean.channel import (
+    MAX_GRAY_LEVEL,
     Agent,
     BitAgent,
     GrayBit,
@@ -240,14 +241,20 @@ BAD_QUERIES = [
     (GrayBit, {"level": 2, "shift": 0.0, "scale": math.inf}),
     (GrayBit, {"level": 1, "shift": -math.inf, "scale": 1.0}),
     (GrayBit, {"level": 3, "shift": 0.0, "scale": math.nan}),
+    (GrayBit, {"level": 1.5, "shift": -1.0, "scale": 2.0}),
+    (GrayBit, {"level": True, "shift": -1.0, "scale": 2.0}),
+    (GrayBit, {"level": 0, "shift": -1.0, "scale": 2.0}),
+    (GrayBit, {"level": MAX_GRAY_LEVEL + 1, "shift": -1.0, "scale": 2.0}),
 ]
 BAD_QUERY_IDS = ["ge-nan", "gt-nan", "le-nan", "lt-nan", "uniform-lo-inf", "uniform-hi-inf",
                  "uniform-lo-nan", "uniform-hi-nan", "gray-shift-nan", "gray-scale-inf",
-                 "gray-shift-inf", "gray-scale-nan"]
+                 "gray-shift-inf", "gray-scale-nan", "gray-level-float", "gray-level-bool",
+                 "gray-level-zero", "gray-level-too-deep"]
 
 
 @pytest.mark.parametrize("kind, params", BAD_QUERIES, ids=BAD_QUERY_IDS)
 def test_queries_reject_non_finite_parameters(kind, params):
+    # and, for a Gray bit, a level that is not an int from 1 to MAX_GRAY_LEVEL
     with pytest.raises(ValueError):
         kind(**params)
 
@@ -282,7 +289,7 @@ MIXED_TABLE = QueryTable(
 def test_table_counts_have_binomial_moments_on_both_agents():
     d = make_two_sided_pareto(1.5, 1.0, mu=0.3, alpha=1.9)
     table, blocks = MIXED_TABLE, 2000
-    p = query_probabilities(d, table.queries)
+    p = query_probabilities(d, table)
     assert p.tolist() == approx([query_probability(d, q) for q in table.queries], abs=1e-15)
     reps = np.array(table.reps)
     var = reps * p * (1 - p)
@@ -324,9 +331,10 @@ BAD_TABLES = [
     ((ThresholdGE(0.0),), (True,)),
     ((ThresholdGE(0.0),), (2 ** 63,)),
     ((0.5,), (1,)),
+    ((ThresholdGE(0.0), ThresholdGE(1.0)), (True, 3)),
 ]
 BAD_TABLE_IDS = ["empty", "no-reps", "short-reps", "zero-rep", "negative-rep", "float-rep",
-                 "bool-rep", "rep-beyond-int64", "not-a-query"]
+                 "bool-rep", "rep-beyond-int64", "not-a-query", "bool-among-ints"]
 
 
 @pytest.mark.parametrize("queries, reps", BAD_TABLES, ids=BAD_TABLE_IDS)
@@ -355,7 +363,7 @@ def test_table_columns_build_the_same_rows_as_queries():
         scale=[math.nan, math.nan, math.nan, 8.0])
     assert table.queries == queries and table.reps.tolist() == MIXED_TABLE.reps.tolist()
     d = make_two_sided_pareto(1.5, 1.0, mu=0.3, alpha=1.9)
-    assert query_probabilities(d, table).tolist() == query_probabilities(d, queries).tolist()
+    assert query_probabilities(d, table).tolist() == query_probabilities(d, MIXED_TABLE).tolist()
     with pytest.raises(ValueError, match="'lo' column"):
         QueryTable.from_columns(Interval, [1], hi=[1.0])
     with pytest.raises(ValueError, match="shape"):

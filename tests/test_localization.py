@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from pytest import approx
 
-from bitmean.channel import Agent, GrayBit, Transcript
+from bitmean.channel import MAX_GRAY_LEVEL, Agent, GrayBit, Transcript, query_probabilities, \
+    query_probability
+from bitmean.cli import main
 from bitmean.distributions import FamilyParams, make_gaussian_budget_tight, \
     make_point_mass, make_two_sided_pareto
-from bitmean.harness import trial_rng
+from bitmean.harness import acceptance_matrix, trial_rng
 from bitmean.localization import (
     gray_bit_value,
     gray_change_points,
@@ -20,6 +22,7 @@ from bitmean.localization import (
     median_search_levels,
     median_votes_per_level,
 )
+from bitmean.variants import two_stage_cost, two_stage_estimate
 
 
 def test_gray_bit_values_from_definition():
@@ -115,10 +118,81 @@ def test_localize_gray_point_mass_noiseless():
 
 def test_localize_gray_plan_is_response_independent():
     plan = gray_plan(FamilyParams(2.0, 64.0, 1.0), 0.1)
-    queries = plan.queries()
-    assert len(queries) == plan.total_queries
-    assert queries[0] == GrayBit(1, -64.0, 128.0)
-    assert queries == gray_plan(FamilyParams(2.0, 64.0, 1.0), 0.1).queries()
+    table = plan.table
+    assert table.queries == tuple(GrayBit(level, -64.0, 128.0) for level in range(1, 5))
+    assert table.reps.tolist() == [plan.votes_per_bit] * plan.n_bits
+    assert table.per_block == plan.total_queries == 144
+    again = gray_plan(FamilyParams(2.0, 64.0, 1.0), 0.1)
+    assert again == plan
+    assert again.table.queries == table.queries
+    assert again.table.reps.tolist() == table.reps.tolist()
+
+
+@pytest.mark.parametrize("name", sorted(acceptance_matrix()))
+def test_gray_plan_table_probabilities_equal_per_level_loop(name):
+    # bitwise: what keeps localize_gray's seeded answers when its M draws
+    # became one draw of the plan's table
+    fx = acceptance_matrix()[name]
+    sigma = fx.params.sigma
+    for ratio in (64, 1024):
+        plan = gray_plan(FamilyParams(fx.params.k, ratio * sigma, sigma), 0.1)
+        loop = [query_probability(fx.dist, GrayBit(level, plan.shift, plan.scale))
+                for level in range(1, plan.n_bits + 1)]
+        assert query_probabilities(fx.dist, plan.table).tobytes() == np.array(loop).tobytes()
+
+
+class _CountingAgent(Agent):
+    """Counts ``respond_count`` calls; with ``refuse`` set, answers none."""
+
+    def __init__(self, dist, rng, refuse=False):
+        super().__init__(dist, rng)
+        self.calls, self.refuse = 0, refuse
+
+    def respond_count(self, q, n, *, groups=None):
+        assert not self.refuse, "no query may be made"
+        self.calls += 1
+        return super().respond_count(q, n, groups=groups)
+
+
+@pytest.mark.parametrize("lam", [64.0, 1024.0])
+def test_non_adaptive_stages_are_one_draw_each(lam):
+    params = FamilyParams(2.0, lam, 1.0)
+    dist = make_gaussian_budget_tight(2.0, 1.0, 0.3)
+    agent = _CountingAgent(dist, trial_rng(9, "draws", 0))
+    localize_gray(agent, params, 0.1)
+    assert agent.calls == 1
+    agent = _CountingAgent(dist, trial_rng(9, "draws", 1))
+    tr = Transcript()
+    report = two_stage_estimate(agent, params, 0.25, 0.1, transcript=tr)
+    assert agent.calls == 2 == report.rounds_of_adaptivity
+    assert tr.total == report.n_total == two_stage_cost(params, 0.25, 0.1)
+
+
+def test_gray_depth_bound():
+    # lam/sigma = 2^26 needs exactly MAX_GRAY_LEVEL levels at k = 2; 2^27 one more
+    assert gray_plan(FamilyParams(2.0, 2.0 ** 26, 1.0), 0.1).n_bits == MAX_GRAY_LEVEL
+    with pytest.raises(ValueError, match="lam/sigma"):
+        gray_plan(FamilyParams(2.0, 2.0 ** 27, 1.0), 0.1)
+
+
+@pytest.mark.parametrize("exponent", [40, 52])
+def test_deep_gray_plans_refused_before_any_query(exponent, capsys):
+    # only the refusal is exercised here: the oracle at these depths would
+    # try to allocate 2^36 cells or more
+    params = FamilyParams(2.0, 2.0 ** exponent, 1.0)
+    dist = make_gaussian_budget_tight(2.0, 1.0, 0.3)
+    for cost in (lambda: gray_cost(params, 0.1), lambda: two_stage_cost(params, 0.25, 0.1)):
+        with pytest.raises(ValueError, match="lam/sigma"):
+            cost()
+    for run in (localize_gray, lambda agent, p, d, tr: two_stage_estimate(agent, p, 0.25, d,
+                                                                       transcript=tr)):
+        tr = Transcript()
+        with pytest.raises(ValueError, match="lam/sigma"):
+            run(_CountingAgent(dist, trial_rng(9, "deep", 0), refuse=True), params, 0.1, tr)
+        assert tr.total == 0
+    assert main(["localize", "--method", "gray", "--fixture", "gauss_tight",
+                 "--lambda", str(2.0 ** exponent), "--trials", "2"]) == 1
+    assert "lam/sigma" in capsys.readouterr().err
 
 
 def test_gray_encoding_error_bound():

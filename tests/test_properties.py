@@ -45,9 +45,9 @@ def test_decomposition_identity_with_endpoint_atoms(dist, center_step, eps):
     tail = dist.shifted_tail_contribution(center, plan.t)
     assert math.isclose(total + tail, dist.mean() - center, abs_tol=1e-9)
     # the round's table, evaluated as arrays, gives the same probabilities
-    queries = query_table(plan, center).queries
-    assert query_probabilities(dist, queries).tolist() == approx(
-        [query_probability(dist, q) for q in queries], abs=1e-15)
+    table = query_table(plan, center)
+    assert query_probabilities(dist, table).tolist() == approx(
+        [query_probability(dist, q) for q in table.queries], abs=1e-15)
 
 
 FIXTURES = acceptance_matrix()

@@ -372,7 +372,7 @@ def test_table_probabilities_equal_per_query_loop(name):
                        for region in plan.regions)
             assert table.reps.tolist() == [plan.n_by_magnitude[abs(region.index)]
                                            for region in plan.regions for _ in range(4)]
-            p = query_probabilities(fx.dist, queries)
+            p = query_probabilities(fx.dist, QueryTable(queries, table.reps))
             assert p.tolist() == query_probabilities(fx.dist, table).tolist()
             assert p.shape == (len(queries),)
             np.testing.assert_allclose(p, [query_probability(fx.dist, q) for q in queries],
