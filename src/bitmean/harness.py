@@ -265,7 +265,8 @@ def run_scaling(config: ExperimentConfig):
     prev = None
     for eps in config.eps_list:
         cost = predict_cost(params, eps, config.delta, config.profile)
-        ratio = "" if prev is None else f"{cost.refinement / prev:.6f}"
+        # blank after the first row and after a bypass-scale row, which refines nothing
+        ratio = "" if not prev else f"{cost.refinement / prev:.6f}"
         rows.append((config.k, config.sigma, eps, cost.total, cost.localization,
                      cost.refinement, ratio))
         prev = cost.refinement

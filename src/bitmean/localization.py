@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -29,6 +30,7 @@ __all__ = [
     "LocalizationResult",
     "GrayPlan",
     "median_search_levels",
+    "delta_count",
     "median_votes_per_level",
     "median_search_cost",
     "localize_median",
@@ -75,10 +77,25 @@ def median_search_levels(params: FamilyParams) -> int:
     return max(1, (steps - 1).bit_length())
 
 
+def delta_count(value: float, what: str, delta: float) -> int:
+    """ceil(value) for a count that grows like ln(1/delta); a subnormal delta
+    makes it infinite, which is refused naming delta."""
+    if not math.isfinite(value):
+        raise ValueError(f"delta={delta} needs infinitely many {what}")
+    return math.ceil(value)
+
+
 def median_votes_per_level(params: FamilyParams, delta: float) -> int:
-    """Votes so each of 2 x levels decisions errs w.p. <= delta / (8 levels)."""
+    """Votes so each of 2 x levels decisions errs w.p. <= delta / (8 levels).
+
+    Every median search and its cost pass through here, so this is where
+    delta is checked to lie in (0, 1).
+    """
+    if not 0 < delta < 1:
+        raise ValueError(f"delta must be in (0, 1), got {delta}")
     levels = median_search_levels(params)
-    return math.ceil(math.log(8.0 * levels / delta) / (2.0 * DECISION_MARGIN ** 2))
+    return delta_count(math.log(8.0 * levels / delta) / (2.0 * DECISION_MARGIN ** 2),
+                       "votes per level", delta)
 
 
 def median_search_cost(params: FamilyParams, delta: float) -> int:
@@ -95,44 +112,37 @@ def localize_median(agent: Agent, params: FamilyParams, delta: float,
     exactly ``median_search_levels`` iterations on every path, making the
     sample count a pure function of (lam, sigma, delta).
     """
-    if not 0 < delta < 1:
-        raise ValueError(f"delta must be in (0, 1), got {delta}")
+    votes = median_votes_per_level(params, delta)
     if transcript is None:
         transcript = Transcript()
     transcript.begin_phase("localization")
 
     sigma = params.sigma
     levels = median_search_levels(params)
-    votes = median_votes_per_level(params, delta)
     n_steps = 2 ** levels
     left_edge = -(n_steps / 2) * sigma
 
     def grid(i: int) -> float:
         return left_edge + i * sigma
 
+    def search(keeps_lower_half: Callable[[float], bool]) -> tuple[int, int]:
+        # halve [lo, hi] levels times; each midpoint's CDF vote picks the half
+        lo, hi = 0, n_steps
+        for _ in range(levels):
+            mid = (lo + hi) // 2
+            if keeps_lower_half(repeated_fraction(agent, ThresholdLE(grid(mid)), votes,
+                                                  transcript)):
+                hi = mid
+            else:
+                lo = mid
+        return lo, hi
+
     # Lower search: keep lo with claim F(lo) < 0.5 and hi with claim F(hi) > 0.44.
     # Off-grid virtual endpoints need no certificate: the family mean bound
     # already covers them.
-    lo, hi = 0, n_steps
-    for _ in range(levels):
-        mid = (lo + hi) // 2
-        frac = repeated_fraction(agent, ThresholdLE(grid(mid)), votes, transcript)
-        if frac >= (LOWER_BAND[0] + LOWER_BAND[1]) / 2:
-            hi = mid
-        else:
-            lo = mid
-    lower = grid(lo)
-
+    lower = grid(search(lambda frac: frac >= (LOWER_BAND[0] + LOWER_BAND[1]) / 2)[0])
     # Upper search, mirrored: lo claims F < 0.56, hi claims F > 0.5.
-    lo, hi = 0, n_steps
-    for _ in range(levels):
-        mid = (lo + hi) // 2
-        frac = repeated_fraction(agent, ThresholdLE(grid(mid)), votes, transcript)
-        if frac <= (UPPER_BAND[0] + UPPER_BAND[1]) / 2:
-            lo = mid
-        else:
-            hi = mid
-    upper = grid(hi)
+    upper = grid(search(lambda frac: frac > (UPPER_BAND[0] + UPPER_BAND[1]) / 2)[1])
 
     low = min(lower - sigma, upper + sigma)
     high = max(lower - sigma, upper + sigma)
@@ -148,18 +158,23 @@ def localize_median(agent: Agent, params: FamilyParams, delta: float,
 
 # -- Gray-code machinery -----------------------------------------------------
 
+def _check_level(level: int) -> None:
+    """Refuse a level that ``GrayBit`` refuses: it must be an int (not a
+    bool) from 1 to ``MAX_GRAY_LEVEL``."""
+    if not GrayBit._valid(level, 0.0, 1.0):
+        raise ValueError(f"level must be an int from 1 to {MAX_GRAY_LEVEL}, got {level!r}")
+
+
 def gray_bit_value(level: int, x: float) -> int:
     """0 if floor(2**level * clamp(x, 0, 1)) mod 4 is 0 or 3, else 1."""
-    if level < 1:
-        raise ValueError(f"level must be >= 1, got {level}")
+    _check_level(level)
     cell = int(math.floor(math.ldexp(min(max(x, 0.0), 1.0), level)))
     return 1 if cell % 4 in (1, 2) else 0
 
 
 def gray_change_points(level: int) -> np.ndarray:
     """Points (2j - 1) * 2**-level where the level-th Gray function flips."""
-    if level < 1:
-        raise ValueError(f"level must be >= 1, got {level}")
+    _check_level(level)
     j = np.arange(1, 2 ** (level - 1) + 1)
     return (2 * j - 1) * 0.5 ** level
 
@@ -223,7 +238,7 @@ def gray_plan(params: FamilyParams, delta: float) -> GrayPlan | None:
     if n_bits > MAX_GRAY_LEVEL:
         raise ValueError(f"lam/sigma = {ratio:g} needs {n_bits} Gray levels, beyond "
                          f"MAX_GRAY_LEVEL = {MAX_GRAY_LEVEL}")
-    votes = math.ceil(8.0 * math.log(2.0 * n_bits / delta))
+    votes = delta_count(8.0 * math.log(2.0 * n_bits / delta), "votes per Gray bit", delta)
     shift, scale = -params.lam, 2.0 * params.lam
     table = QueryTable([GrayBit(level, shift, scale) for level in range(1, n_bits + 1)],
                        [votes] * n_bits)

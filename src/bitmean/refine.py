@@ -16,10 +16,10 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .channel import Agent, Query, QueryTable, ThresholdGE, ThresholdGT, ThresholdLE, \
-    ThresholdLT, Transcript, UniformThreshold, query_probabilities, query_probability
+from .channel import Agent, QueryTable, ThresholdGE, ThresholdGT, ThresholdLE, ThresholdLT, \
+    Transcript, UniformThreshold, query_probabilities
 from .distributions import Distribution, FamilyParams
-from .localization import LocalizationResult, localize_median, median_search_cost
+from .localization import LocalizationResult, delta_count, localize_median, median_search_cost
 
 __all__ = [
     "ALLOCATION_PROFILES",
@@ -32,8 +32,6 @@ __all__ = [
     "CostBreakdown",
     "build_plan",
     "refinement_plan",
-    "region_queries",
-    "query_table",
     "estimate_region",
     "base_estimate",
     "refine_from_center",
@@ -128,8 +126,10 @@ class RefinementPlan:
     """The refinement round, fixed by (params, eps, delta, profile) before any
     query.  ``build_plan`` builds each plan once and shares it, so every part
     is read-only: ``n_by_magnitude`` is a read-only mapping, ``table`` holds
-    the round's queries around center 0 (``query_table`` shifts it to the
-    localized center), and ``sign``/``inner``/``outer`` are the regions'
+    every region's four queries around center 0, in ``regions`` order, each
+    repeated n_i times per batch (``base_estimate`` shifts it to the
+    localized center, which gives the same bits as ``_region_table`` around
+    that center), and ``sign``/``inner``/``outer`` are the regions'
     read-only columns.  Those four are derived, so ``==`` ignores them.
     """
 
@@ -188,9 +188,13 @@ def _cached_plan(params: FamilyParams, eps: float, delta: float,
         )
     k = params.operative_k
     sigma = params.sigma
+    c = allocation_constant(profile, k)
+    # n_1 is at most the largest n_i; it is checked in logs and before the
+    # cutoff search, whose tail bound overflows float64 at an eps this small
+    if math.log2(c) + 2.0 * math.log2(sigma / eps) + 2.0 - k > 64:
+        raise ValueError(f"eps={eps} needs n_1 > 2^64 queries in one region, beyond int64")
     t = cutoff_threshold(params, eps)
     i_max = round(math.log2(t / sigma))
-    c = allocation_constant(profile, k)
     n_by_magnitude = {
         i: math.ceil(c * (sigma / eps) ** 2 * 2.0 ** (i * (2.0 - k)))
         for i in range(1, i_max + 1)
@@ -200,7 +204,7 @@ def _cached_plan(params: FamilyParams, eps: float, delta: float,
         raise ValueError(
             f"eps={eps} needs n_i={n_max} queries in one region, beyond int64"
         )
-    batches = math.ceil(8.0 * math.log(2.0 / delta))
+    batches = delta_count(8.0 * math.log(2.0 / delta), "batches", delta)
     regions = tuple(Region(index=side * i, inner=inner, outer=outer)
                     for side in (1, -1) for i, inner, outer in _region_magnitudes(sigma, i_max))
     sign, inner, outer = _region_columns(regions)
@@ -221,20 +225,11 @@ build_plan.cache_info = _cached_plan.cache_info
 def refinement_plan(params: FamilyParams, eps: float, delta: float,
                     profile: str = "empirical") -> RefinementPlan | None:
     """The refinement round's plan, fixed by (params, eps, delta) before any query;
-    ``None`` when eps >= 4 sigma, where the localized center alone meets eps."""
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    if not 0 < delta < 1:
-        raise ValueError(f"delta must be in (0, 1), got {delta}")
+    ``None`` when eps >= 4 sigma, where the localized center alone meets eps.
+    ``build_plan`` checks eps and delta; without a plan, the localizer checks delta."""
     if eps >= SHIFTED_MEAN_BOUND * params.sigma:
         return None
     return build_plan(params, eps, delta, profile)
-
-
-def region_queries(region: Region, center: float) -> tuple[Query, Query, Query, Query]:
-    """The region's four queries, in original coordinates around ``center``:
-    the one-region case of ``_region_table``, materialized."""
-    return _region_table((region,), (1,), center).queries
 
 
 def _region_table(regions, reps, center: float) -> QueryTable:
@@ -283,15 +278,6 @@ def _region_kinds(index: int) -> tuple[type, type, type, type]:
         UniformThreshold
 
 
-def query_table(plan: RefinementPlan, center: float) -> QueryTable:
-    """The refinement round as one table: the four ``region_queries`` of every
-    region, in ``plan.regions`` order, each repeated n_i times per batch, so
-    ``per_block`` is ``plan.samples_per_batch``.  It is ``plan.table`` shifted
-    to ``center``: adding the center to an offset gives the same bits as
-    ``_region_table`` around that center."""
-    return plan.table.shifted(center)
-
-
 def _region_sums(agent: Agent, table: QueryTable, sign, inner, outer, batches: int,
                  transcript: Transcript | None) -> np.ndarray:
     """Each batch's sum over the regions of sign * (a p_a + b p_b), from one
@@ -307,33 +293,30 @@ def _region_sums(agent: Agent, table: QueryTable, sign, inner, outer, batches: i
     return values.sum(axis=1)
 
 
-def estimate_region(agent: Agent, region: Region, n: int,
-                    queries: tuple[Query, Query, Query, Query], batches: int,
+def estimate_region(agent: Agent, region: Region, n: int, center: float, batches: int,
                     transcript: Transcript | None = None) -> np.ndarray:
-    """The region's mean contribution E[Y 1(Y in cell)], estimated once per batch.
+    """The region's mean contribution E[Y 1(Y in cell)], Y = X - center,
+    estimated once per batch.
 
-    ``queries`` are the region's ``region_queries``.  Each is asked n times
-    per batch, all ``batches`` blocks in one draw, and each batch's estimate
-    is sign * (a p_a + b p_b); 4 n queries per batch.  This is
+    Each of the region's four queries around ``center`` is asked n times per
+    batch, all ``batches`` blocks in one draw, and each batch's estimate is
+    sign * (a p_a + b p_b); 4 n queries per batch.  This is
     ``base_estimate``'s draw and combination for a single region.
     """
-    if n < 1:
-        raise ValueError("region allocation must be >= 1")
-    return _region_sums(agent, QueryTable(tuple(queries), (n,) * 4), region.sign,
+    return _region_sums(agent, _region_table((region,), (n,), center), region.sign,
                         region.inner, region.outer, batches, transcript)
 
 
-def base_estimate(agent: Agent, plan: RefinementPlan, center: float,
-                  table: QueryTable, batches: int,
+def base_estimate(agent: Agent, plan: RefinementPlan, center: float, batches: int,
                   transcript: Transcript | None = None) -> np.ndarray:
     """The base estimator's value in each of ``batches`` independent batches:
     the localization center plus the sum of the region estimates.
 
-    ``table`` is ``query_table(plan, center)``; the whole round is one
-    ``respond_count`` draw of it.
+    The whole round is one ``respond_count`` draw of ``plan.table`` shifted
+    to ``center``.
     """
-    return center + _region_sums(agent, table, plan.sign, plan.inner, plan.outer, batches,
-                                 transcript)
+    return center + _region_sums(agent, plan.table.shifted(center), plan.sign, plan.inner,
+                                 plan.outer, batches, transcript)
 
 
 @dataclass(frozen=True)
@@ -357,20 +340,19 @@ def refine_from_center(agent: Agent, plan: RefinementPlan, center: float,
     if transcript is None:
         transcript = Transcript()
     transcript.begin_phase("refinement")
-    values = base_estimate(agent, plan, center, query_table(plan, center), plan.batches,
-                           transcript).tolist()
+    values = base_estimate(agent, plan, center, plan.batches, transcript).tolist()
     # the middle value, or the mean of the middle two, as np.median gives it
     return statistics.median(values), tuple(values)
 
 
 @dataclass(frozen=True)
 class CostBreakdown:
+    """Exact sample counts of one pipeline run; ``plan`` is its refinement
+    round, ``None`` when the localized center alone meets eps."""
+
     localization: int
     refinement: int
-    t: float | None
-    i_max: int
-    batches: int
-    n_per_region: dict[int, int]
+    plan: RefinementPlan | None
 
     @property
     def total(self) -> int:
@@ -402,17 +384,7 @@ def run_pipeline(localize: Callable[..., LocalizationResult], plan: RefinementPl
 
 def pipeline_cost(localization: int, plan: RefinementPlan | None) -> CostBreakdown:
     """Exact sample counts of ``run_pipeline``, given its localization cost."""
-    if plan is None:
-        return CostBreakdown(localization=localization, refinement=0, t=None, i_max=0,
-                             batches=0, n_per_region={})
-    return CostBreakdown(
-        localization=localization,
-        refinement=plan.total_samples,
-        t=plan.t,
-        i_max=plan.i_max,
-        batches=plan.batches,
-        n_per_region=dict(plan.n_by_magnitude),
-    )
+    return CostBreakdown(localization, 0 if plan is None else plan.total_samples, plan)
 
 
 def estimate_mean(agent: Agent, params: FamilyParams, eps: float, delta: float,
@@ -435,8 +407,8 @@ def predict_cost(params: FamilyParams, eps: float, delta: float,
 
 def analytic_region_probs(dist: Distribution, center: float,
                           region: Region) -> tuple[float, float]:
-    """Exact (p_a, p_b) for the region's four ``region_queries``."""
-    f1, f2, f3, f4 = (query_probability(dist, q) for q in region_queries(region, center))
+    """Exact (p_a, p_b) for the region's four queries around ``center``."""
+    f1, f2, f3, f4 = query_probabilities(dist, _region_table((region,), (1,), center)).tolist()
     return f1 - f2, f3 - f4
 
 
@@ -456,9 +428,9 @@ def analytic_base_variance(dist: Distribution, center: float, plan: RefinementPl
 
     Every count is an independent Binomial(n_i, p), so a region contributes
     (a^2 (v1 + v2) + b^2 (v3 + v4)) / n_i with v = p (1 - p) for its four
-    ``region_queries``.
+    queries.
     """
-    table = query_table(plan, center)
+    table = plan.table.shifted(center)
     p = query_probabilities(dist, table)
     v = (p * (1.0 - p) / table.reps).reshape(-1, 4)
     return float(np.sum(plan.inner ** 2 * (v[:, 0] + v[:, 1])

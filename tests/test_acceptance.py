@@ -25,7 +25,7 @@ from bitmean.harness import ExperimentConfig, acceptance_matrix, run_localize, \
 from bitmean.localization import gray_bit_value, gray_change_points, gray_decode, \
     gray_plan, localize_gray
 from bitmean.refine import analytic_region_mean, base_estimate, build_plan, \
-    estimate_mean, predict_cost, query_table
+    estimate_mean, predict_cost
 from bitmean.variants import anytime_estimate, unknown_scale_estimate
 
 SIGMA = 1.0
@@ -107,8 +107,7 @@ def test_criterion_04_variance_constraint():
         plan = build_plan(params, eps, 0.2, "proof-safe")
         center = round(dist.mean() * 2) / 2
         agent = Agent(dist, trial_rng(404, f"variance/{name}", 0))
-        table = query_table(plan, center)
-        values = base_estimate(agent, plan, center, table, batches=2000)
+        values = base_estimate(agent, plan, center, batches=2000)
         results[name] = float(np.var(values, ddof=1))
     ok = all(v <= bound for v in results.values())
     ok = _report(4, ok, f"sample variances {results} vs bound {bound:.3e}")

@@ -64,6 +64,14 @@ def test_run_scaling_appends_ratios():
         run_scaling(ExperimentConfig(eps_list=(0.25,)))
 
 
+def test_run_scaling_after_bypass_scale_row():
+    # eps >= 4 sigma refines nothing, so the next row has no ratio to take
+    cfg = ExperimentConfig(k=2.0, lam=16.0, sigma=1.0, delta=0.2, eps_list=(4.0, 2.0, 1.0))
+    rows, _ = run_scaling(cfg)
+    assert [row[5] for row in rows] == [0, 2432, 9728]
+    assert [row[-1] for row in rows] == ["", "", "4.000000"]
+
+
 def test_run_localize_methods():
     for method in ("median", "gray"):
         cfg = ExperimentConfig(fixture="gauss_tight", lam=64.0, trials=20,

@@ -22,6 +22,7 @@ from bitmean.localization import (
     median_search_levels,
     median_votes_per_level,
 )
+from bitmean.refine import build_plan
 from bitmean.variants import two_stage_cost, two_stage_estimate
 
 
@@ -274,10 +275,39 @@ def test_localize_median_handles_edge_means():
         assert res.low <= mu <= res.high
 
 
-def test_delta_validation():
+def test_delta_validation(capsys):
     params = FamilyParams(2.0, 8.0, 1.0)
     agent = Agent(make_point_mass(0.0), trial_rng(7, "val", 0))
     with pytest.raises(ValueError):
         localize_median(agent, params, 0.0)
     with pytest.raises(ValueError):
         gray_plan(params, 1.5)
+    # outside (0, 1), NaN, or so small that a count sized by ln(1/delta) is
+    # infinite: each is refused naming delta, before any query
+    for delta in (2.0, math.nan, 1e-310, 5e-324):
+        with pytest.raises(ValueError, match="delta"):
+            median_search_cost(params, delta)
+        tr = Transcript()
+        with pytest.raises(ValueError, match="delta"):
+            localize_median(agent, params, delta, tr)
+        assert tr.total == 0
+    with pytest.raises(ValueError, match="delta"):
+        build_plan(params, 0.25, 5e-324)
+    with pytest.raises(ValueError, match="delta"):
+        gray_plan(FamilyParams(2.0, 1024.0, 1.0), 5e-324)
+    for argv in (["localize", "--delta", "1e-320"], ["anytime", "--delta", "nan"]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and "delta" in err \
+            and "Traceback" not in err
+
+
+@pytest.mark.parametrize("level", [True, 1.5, 0, MAX_GRAY_LEVEL + 1])
+def test_gray_level_outside_gray_bit_rule_rejected(level):
+    # the levels GrayBit refuses: a bool, a float, and ints outside 1..MAX_GRAY_LEVEL
+    with pytest.raises(ValueError):
+        GrayBit(level, 0.0, 1.0)
+    with pytest.raises(ValueError, match="level"):
+        gray_bit_value(level, 0.6)
+    with pytest.raises(ValueError, match="level"):
+        gray_change_points(level)

@@ -14,7 +14,7 @@ from bitmean.distributions import FamilyParams, make_discrete, \
     make_gaussian_budget_tight, make_two_sided_pareto
 from bitmean.harness import acceptance_matrix
 from bitmean.localization import gray_bit_value, gray_decode
-from bitmean.refine import _region_table, build_plan, query_table, region_queries
+from bitmean.refine import _region_table, build_plan
 
 SIGMA = 1.0
 PARAMS = FamilyParams(2.0, 16.0, SIGMA)
@@ -40,12 +40,12 @@ def test_decomposition_identity_with_endpoint_atoms(dist, center_step, eps):
     total = 0.0
     for region in plan.regions:
         f1, f2, f3, f4 = (query_probability(dist, q)
-                          for q in region_queries(region, center))
+                          for q in _region_table((region,), (1,), center).queries)
         total += region.sign * (region.inner * (f1 - f2) + region.outer * (f3 - f4))
     tail = dist.shifted_tail_contribution(center, plan.t)
     assert math.isclose(total + tail, dist.mean() - center, abs_tol=1e-9)
     # the round's table, evaluated as arrays, gives the same probabilities
-    table = query_table(plan, center)
+    table = plan.table.shifted(center)
     assert query_probabilities(dist, table).tolist() == approx(
         [query_probability(dist, q) for q in table.queries], abs=1e-15)
 
@@ -60,7 +60,7 @@ FIXTURES = acceptance_matrix()
 def test_round_table_is_the_center_zero_table_shifted(name, eps_div, center):
     fx = FIXTURES[name]
     plan = build_plan(fx.params, fx.params.sigma / eps_div, 0.2)
-    table = query_table(plan, center)
+    table = plan.table.shifted(center)
     reps = [plan.n_by_magnitude[abs(region.index)] for region in plan.regions]
     fresh = _region_table(plan.regions, reps, center)
     assert table.queries == fresh.queries

@@ -6,12 +6,14 @@ from pytest import approx
 
 from bitmean.channel import Agent, BitAgent, QueryTable, ThresholdGE, ThresholdGT, \
     ThresholdLE, ThresholdLT, Transcript, UniformThreshold, query_probabilities, query_probability
+from bitmean.cli import main
 from bitmean.distributions import FamilyParams, make_discrete, make_gaussian_budget_tight, \
     make_point_mass, make_two_sided_pareto
 from bitmean.hardness import make_pair_grid
 from bitmean.harness import acceptance_matrix, trial_rng
 from bitmean.refine import (
     Region,
+    _region_table,
     allocation_constant,
     analytic_base_variance,
     analytic_region_mean,
@@ -22,9 +24,7 @@ from bitmean.refine import (
     estimate_mean,
     estimate_region,
     predict_cost,
-    query_table,
     refinement_plan,
-    region_queries,
     worst_case_tail_bound,
 )
 from bitmean.variants import two_stage_estimate
@@ -91,23 +91,29 @@ def test_build_plan_rejects_unknown_profile():
         allocation_constant("fast", 2.0)
 
 
-def test_allocation_beyond_int64_rejected_by_plan_predictor_and_estimator():
+def test_allocation_beyond_int64_rejected_by_plan_predictor_and_estimator(capsys):
     params = FamilyParams(2.0, 16.0, 1.0)
-    with pytest.raises(ValueError, match="int64"):
-        build_plan(params, 1e-9, 0.2)
-    with pytest.raises(ValueError, match="int64"):
-        predict_cost(params, 1e-9, 0.2)
     agent = Agent(make_point_mass(0.3), trial_rng(11, "int64", 0))
-    tr = Transcript()
-    with pytest.raises(ValueError, match="int64"):
-        estimate_mean(agent, params, 1e-9, 0.2, transcript=tr)
-    assert tr.total == 0  # rejected before localization spends a query
-    tr = Transcript()
-    with pytest.raises(ValueError, match="int64"):
-        two_stage_estimate(agent, params, 1e-9, 0.2, transcript=tr)
-    assert tr.total == 0
-    # ten times that eps needs n_1 = 1.6e17, which fits
-    assert predict_cost(params, 1e-8, 0.2).n_per_region[1] < 2 ** 63
+    # at 1e-160 and below the cutoff's tail bound would overflow float64, so
+    # n_1 is checked before the cutoff search
+    for eps in (1e-9, 1e-150, 1e-160, 1e-300):
+        with pytest.raises(ValueError, match="int64"):
+            build_plan(params, eps, 0.2)
+        with pytest.raises(ValueError, match="int64"):
+            predict_cost(params, eps, 0.2)
+        tr = Transcript()
+        with pytest.raises(ValueError, match="int64"):
+            estimate_mean(agent, params, eps, 0.2, transcript=tr)
+        assert tr.total == 0  # rejected before localization spends a query
+        tr = Transcript()
+        with pytest.raises(ValueError, match="int64"):
+            two_stage_estimate(agent, params, eps, 0.2, transcript=tr)
+        assert tr.total == 0
+    assert main(["pac", "--eps", "1e-300"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "int64" in err and "Traceback" not in err
+    # eps = 1e-8 needs n_1 = 1.6e17, which fits
+    assert predict_cost(params, 1e-8, 0.2).plan.n_by_magnitude[1] < 2 ** 63
 
 
 def test_region_blocks_beyond_int64_in_total():
@@ -117,13 +123,13 @@ def test_region_blocks_beyond_int64_in_total():
     region = Region(index=1, inner=0.0, outer=2.0)
     agent = Agent(make_point_mass(1.0), trial_rng(11, "int64-blocks", 0))
     tr = Transcript()
-    vals = estimate_region(agent, region, n_i, region_queries(region, 0.0),
-                           batches=batches, transcript=tr)
+    vals = estimate_region(agent, region, n_i, 0.0, batches=batches, transcript=tr)
     assert tr.total == 4 * batches * n_i > 2 ** 63
     assert vals.shape == (batches,)
     assert np.all(np.abs(vals - 1.0) < 1e-6)  # p_a = p_b = 1/2 at the cell midpoint
     # the same region as a table with one more query: K * per_block > int64
-    table = QueryTable(region_queries(region, 0.0) + (ThresholdGE(3.0),), (n_i,) * 4 + (5,))
+    table = QueryTable(_region_table((region,), (1,), 0.0).queries + (ThresholdGE(3.0),),
+                       (n_i,) * 4 + (5,))
     counts = agent.respond_count(table, batches * table.per_block, groups=batches)
     assert batches * table.per_block > 2 ** 63 and counts.shape == (batches, 5)
     assert np.all(counts[:, [0, 2]] == n_i) and np.all(counts[:, 4] == 0)
@@ -175,9 +181,12 @@ def test_estimate_region_point_mass_outside_is_zero():
     region = Region(index=1, inner=0.0, outer=2.0)
     agent = Agent(dist, trial_rng(0, "regzero", 0))
     tr = Transcript()
-    est = estimate_region(agent, region, 50, region_queries(region, 0.0), batches=5,
-                          transcript=tr)
+    est = estimate_region(agent, region, 50, 0.0, batches=5, transcript=tr)
     assert est.tolist() == [0.0] * 5
+    assert tr.total == 5 * 200
+    for n in (0, True, 2.5):  # the table's reps rule refuses each, before a draw
+        with pytest.raises(ValueError):
+            estimate_region(agent, region, n, 0.0, batches=5, transcript=tr)
     assert tr.total == 5 * 200
 
 
@@ -185,8 +194,7 @@ def test_estimate_region_unbiased_monte_carlo():
     dist = make_discrete([-3.0, 1.0], [0.7, 0.3])
     region = Region(index=1, inner=0.0, outer=2.0)
     agent = Agent(dist, trial_rng(1, "regmc", 0))
-    queries = region_queries(region, 0.0)
-    vals = estimate_region(agent, region, 50, queries, batches=10_000)
+    vals = estimate_region(agent, region, 50, 0.0, batches=10_000)
     stderr = float(np.std(vals, ddof=1)) / math.sqrt(len(vals))
     assert float(np.mean(vals)) == approx(0.3, abs=4 * stderr)
 
@@ -196,9 +204,8 @@ def test_estimate_region_bitwise_matches_fast_path_distribution():
     region = Region(index=-1, inner=0.0, outer=2.0)
     rng = trial_rng(2, "regbw", 0)
     agent, bit_agent = Agent(dist, rng), BitAgent(dist, rng)
-    queries = region_queries(region, 0.0)
-    fast = estimate_region(agent, region, 80, queries, batches=4000)
-    slow = estimate_region(bit_agent, region, 80, queries, batches=4000)
+    fast = estimate_region(agent, region, 80, 0.0, batches=4000)
+    slow = estimate_region(bit_agent, region, 80, 0.0, batches=4000)
     se = math.sqrt(np.var(fast) / 4000 + np.var(slow) / 4000)
     assert float(np.mean(fast)) == approx(float(np.mean(slow)), abs=4 * se)
     assert float(np.var(fast, ddof=1)) == approx(
@@ -210,7 +217,7 @@ def test_base_estimate_point_mass_at_center_is_exact():
     plan = build_plan(params, 0.25, 0.2)
     dist = make_point_mass(1.5)
     agent = Agent(dist, trial_rng(3, "basepm", 0))
-    assert base_estimate(agent, plan, 1.5, query_table(plan, 1.5), batches=5).tolist() == [1.5] * 5
+    assert base_estimate(agent, plan, 1.5, batches=5).tolist() == [1.5] * 5
 
 
 def test_base_estimate_unbiased_for_pair_member():
@@ -221,8 +228,7 @@ def test_base_estimate_unbiased_for_pair_member():
     expected = center + math.fsum(
         analytic_region_mean(dist, center, r) for r in plan.regions)
     agent = Agent(dist, trial_rng(4, "basemc", 0))
-    table = query_table(plan, center)
-    vals = base_estimate(agent, plan, center, table, batches=4000)
+    vals = base_estimate(agent, plan, center, batches=4000)
     stderr = float(np.std(vals, ddof=1)) / math.sqrt(len(vals))
     assert float(np.mean(vals)) == approx(expected, abs=4 * stderr)
     # truncation bias at this cutoff is zero for the two-point member,
@@ -255,7 +261,7 @@ def test_predict_cost_example_and_accounting():
     params = FamilyParams(2.0, 64.0, 1.0)
     cost = predict_cost(params, 1 / 8, 0.05)
     assert cost.refinement == 1_228_800
-    assert cost.t == 32.0 and cost.i_max == 5 and cost.batches == 30
+    assert cost.plan.t == 32.0 and cost.plan.i_max == 5 and cost.plan.batches == 30
 
     dist = make_pair_grid(64.0, 1.0, 0.1).member(32, 1)
     agent = Agent(dist, trial_rng(7, "acct", 0))
@@ -288,7 +294,7 @@ def test_batch_variance_matches_analytic_base_variance(fixture, offset):
     center = fx.mean + offset * sigma
     agent = Agent(fx.dist, trial_rng(13, f"basevar/{fixture}/{offset}", 0))
     n = 4000
-    vals = base_estimate(agent, plan, center, query_table(plan, center), batches=n)
+    vals = base_estimate(agent, plan, center, batches=n)
     s2 = float(np.var(vals, ddof=1))
     m4 = float(np.mean((vals - vals.mean()) ** 4))
     se = math.sqrt((m4 - s2 ** 2 * (n - 3) / (n - 1)) / n)
@@ -306,8 +312,7 @@ def test_variance_bound_holds_on_moment_saturating_fixture():
     eps = sigma / 4
     plan = build_plan(params, eps, 0.2, "proof-safe")
     agent = Agent(dist, trial_rng(9, "stressvar", 0))
-    table = query_table(plan, 0.0)
-    vals = base_estimate(agent, plan, 0.0, table, batches=2000)
+    vals = base_estimate(agent, plan, 0.0, batches=2000)
     assert float(np.var(vals, ddof=1)) <= (eps ** 2 / 16) * 1.10
 
 
@@ -364,12 +369,10 @@ def test_table_probabilities_equal_per_query_loop(name):
         plan = build_plan(fx.params, eps, 0.2)
         for offset in (0.0, 3.9, -2.5):
             center = fx.mean + offset * sigma
-            table = query_table(plan, center)
+            table = plan.table.shifted(center)
             queries = table.queries
             assert queries == tuple(q for region in plan.regions
                                     for q in _loop_region_queries(region, center))
-            assert all(region_queries(region, center) == _loop_region_queries(region, center)
-                       for region in plan.regions)
             assert table.reps.tolist() == [plan.n_by_magnitude[abs(region.index)]
                                            for region in plan.regions for _ in range(4)]
             p = query_probabilities(fx.dist, QueryTable(queries, table.reps))
