@@ -10,7 +10,6 @@ import numpy as np
 from bitmean import (
     Agent,
     FamilyParams,
-    Transcript,
     build_plan,
     cutoff_threshold,
     estimate_mean,
@@ -31,8 +30,7 @@ print(f"hidden mean: {dist.mean()}   target: |error| <= {eps} w.p. >= {1 - delta
 # Stage 1: localization. A certified noisy binary search on a sigma-spaced
 # grid narrows the mean to an interval of length <= 8 sigma.
 agent = Agent(dist, rng)
-transcript = Transcript()
-loc = localize_median(agent, params, delta, transcript)
+loc = localize_median(agent, params, delta)
 print("\n=== Stage 1: localization ===")
 print(f"interval: [{loc.low:.2f}, {loc.high:.2f}]  (length {loc.length:.2f})")
 print(f"center:   {loc.center:.2f}   queries spent: {loc.samples_used}")
@@ -50,14 +48,15 @@ print(f"median-of-means batches K = {plan.batches}")
 # Stages 4-6 run inside estimate_mean: randomized threshold queries per
 # region, variance-aware allocation, median of K base estimates.
 agent = Agent(dist, np.random.default_rng(7))
-transcript = Transcript()
-report = estimate_mean(agent, params, eps, delta, transcript=transcript)
+report = estimate_mean(agent, params, eps, delta)
 print("\n=== Stages 4-6: refinement ===")
 print(f"estimate: {report.mu_hat:.4f}   true mean: {dist.mean():.4f}")
 print(f"error:    {abs(report.mu_hat - dist.mean()):.4f} (target {eps})")
 print(f"queries:  localization={report.n_localization} "
       f"refinement={report.n_refinement} total={report.n_total}")
+# the agent counts every query it answers, per phase of the run
+print(f"agent's transcript: {agent.transcript.counts}")
 
 cost = predict_cost(params, eps, delta)
 print(f"predicted total (closed form): {cost.total}  "
-      f"matches transcript: {cost.total == transcript.total}")
+      f"matches transcript: {cost.total == agent.transcript.total}")

@@ -37,7 +37,6 @@ from .channel import (
     evaluate_query,
     query_probabilities,
     query_probability,
-    repeated_fraction,
     uniform_threshold_probability,
 )
 from .localization import (

@@ -1,14 +1,13 @@
 """The 1-bit interaction protocol: the learner sees bits, never samples.
 
 Every query is a value (one of the ``Query`` kinds below).  Each query
-consumes exactly one fresh sample on the agent side, and every bit crosses the
-interface through a Transcript so budgets are accounted exactly.  The Agent
-answers n repetitions of any query through one of two paths:
+consumes exactly one fresh sample on the agent side.  The Agent answers n
+repetitions of any query through one of two paths:
 
 * ``respond_bits`` -- bit level, one fresh sample per bit, the literal
   protocol and the reference the aggregated path is tested against;
-  ``BitAgent`` answers ``respond_count`` by summing these bits, so a whole
-  run through it is bit level;
+  ``BitAgent`` draws every count of ``respond_count`` as a sum of these
+  bits, so a whole run through it is bit level;
 * ``respond_count`` -- aggregated, the number of 1-bits as a single
   Binomial(n, p) variate, with p computed from the distribution's analytic
   CDF.  This is distributionally identical to the bit-level path (the n bits
@@ -19,7 +18,11 @@ answers n repetitions of any query through one of two paths:
   table's parameter columns; a refinement round and the non-adaptive
   baseline are each one such draw.
 
-The raw sample values never leave the Agent in either path.
+Every estimator asks its queries through ``respond_count``, which records
+each answered query in the agent's ``transcript`` under the phase the
+estimator named last, so the agent's transcript holds the exact cost of
+everything it answered.  The raw sample values never leave the Agent in
+either path.
 """
 
 from __future__ import annotations
@@ -49,7 +52,6 @@ __all__ = [
     "Agent",
     "BitAgent",
     "Transcript",
-    "repeated_fraction",
 ]
 
 INT64_MAX = int(np.iinfo(np.int64).max)
@@ -478,17 +480,23 @@ class Transcript:
 
 
 class Agent:
-    """Memoryless responder: one fresh i.i.d. sample per query, bits out only."""
+    """Memoryless responder: one fresh i.i.d. sample per query, bits out only.
+
+    ``transcript`` counts every query ``respond_count`` answers.
+    """
 
     def __init__(self, distribution: Distribution, rng: np.random.Generator):
         self._distribution = distribution
         self._rng = rng
+        self.transcript = Transcript()
 
     def respond_bits(self, q: Query, n: int) -> np.ndarray:
         """n independent bits for the same query, one fresh sample each.
 
         A ``UniformThreshold``'s n cutoffs come from the agent's own generator,
         independent of the samples, so the bits are still i.i.d. Bernoulli(p).
+        These bits are not recorded: ``respond_count`` records what it
+        answers, and ``BitAgent`` answers it from these bits.
         """
         if n < 1:
             raise ValueError("need at least one query")
@@ -508,16 +516,26 @@ class Agent:
         A ``QueryTable`` is answered in one draw, with n the total number of
         queries, K times ``per_block``: the int64 counts have shape (Q,), or
         (K, Q) with ``groups=K``.  A single query goes straight to its kind's
-        oracle, with no table built.
+        oracle, with no table built.  The n queries are recorded in
+        ``transcript`` once they are answered.
         """
+        table = isinstance(q, QueryTable)
+        blocks, reps = (_table_blocks(q, n, groups), q.reps) if table \
+            else _query_blocks(n, groups)
+        counts = self._counts(q, reps, blocks)
+        self.transcript.record_batch(n)
+        if groups is not None:
+            return counts
+        return counts[0] if table else int(counts[0])
+
+    def _counts(self, q: Query | QueryTable, reps, blocks: int) -> np.ndarray:
+        """The 1-bit counts of ``blocks`` blocks, in which q is repeated
+        ``reps`` times: shape (blocks,), or (blocks, Q) for a table, whose
+        row j is repeated reps[j] times."""
         if isinstance(q, QueryTable):
-            blocks = _table_blocks(q, n, groups)
-            p = query_probabilities(self._distribution, q)
-            counts = self._rng.binomial(q.reps, p, size=(blocks, len(q)))
-            return counts if groups is not None else counts[0]
-        _, per_block = _query_blocks(n, groups)
-        p = query_probability(self._distribution, q)
-        return self._rng.binomial(per_block, p, size=groups)
+            return self._rng.binomial(reps, query_probabilities(self._distribution, q),
+                                      size=(blocks, len(q)))
+        return self._rng.binomial(reps, query_probability(self._distribution, q), size=blocks)
 
     def respond_count_uniform_threshold(self, direction: str, lo: float,
                                         hi: float, n: int) -> int:
@@ -528,18 +546,12 @@ class Agent:
 class BitAgent(Agent):
     """The bit-level reference: every count is a sum of ``respond_bits``, one sample per bit."""
 
-    def respond_count(self, q: Query | QueryTable, n: int, *,
-                      groups: int | None = None) -> int | np.ndarray:
-        if isinstance(q, QueryTable):
-            blocks, queries, reps = _table_blocks(q, n, groups), q.queries, q.reps.tolist()
-        else:
-            (blocks, per_block), queries = _query_blocks(n, groups), (q,)
-            reps = (per_block,)
-        counts = np.array([[self.respond_bits(query, r).sum() for query, r in zip(queries, reps)]
+    def _counts(self, q: Query | QueryTable, reps, blocks: int) -> np.ndarray:
+        table = isinstance(q, QueryTable)
+        queries, rows = (q.queries, reps.tolist()) if table else ((q,), (reps,))
+        counts = np.array([[self.respond_bits(query, r).sum() for query, r in zip(queries, rows)]
                            for _ in range(blocks)], dtype=np.int64)
-        if isinstance(q, QueryTable):
-            return counts if groups is not None else counts[0]
-        return counts[:, 0] if groups is not None else int(counts[0, 0])
+        return counts if table else counts[:, 0]
 
 
 def _split(n: int, groups: int | None) -> tuple[int, int]:
@@ -570,12 +582,3 @@ def _query_blocks(n: int, groups: int | None) -> tuple[int, int]:
     if per_block > INT64_MAX:
         raise ValueError(f"{per_block} repetitions per block exceed int64")
     return blocks, per_block
-
-
-def repeated_fraction(agent: Agent, q: Query, m: int, transcript: Transcript) -> float:
-    """Empirical mean of m independent bits for the same query."""
-    if m < 1:
-        raise ValueError("need at least one repetition")
-    ones = agent.respond_count(q, m)
-    transcript.record_batch(m)
-    return ones / m

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import INT64_MAX, Agent, Interval, QueryTable, Transcript
+from .channel import INT64_MAX, Agent, Interval, QueryTable
 from .distributions import DiscreteMixture, make_discrete
 
 __all__ = [
@@ -260,17 +260,13 @@ class BaselineEstimate:
 
 
 def nonadaptive_baseline(agent: Agent, lam: float, sigma: float, eps: float,
-                         budget: int,
-                         transcript: Transcript | None = None) -> BaselineEstimate:
+                         budget: int) -> BaselineEstimate:
     """Run the fixed plan as one draw, pick the pair by presence fraction and
     the sign by comparing the sign fraction to 1/2; return center + sign * eps."""
-    if transcript is None:
-        transcript = Transcript()
-    transcript.begin_phase("nonadaptive")
+    agent.transcript.begin_phase("nonadaptive")
     grid = make_pair_grid(lam, sigma, eps)
     table = _baseline_table(grid, budget)
     ones = agent.respond_count(table, table.per_block)
-    transcript.record_batch(table.per_block)
     frac = ones / table.reps
     presence, sign_frac = frac[0::2], frac[1::2]  # the table alternates the two per pair
 

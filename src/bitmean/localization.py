@@ -22,8 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .channel import MAX_GRAY_LEVEL, Agent, GrayBit, QueryTable, ThresholdLE, Transcript, \
-    repeated_fraction
+from .channel import MAX_GRAY_LEVEL, Agent, GrayBit, QueryTable, ThresholdLE
 from .distributions import FamilyParams
 
 __all__ = [
@@ -103,8 +102,7 @@ def median_search_cost(params: FamilyParams, delta: float) -> int:
     return 2 * levels * median_votes_per_level(params, delta)
 
 
-def localize_median(agent: Agent, params: FamilyParams, delta: float,
-                    transcript: Transcript | None = None) -> LocalizationResult:
+def localize_median(agent: Agent, params: FamilyParams, delta: float) -> LocalizationResult:
     """Adaptive localization: returns [L - sigma, U + sigma] containing the mean
     with probability >= 1 - delta/2, of length at most 8 sigma on that event.
 
@@ -113,9 +111,7 @@ def localize_median(agent: Agent, params: FamilyParams, delta: float,
     sample count a pure function of (lam, sigma, delta).
     """
     votes = median_votes_per_level(params, delta)
-    if transcript is None:
-        transcript = Transcript()
-    transcript.begin_phase("localization")
+    agent.transcript.begin_phase("localization")
 
     sigma = params.sigma
     levels = median_search_levels(params)
@@ -130,8 +126,7 @@ def localize_median(agent: Agent, params: FamilyParams, delta: float,
         lo, hi = 0, n_steps
         for _ in range(levels):
             mid = (lo + hi) // 2
-            if keeps_lower_half(repeated_fraction(agent, ThresholdLE(grid(mid)), votes,
-                                                  transcript)):
+            if keeps_lower_half(agent.respond_count(ThresholdLE(grid(mid)), votes) / votes):
                 hi = mid
             else:
                 lo = mid
@@ -258,8 +253,7 @@ def gray_interval_length_bound(params: FamilyParams, delta: float) -> float:
     return 3.0 * params.lam * 0.5 ** plan.n_bits
 
 
-def localize_gray(agent: Agent, params: FamilyParams, delta: float,
-                  transcript: Transcript | None = None) -> LocalizationResult:
+def localize_gray(agent: Agent, params: FamilyParams, delta: float) -> LocalizationResult:
     """Non-adaptive localization via Gray bits of the rescaled mean.
 
     Majority-votes each of the M bits from J fixed queries, all M * J
@@ -268,17 +262,13 @@ def localize_gray(agent: Agent, params: FamilyParams, delta: float,
     boundary-proximate bit, clamps to [0, 1], and maps back to [-lam, lam].
     Uses exactly M * J samples; covers the mean w.p. >= 1 - delta/2.
     """
-    if transcript is None:
-        transcript = Transcript()
-    transcript.begin_phase("localization")
-
+    agent.transcript.begin_phase("localization")
     plan = gray_plan(params, delta)
     if plan is None:
         return LocalizationResult(low=-params.lam, high=params.lam, center=0.0,
                                   samples_used=0, method="gray-bypass", rounds=0)
 
     counts = agent.respond_count(plan.table, plan.total_queries)
-    transcript.record_batch(plan.total_queries)
     frac = counts / plan.table.reps
     x0, x1 = gray_decode((frac >= 0.5).astype(int).tolist())
     pad = 0.5 ** (plan.n_bits + 2)

@@ -2,7 +2,7 @@
 queries, variance-aware allocation, and the median-of-means wrapper.
 
 All sample counts are deterministic functions of the parameters, so
-``predict_cost`` reproduces realized transcript totals exactly.
+``predict_cost`` reproduces the realized totals of the agent's transcript exactly.
 """
 
 from __future__ import annotations
@@ -17,12 +17,13 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .channel import Agent, QueryTable, ThresholdGE, ThresholdGT, ThresholdLE, ThresholdLT, \
-    Transcript, UniformThreshold, query_probabilities
+    UniformThreshold, query_probabilities
 from .distributions import Distribution, FamilyParams
 from .localization import LocalizationResult, delta_count, localize_median, median_search_cost
 
 __all__ = [
     "ALLOCATION_PROFILES",
+    "PlanSizeError",
     "allocation_constant",
     "worst_case_tail_bound",
     "cutoff_threshold",
@@ -51,6 +52,11 @@ MIN_CUTOFF_EXPONENT = 4  # t >= 16 sigma keeps t > 8 sigma with margin
 PLAN_CACHE_SIZE = 256  # plans build_plan keeps, least recently used dropped first
 
 ALLOCATION_PROFILES = ("proof-safe", "empirical")
+
+
+class PlanSizeError(ValueError):
+    """Raised when a refinement plan is too large to run: some region needs more
+    than int64 queries, or the cutoff lies beyond float64's range."""
 
 
 def allocation_constant(profile: str, k: float) -> float:
@@ -86,13 +92,17 @@ def worst_case_tail_bound(params: FamilyParams, t: float) -> float:
 
 
 def cutoff_threshold(params: FamilyParams, eps: float) -> float:
-    """Smallest power-of-two multiple t = 2^j sigma (j >= 4) with tail bound <= eps/2."""
+    """Smallest power-of-two multiple t = 2^j sigma (j >= 4) with tail bound <= eps/2,
+    or ``math.inf`` when the search leaves float64's range first."""
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
     j = MIN_CUTOFF_EXPONENT
-    while worst_case_tail_bound(params, 2.0 ** j * params.sigma) > eps / 2.0:
-        j += 1
-    return 2.0 ** j * params.sigma
+    try:
+        while worst_case_tail_bound(params, 2.0 ** j * params.sigma) > eps / 2.0:
+            j += 1
+        return 2.0 ** j * params.sigma  # inf once 2^j sigma overflows
+    except OverflowError:  # 2^j or gap^k beyond float64
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -189,11 +199,15 @@ def _cached_plan(params: FamilyParams, eps: float, delta: float,
     k = params.operative_k
     sigma = params.sigma
     c = allocation_constant(profile, k)
-    # n_1 is at most the largest n_i; it is checked in logs and before the
-    # cutoff search, whose tail bound overflows float64 at an eps this small
+    # n_1 is at most the largest n_i; it is checked in logs, before the cutoff search
     if math.log2(c) + 2.0 * math.log2(sigma / eps) + 2.0 - k > 64:
-        raise ValueError(f"eps={eps} needs n_1 > 2^64 queries in one region, beyond int64")
+        raise PlanSizeError(f"eps={eps} needs n_1 > 2^64 queries in one region, beyond int64")
     t = cutoff_threshold(params, eps)
+    # With n_1 within int64 and sigma^k a float64, the search leaves float64
+    # only at k < 2, where n_i grows with i and passes int64 long before.
+    if t == math.inf:
+        raise PlanSizeError(f"eps={eps} needs a cutoff beyond float64 at sigma={sigma}, "
+                            f"so n_i beyond int64 queries in one region")
     i_max = round(math.log2(t / sigma))
     n_by_magnitude = {
         i: math.ceil(c * (sigma / eps) ** 2 * 2.0 ** (i * (2.0 - k)))
@@ -201,7 +215,7 @@ def _cached_plan(params: FamilyParams, eps: float, delta: float,
     }
     n_max = max(n_by_magnitude.values())
     if n_max > np.iinfo(np.int64).max:
-        raise ValueError(
+        raise PlanSizeError(
             f"eps={eps} needs n_i={n_max} queries in one region, beyond int64"
         )
     batches = delta_count(8.0 * math.log(2.0 / delta), "batches", delta)
@@ -278,23 +292,19 @@ def _region_kinds(index: int) -> tuple[type, type, type, type]:
         UniformThreshold
 
 
-def _region_sums(agent: Agent, table: QueryTable, sign, inner, outer, batches: int,
-                 transcript: Transcript | None) -> np.ndarray:
+def _region_sums(agent: Agent, table: QueryTable, sign, inner, outer, batches: int) -> np.ndarray:
     """Each batch's sum over the regions of sign * (a p_a + b p_b), from one
     draw of ``table``, which holds the regions' four queries in order;
     ``sign``, ``inner`` and ``outer`` are the regions' columns (or one
     region's values)."""
-    n = batches * table.per_block
-    counts = agent.respond_count(table, n, groups=batches)
-    if transcript is not None:
-        transcript.record_batch(n)
+    counts = agent.respond_count(table, batches * table.per_block, groups=batches)
     f = (counts / table.reps).reshape(batches, -1, 4)
     values = sign * (inner * (f[..., 0] - f[..., 1]) + outer * (f[..., 2] - f[..., 3]))
     return values.sum(axis=1)
 
 
-def estimate_region(agent: Agent, region: Region, n: int, center: float, batches: int,
-                    transcript: Transcript | None = None) -> np.ndarray:
+def estimate_region(agent: Agent, region: Region, n: int, center: float,
+                    batches: int) -> np.ndarray:
     """The region's mean contribution E[Y 1(Y in cell)], Y = X - center,
     estimated once per batch.
 
@@ -304,11 +314,10 @@ def estimate_region(agent: Agent, region: Region, n: int, center: float, batches
     ``base_estimate``'s draw and combination for a single region.
     """
     return _region_sums(agent, _region_table((region,), (n,), center), region.sign,
-                        region.inner, region.outer, batches, transcript)
+                        region.inner, region.outer, batches)
 
 
-def base_estimate(agent: Agent, plan: RefinementPlan, center: float, batches: int,
-                  transcript: Transcript | None = None) -> np.ndarray:
+def base_estimate(agent: Agent, plan: RefinementPlan, center: float, batches: int) -> np.ndarray:
     """The base estimator's value in each of ``batches`` independent batches:
     the localization center plus the sum of the region estimates.
 
@@ -316,7 +325,7 @@ def base_estimate(agent: Agent, plan: RefinementPlan, center: float, batches: in
     to ``center``.
     """
     return center + _region_sums(agent, plan.table.shifted(center), plan.sign, plan.inner,
-                                 plan.outer, batches, transcript)
+                                 plan.outer, batches)
 
 
 @dataclass(frozen=True)
@@ -334,13 +343,11 @@ class EstimateReport:
         return self.n_localization + self.n_refinement
 
 
-def refine_from_center(agent: Agent, plan: RefinementPlan, center: float,
-                       transcript: Transcript | None = None) -> tuple[float, tuple[float, ...]]:
+def refine_from_center(agent: Agent, plan: RefinementPlan,
+                       center: float) -> tuple[float, tuple[float, ...]]:
     """K batches of the base estimator around ``center``; returns their median and the values."""
-    if transcript is None:
-        transcript = Transcript()
-    transcript.begin_phase("refinement")
-    values = base_estimate(agent, plan, center, plan.batches, transcript).tolist()
+    agent.transcript.begin_phase("refinement")
+    values = base_estimate(agent, plan, center, plan.batches).tolist()
     # the middle value, or the mean of the middle two, as np.median gives it
     return statistics.median(values), tuple(values)
 
@@ -359,23 +366,21 @@ class CostBreakdown:
         return self.localization + self.refinement
 
 
-def run_pipeline(localize: Callable[..., LocalizationResult], plan: RefinementPlan | None,
-                 agent: Agent, params: FamilyParams, delta: float,
-                 transcript: Transcript | None = None) -> EstimateReport:
+def run_pipeline(localize: Callable[[Agent, FamilyParams, float], LocalizationResult],
+                 plan: RefinementPlan | None, agent: Agent, params: FamilyParams,
+                 delta: float) -> EstimateReport:
     """Localize, recenter, refine in one non-adaptive round, take the median.
 
-    ``localize(agent, params, delta, transcript)`` returns the center;
+    ``localize(agent, params, delta)`` returns the center;
     ``plan`` is the ``refinement_plan`` at a scale whose sigma puts that center
     within 4 sigma of the mean, or ``None`` when the center alone meets eps.
     """
-    if transcript is None:
-        transcript = Transcript()
-    loc = localize(agent, params, delta, transcript)
+    loc = localize(agent, params, delta)
     if plan is None:
         return EstimateReport(mu_hat=loc.center, n_localization=loc.samples_used,
                               n_refinement=0, rounds_of_adaptivity=loc.rounds,
                               localization=loc, plan=None)
-    mu_hat, values = refine_from_center(agent, plan, loc.center, transcript)
+    mu_hat, values = refine_from_center(agent, plan, loc.center)
     return EstimateReport(mu_hat=mu_hat, n_localization=loc.samples_used,
                           n_refinement=plan.total_samples,
                           rounds_of_adaptivity=loc.rounds + 1, localization=loc,
@@ -388,17 +393,16 @@ def pipeline_cost(localization: int, plan: RefinementPlan | None) -> CostBreakdo
 
 
 def estimate_mean(agent: Agent, params: FamilyParams, eps: float, delta: float,
-                  profile: str = "empirical",
-                  transcript: Transcript | None = None) -> EstimateReport:
+                  profile: str = "empirical") -> EstimateReport:
     """The full adaptive estimator: ``run_pipeline`` with the median localizer,
     its plan built first so an eps that ``refinement_plan`` rejects costs no queries."""
     plan = refinement_plan(params, eps, delta, profile)
-    return run_pipeline(localize_median, plan, agent, params, delta, transcript)
+    return run_pipeline(localize_median, plan, agent, params, delta)
 
 
 def predict_cost(params: FamilyParams, eps: float, delta: float,
                  profile: str = "empirical") -> CostBreakdown:
-    """Closed-form sample counts; matches realized ``estimate_mean`` transcripts exactly."""
+    """Closed-form sample counts; equal to the agent's transcript after ``estimate_mean``."""
     plan = refinement_plan(params, eps, delta, profile)
     return pipeline_cost(median_search_cost(params, delta), plan)
 

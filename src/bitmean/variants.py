@@ -10,11 +10,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import Agent, Transcript
+from .channel import Agent
 from .distributions import Distribution, FamilyParams
 from .localization import gray_cost, gray_interval_length_bound, localize_gray, \
     localize_median, median_search_cost
-from .refine import EstimateReport, build_plan, estimate_mean, pipeline_cost, \
+from .refine import EstimateReport, PlanSizeError, build_plan, estimate_mean, pipeline_cost, \
     refine_from_center, refinement_plan, run_pipeline
 
 __all__ = [
@@ -75,19 +75,17 @@ class AnytimeResult:
 
 
 def anytime_estimate(agent: Agent, params: FamilyParams, delta: float, budget: int,
-                     profile: str = "empirical",
-                     transcript: Transcript | None = None) -> AnytimeResult:
+                     profile: str = "empirical") -> AnytimeResult:
     """Budget-oblivious run: localize once, then halve the target accuracy every
     round, committing to a round only when its predicted cost still fits.
 
     The cost check happens before each round, so mid-round exhaustion cannot
-    occur; the returned estimate is the last completed round's.  ``budget``
-    must be an int, checked before any query.
+    occur; the returned estimate is the last completed round's.  A round whose
+    plan is too large to run (``PlanSizeError``) fits no budget, so the run
+    stops before it.  ``budget`` must be an int, checked before any query.
     """
     if isinstance(budget, bool) or not isinstance(budget, (int, np.integer)):
         raise ValueError(f"budget must be an int, got {budget!r}")
-    if transcript is None:
-        transcript = Transcript()
     loc_cost = median_search_cost(params, delta)
     tau = 1
     eps_t, delta_t = anytime_schedule_params(params.sigma, delta, tau)
@@ -98,18 +96,21 @@ def anytime_estimate(agent: Agent, params: FamilyParams, delta: float, budget: i
             f"first refinement round ({plan.total_samples})"
         )
 
-    loc = localize_median(agent, params, delta, transcript)
+    loc = localize_median(agent, params, delta)
     remaining = budget - loc.samples_used
     spent = 0
     rounds: list[AnytimeRound] = []
     while spent + plan.total_samples <= remaining:
-        mu_hat, _ = refine_from_center(agent, plan, loc.center, transcript)
+        mu_hat, _ = refine_from_center(agent, plan, loc.center)
         spent += plan.total_samples
         rounds.append(AnytimeRound(index=tau, eps=eps_t, delta=delta_t,
                                    cost=plan.total_samples, mu_hat=mu_hat))
         tau += 1
         eps_t, delta_t = anytime_schedule_params(params.sigma, delta, tau)
-        plan = build_plan(params, eps_t, delta_t, profile)
+        try:
+            plan = build_plan(params, eps_t, delta_t, profile)
+        except PlanSizeError:
+            break
 
     last = rounds[-1]
     return AnytimeResult(
@@ -152,8 +153,7 @@ def scale_grid(sigma_min: float, sigma_max: float) -> list[float]:
 
 def unknown_scale_estimate(agent: Agent, k: float, lam: float, sigma_min: float,
                            sigma_max: float, ratio: float, delta: float,
-                           profile: str = "empirical",
-                           transcript: Transcript | None = None) -> ScaleAdaptResult:
+                           profile: str = "empirical") -> ScaleAdaptResult:
     """Relative-accuracy estimation with only loose scale bounds.
 
     Runs the main estimator on halving scale guesses with eps_i = ratio *
@@ -165,8 +165,6 @@ def unknown_scale_estimate(agent: Agent, k: float, lam: float, sigma_min: float,
     """
     if not 0 < ratio < 1:
         raise ValueError(f"target ratio must be in (0, 1), got {ratio}")
-    if transcript is None:
-        transcript = Transcript()
     guesses = scale_grid(sigma_min, sigma_max)
     delta_i = delta / len(guesses)
 
@@ -178,8 +176,7 @@ def unknown_scale_estimate(agent: Agent, k: float, lam: float, sigma_min: float,
     for i, sigma_i in enumerate(guesses):
         params_i = FamilyParams(k=k, lam=lam, sigma=sigma_i)
         eps_i = ratio * sigma_i / 6.0
-        report = estimate_mean(agent, params_i, eps_i, delta_i, profile=profile,
-                               transcript=transcript)
+        report = estimate_mean(agent, params_i, eps_i, delta_i, profile=profile)
         interval = (report.mu_hat - eps_i, report.mu_hat + eps_i)
         total += report.n_total
         rounds.append(ScaleRound(index=i, sigma_guess=sigma_i, eps=eps_i,
@@ -224,8 +221,7 @@ def two_stage_cost(params: FamilyParams, eps: float, delta: float,
 
 
 def two_stage_estimate(agent: Agent, params: FamilyParams, eps: float, delta: float,
-                       profile: str = "empirical",
-                       transcript: Transcript | None = None) -> EstimateReport:
+                       profile: str = "empirical") -> EstimateReport:
     """Same pipeline as the main estimator with the non-adaptive localizer.
 
     Exactly two rounds of adaptivity: one fixed batch of Gray-function queries,
@@ -233,7 +229,7 @@ def two_stage_estimate(agent: Agent, params: FamilyParams, eps: float, delta: fl
     once the center is known, before any refinement response is read).
     """
     plan = refinement_plan(_effective_params_after_gray(params, delta), eps, delta, profile)
-    return run_pipeline(localize_gray, plan, agent, params, delta, transcript)
+    return run_pipeline(localize_gray, plan, agent, params, delta)
 
 
 @dataclass(frozen=True)

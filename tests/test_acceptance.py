@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from scipy.stats import binom
 
-from bitmean.channel import Agent, Transcript, query_probability
+from bitmean.channel import Agent, query_probability
 from bitmean.distributions import FamilyParams, make_discrete, \
     make_gaussian_budget_tight, make_two_sided_pareto, validate_family
 from bitmean.hardness import baseline_query_plan, make_k2_pair, make_pair_grid, \
@@ -141,11 +141,9 @@ def test_criterion_06_exact_sample_accounting():
         params = FamilyParams(k, lam, sigma)
         dist = make_gaussian_budget_tight(k, sigma, mu=float(rng.uniform(-lam / 2, lam / 2)))
         agent = Agent(dist, trial_rng(607, "accounting", case))
-        tr = Transcript()
-        report = estimate_mean(agent, params, eps, delta, profile=profile,
-                               transcript=tr)
+        report = estimate_mean(agent, params, eps, delta, profile=profile)
         predicted = predict_cost(params, eps, delta, profile)
-        if not (report.n_total == tr.total == predicted.total
+        if not (report.n_total == agent.transcript.total == predicted.total
                 and report.n_localization == predicted.localization
                 and report.n_refinement == predicted.refinement):
             mismatches.append(case)
@@ -196,9 +194,8 @@ def test_criterion_08_gray_machinery():
     covered = 0
     for trial in range(200):
         agent = Agent(dist, trial_rng(808, "gray", trial))
-        tr = Transcript()
-        res = localize_gray(agent, params, 0.2, tr)
-        counts_ok = counts_ok and res.samples_used == tr.total == plan.total_queries
+        res = localize_gray(agent, params, 0.2)
+        counts_ok = counts_ok and res.samples_used == agent.transcript.total == plan.total_queries
         covered += res.low <= 0.77 <= res.high
     coverage = covered / 200
 

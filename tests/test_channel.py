@@ -20,7 +20,6 @@ from bitmean.channel import (
     evaluate_query,
     query_probabilities,
     query_probability,
-    repeated_fraction,
     uniform_threshold_probability,
 )
 from bitmean.distributions import make_discrete, make_gaussian_budget_tight, \
@@ -61,28 +60,28 @@ def test_pair_member_interval_probability():
     assert ones / 20000 == approx(0.6, abs=4 * math.sqrt(0.24 / 20000))
 
 
-def test_repeated_fraction_point_mass_and_accounting():
+def test_respond_count_point_mass_and_accounting():
     agent = _agent(make_point_mass(0.0), seed=2)
-    tr = Transcript()
-    assert repeated_fraction(agent, ThresholdLE(0.0), 100, tr) == 1.0
-    assert tr.total == 100
-    repeated_fraction(agent, ThresholdGE(1.0), 5, tr)
-    assert tr.total == 105
+    assert agent.respond_count(ThresholdLE(0.0), 100) / 100 == 1.0
+    assert agent.transcript.total == 100
+    agent.respond_count(ThresholdGE(1.0), 5)
+    agent.respond_count(QueryTable([ThresholdGE(1.0), ThresholdLE(0.0)], [2, 3]), 10, groups=2)
+    assert agent.transcript.total == 115
 
 
-def test_repeated_fraction_converges_to_half():
+def test_respond_count_fraction_converges_to_half():
     d = make_discrete([-1.0, 1.0], [0.5, 0.5])
     assert query_probability(d, ThresholdGE(0.0)) == approx(0.5, abs=1e-15)
     agent = _agent(d, seed=3)
-    tr = Transcript()
-    frac = repeated_fraction(agent, ThresholdGE(0.0), 40000, tr)
+    frac = agent.respond_count(ThresholdGE(0.0), 40000) / 40000
     assert frac == approx(0.5, abs=4 * math.sqrt(0.25 / 40000))
 
 
 def test_rejects_zero_repetitions():
     agent = _agent(make_point_mass(0.0))
     with pytest.raises(ValueError):
-        repeated_fraction(agent, ThresholdGE(0.0), 0, Transcript())
+        agent.respond_count(ThresholdGE(0.0), 0)
+    assert agent.transcript.total == 0
 
 
 def test_deterministic_transcripts_same_seed():
@@ -112,7 +111,9 @@ def test_learner_surface_exposes_no_samples(agent_type):
     # structural check: no public attribute or method hands back sample values
     agent = agent_type(make_point_mass(0.0), trial_rng(0, "chan", 0))
     public = [name for name in dir(agent) if not name.startswith("_")]
-    assert all(name.startswith("respond") for name in public)
+    # the transcript holds query counts per phase, never sample values
+    assert all(name.startswith("respond") or name == "transcript" for name in public)
+    assert isinstance(agent.transcript, Transcript) and agent.transcript.counts == {}
     assert not hasattr(agent, "sample")
     assert not hasattr(agent, "distribution")
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from pytest import approx
 
-from bitmean.channel import MAX_GRAY_LEVEL, Agent, GrayBit, Transcript, query_probabilities, \
+from bitmean.channel import MAX_GRAY_LEVEL, Agent, GrayBit, query_probabilities, \
     query_probability
 from bitmean.cli import main
 from bitmean.distributions import FamilyParams, make_gaussian_budget_tight, \
@@ -110,10 +110,9 @@ def test_localize_gray_point_mass_noiseless():
     dist = make_point_mass(mu)
     for trial in range(5):
         agent = Agent(dist, trial_rng(1, "graypm", trial))
-        tr = Transcript()
-        res = localize_gray(agent, params, 0.1, tr)
+        res = localize_gray(agent, params, 0.1)
         assert res.low <= mu <= res.high
-        assert res.samples_used == tr.total == 144
+        assert res.samples_used == agent.transcript.total == 144
         assert res.length <= 3.0 * 64.0 * 2.0 ** -4 + 1e-12
 
 
@@ -163,10 +162,9 @@ def test_non_adaptive_stages_are_one_draw_each(lam):
     localize_gray(agent, params, 0.1)
     assert agent.calls == 1
     agent = _CountingAgent(dist, trial_rng(9, "draws", 1))
-    tr = Transcript()
-    report = two_stage_estimate(agent, params, 0.25, 0.1, transcript=tr)
+    report = two_stage_estimate(agent, params, 0.25, 0.1)
     assert agent.calls == 2 == report.rounds_of_adaptivity
-    assert tr.total == report.n_total == two_stage_cost(params, 0.25, 0.1)
+    assert agent.transcript.total == report.n_total == two_stage_cost(params, 0.25, 0.1)
 
 
 def test_gray_depth_bound():
@@ -185,12 +183,11 @@ def test_deep_gray_plans_refused_before_any_query(exponent, capsys):
     for cost in (lambda: gray_cost(params, 0.1), lambda: two_stage_cost(params, 0.25, 0.1)):
         with pytest.raises(ValueError, match="lam/sigma"):
             cost()
-    for run in (localize_gray, lambda agent, p, d, tr: two_stage_estimate(agent, p, 0.25, d,
-                                                                       transcript=tr)):
-        tr = Transcript()
+    for run in (localize_gray, lambda agent, p, d: two_stage_estimate(agent, p, 0.25, d)):
+        agent = _CountingAgent(dist, trial_rng(9, "deep", 0), refuse=True)
         with pytest.raises(ValueError, match="lam/sigma"):
-            run(_CountingAgent(dist, trial_rng(9, "deep", 0), refuse=True), params, 0.1, tr)
-        assert tr.total == 0
+            run(agent, params, 0.1)
+        assert agent.transcript.total == 0
     assert main(["localize", "--method", "gray", "--fixture", "gauss_tight",
                  "--lambda", str(2.0 ** exponent), "--trials", "2"]) == 1
     assert "lam/sigma" in capsys.readouterr().err
@@ -228,11 +225,10 @@ def test_localize_median_point_mass_always_covered():
     dist = make_point_mass(3.2)
     for trial in range(10):
         agent = Agent(dist, trial_rng(3, "medpm", trial))
-        tr = Transcript()
-        res = localize_median(agent, params, 0.1, tr)
+        res = localize_median(agent, params, 0.1)
         assert res.low <= 3.2 <= res.high
         assert res.length <= 8.0 + 1e-12
-        assert res.samples_used == tr.total == median_search_cost(params, 0.1)
+        assert res.samples_used == agent.transcript.total == median_search_cost(params, 0.1)
 
 
 def test_localize_median_cost_exact_for_random_parameters():
@@ -245,9 +241,8 @@ def test_localize_median_cost_exact_for_random_parameters():
         params = FamilyParams(k, lam, sigma)
         agent = Agent(make_gaussian_budget_tight(k, sigma, mu=0.1 * lam),
                       trial_rng(4, "medcost", _))
-        tr = Transcript()
-        res = localize_median(agent, params, delta, tr)
-        assert res.samples_used == tr.total == median_search_cost(params, delta)
+        res = localize_median(agent, params, delta)
+        assert res.samples_used == agent.transcript.total == median_search_cost(params, delta)
 
 
 def test_localize_median_coverage_gaussian():
@@ -287,10 +282,9 @@ def test_delta_validation(capsys):
     for delta in (2.0, math.nan, 1e-310, 5e-324):
         with pytest.raises(ValueError, match="delta"):
             median_search_cost(params, delta)
-        tr = Transcript()
         with pytest.raises(ValueError, match="delta"):
-            localize_median(agent, params, delta, tr)
-        assert tr.total == 0
+            localize_median(agent, params, delta)
+        assert agent.transcript.total == 0
     with pytest.raises(ValueError, match="delta"):
         build_plan(params, 0.25, 5e-324)
     with pytest.raises(ValueError, match="delta"):

@@ -5,13 +5,14 @@ import pytest
 from pytest import approx
 
 from bitmean.channel import Agent, BitAgent, QueryTable, ThresholdGE, ThresholdGT, \
-    ThresholdLE, ThresholdLT, Transcript, UniformThreshold, query_probabilities, query_probability
+    ThresholdLE, ThresholdLT, UniformThreshold, query_probabilities, query_probability
 from bitmean.cli import main
 from bitmean.distributions import FamilyParams, make_discrete, make_gaussian_budget_tight, \
     make_point_mass, make_two_sided_pareto
 from bitmean.hardness import make_pair_grid
 from bitmean.harness import acceptance_matrix, trial_rng
 from bitmean.refine import (
+    PlanSizeError,
     Region,
     _region_table,
     allocation_constant,
@@ -101,19 +102,33 @@ def test_allocation_beyond_int64_rejected_by_plan_predictor_and_estimator(capsys
             build_plan(params, eps, 0.2)
         with pytest.raises(ValueError, match="int64"):
             predict_cost(params, eps, 0.2)
-        tr = Transcript()
         with pytest.raises(ValueError, match="int64"):
-            estimate_mean(agent, params, eps, 0.2, transcript=tr)
-        assert tr.total == 0  # rejected before localization spends a query
-        tr = Transcript()
+            estimate_mean(agent, params, eps, 0.2)
+        assert agent.transcript.total == 0  # rejected before localization spends a query
         with pytest.raises(ValueError, match="int64"):
-            two_stage_estimate(agent, params, eps, 0.2, transcript=tr)
-        assert tr.total == 0
+            two_stage_estimate(agent, params, eps, 0.2)
+        assert agent.transcript.total == 0
     assert main(["pac", "--eps", "1e-300"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and "int64" in err and "Traceback" not in err
     # eps = 1e-8 needs n_1 = 1.6e17, which fits
     assert predict_cost(params, 1e-8, 0.2).plan.n_by_magnitude[1] < 2 ** 63
+
+
+def test_cutoff_beyond_float64_rejected_by_plan_predictor_and_estimator(capsys):
+    # at k = 1.01 the tail bound reaches eps/2 = 5e-4 only near t = 2000^100,
+    # so the cutoff search leaves float64; n_1 ~ 3.2e7 alone would fit in int64
+    params = FamilyParams(1.01, 16.0, 1.0)
+    assert cutoff_threshold(params, 1e-3) == math.inf
+    agent = Agent(make_point_mass(0.3), trial_rng(11, "float64", 0))
+    for run in (lambda: build_plan(params, 1e-3, 0.2), lambda: predict_cost(params, 1e-3, 0.2),
+                lambda: estimate_mean(agent, params, 1e-3, 0.2)):
+        with pytest.raises(PlanSizeError, match="beyond int64"):
+            run()
+    assert agent.transcript.total == 0  # rejected before localization spends a query
+    assert main(["scaling", "--k", "1.01", "--eps-list", "0.001", "0.0005"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "Traceback" not in err
 
 
 def test_region_blocks_beyond_int64_in_total():
@@ -122,9 +137,8 @@ def test_region_blocks_beyond_int64_in_total():
     n_i, batches = int(np.iinfo(np.int64).max), 19
     region = Region(index=1, inner=0.0, outer=2.0)
     agent = Agent(make_point_mass(1.0), trial_rng(11, "int64-blocks", 0))
-    tr = Transcript()
-    vals = estimate_region(agent, region, n_i, 0.0, batches=batches, transcript=tr)
-    assert tr.total == 4 * batches * n_i > 2 ** 63
+    vals = estimate_region(agent, region, n_i, 0.0, batches=batches)
+    assert agent.transcript.total == 4 * batches * n_i > 2 ** 63
     assert vals.shape == (batches,)
     assert np.all(np.abs(vals - 1.0) < 1e-6)  # p_a = p_b = 1/2 at the cell midpoint
     # the same region as a table with one more query: K * per_block > int64
@@ -180,14 +194,13 @@ def test_estimate_region_point_mass_outside_is_zero():
     dist = make_point_mass(-5.0)
     region = Region(index=1, inner=0.0, outer=2.0)
     agent = Agent(dist, trial_rng(0, "regzero", 0))
-    tr = Transcript()
-    est = estimate_region(agent, region, 50, 0.0, batches=5, transcript=tr)
+    est = estimate_region(agent, region, 50, 0.0, batches=5)
     assert est.tolist() == [0.0] * 5
-    assert tr.total == 5 * 200
+    assert agent.transcript.total == 5 * 200
     for n in (0, True, 2.5):  # the table's reps rule refuses each, before a draw
         with pytest.raises(ValueError):
-            estimate_region(agent, region, n, 0.0, batches=5, transcript=tr)
-    assert tr.total == 5 * 200
+            estimate_region(agent, region, n, 0.0, batches=5)
+    assert agent.transcript.total == 5 * 200
 
 
 def test_estimate_region_unbiased_monte_carlo():
@@ -265,10 +278,9 @@ def test_predict_cost_example_and_accounting():
 
     dist = make_pair_grid(64.0, 1.0, 0.1).member(32, 1)
     agent = Agent(dist, trial_rng(7, "acct", 0))
-    tr = Transcript()
-    report = estimate_mean(agent, params, 1 / 8, 0.05, transcript=tr)
+    report = estimate_mean(agent, params, 1 / 8, 0.05)
     full = predict_cost(params, 1 / 8, 0.05)
-    assert report.n_total == tr.total == full.total
+    assert report.n_total == agent.transcript.total == full.total
     assert report.n_localization == full.localization
     assert report.n_refinement == full.refinement
 
@@ -320,9 +332,8 @@ def test_estimate_mean_bitwise_end_to_end():
     params = FamilyParams(2.0, 16.0, 1.0)
     dist = make_pair_grid(16.0, 1.0, 0.1).member(9, 1)
     agent = BitAgent(dist, trial_rng(10, "bitwise_e2e", 0))
-    tr = Transcript()
-    report = estimate_mean(agent, params, 0.5, 0.2, transcript=tr)
-    assert report.n_total == tr.total == predict_cost(params, 0.5, 0.2).total
+    report = estimate_mean(agent, params, 0.5, 0.2)
+    assert report.n_total == agent.transcript.total == predict_cost(params, 0.5, 0.2).total
     assert abs(report.mu_hat - dist.mean()) <= 0.5
 
 
@@ -340,9 +351,8 @@ def test_estimate_mean_at_largest_lam_over_sigma_meets_eps():
     params = FamilyParams(2.0, 2.0 ** 52, 1.0)
     dist = make_gaussian_budget_tight(2.0, 1.0, mu=0.77)
     agent = Agent(dist, trial_rng(12, "lam2^52", 0))
-    tr = Transcript()
-    report = estimate_mean(agent, params, 0.25, 0.2, transcript=tr)
-    assert report.n_total == tr.total == predict_cost(params, 0.25, 0.2).total
+    report = estimate_mean(agent, params, 0.25, 0.2)
+    assert report.n_total == agent.transcript.total == predict_cost(params, 0.25, 0.2).total
     assert report.localization.length <= 8.0
     assert abs(report.mu_hat - dist.mean()) <= 0.25
 

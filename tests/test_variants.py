@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 from pytest import approx
 
-from bitmean.channel import Agent, Transcript
+from bitmean import variants
+from bitmean.channel import Agent, BitAgent
 from bitmean.distributions import FamilyParams, make_gaussian_budget_tight, \
     make_point_mass
-from bitmean.hardness import make_pair_grid
+from bitmean.hardness import make_pair_grid, nonadaptive_baseline
 from bitmean.harness import acceptance_matrix, trial_rng
-from bitmean.localization import median_search_cost
-from bitmean.refine import estimate_mean, predict_cost
+from bitmean.localization import gray_cost, localize_gray, localize_median, median_search_cost
+from bitmean.refine import Region, base_estimate, build_plan, estimate_mean, estimate_region, \
+    predict_cost
 from bitmean.variants import (
     BudgetError,
     anytime_estimate,
@@ -54,13 +56,39 @@ def test_anytime_rejects_infeasible_budget():
 def test_anytime_budget_invariants():
     budget = predict_cost(PARAMS, 1 / 32, 0.2).total
     agent = Agent(make_gaussian_budget_tight(2.0, 1.0, 0.3), trial_rng(2, "any3", 0))
-    tr = Transcript()
-    res = anytime_estimate(agent, PARAMS, 0.2, budget, transcript=tr)
-    assert res.n_total == tr.total <= budget
+    res = anytime_estimate(agent, PARAMS, 0.2, budget)
+    assert res.n_total == agent.transcript.total <= budget
     # the skipped next round would not have fit
     eps_next, d_next = anytime_schedule_params(1.0, 0.2, res.rounds_completed + 1)
     next_cost = predict_cost(PARAMS, eps_next, d_next).refinement
     assert res.n_total + next_cost > budget
+
+
+def test_anytime_stops_before_a_round_beyond_int64():
+    # round 30 (eps = 2^-30) needs n_i = 2^64 queries in one region, so the
+    # run ends after round 29, however large the budget
+    params, budget = FamilyParams(2.0, 16.0, 1.0), 10 ** 40
+    agent = Agent(make_point_mass(0.3), trial_rng(2, "any-int64", 0))
+    res = anytime_estimate(agent, params, 0.2, budget)
+    assert res.rounds_completed == 29
+    assert res.n_total <= budget and res.n_total == agent.transcript.total
+    assert res.mu_hat == approx(0.3, abs=2.0 ** -29)
+
+
+def test_anytime_passes_on_other_plan_errors(monkeypatch):
+    # only a plan too large to run ends the rounds; any other refusal surfaces
+    plans = []
+
+    def build_twice(*args):
+        if plans:
+            raise ValueError("not a size error")
+        plans.append(build_plan(*args))
+        return plans[0]
+
+    monkeypatch.setattr(variants, "build_plan", build_twice)
+    agent = Agent(make_point_mass(0.3), trial_rng(2, "any-other", 0))
+    with pytest.raises(ValueError, match="not a size error"):
+        anytime_estimate(agent, PARAMS, 0.2, 10 ** 9)
 
 
 @pytest.mark.parametrize("budget", [math.nan, math.inf, 2.5e6])
@@ -68,10 +96,9 @@ def test_anytime_rejects_a_budget_that_is_not_an_int(budget):
     # rejected before localization: an inf budget would otherwise run rounds
     # until a plan's counts pass int64
     agent = Agent(make_gaussian_budget_tight(2.0, 1.0, 0.3), trial_rng(3, "any-budget", 0))
-    tr = Transcript()
     with pytest.raises(ValueError, match="budget must be an int"):
-        anytime_estimate(agent, PARAMS, 0.2, budget, transcript=tr)
-    assert tr.total == 0
+        anytime_estimate(agent, PARAMS, 0.2, budget)
+    assert agent.transcript.total == 0
 
 
 @pytest.mark.parametrize("k,min_ratio", [(2.0, 4.0), (2.5, 4.0), (1.5, 8.0)])
@@ -146,10 +173,9 @@ def test_two_stage_uses_two_rounds_and_exact_accounting():
     dist = make_gaussian_budget_tight(2.0, 1.0, 0.3)
     for trial in range(5):
         agent = Agent(dist, trial_rng(6, "ts", trial))
-        tr = Transcript()
-        report = two_stage_estimate(agent, PARAMS, 0.25, 0.2, transcript=tr)
+        report = two_stage_estimate(agent, PARAMS, 0.25, 0.2)
         assert report.rounds_of_adaptivity == 2
-        assert report.n_total == tr.total == two_stage_cost(PARAMS, 0.25, 0.2)
+        assert report.n_total == agent.transcript.total == two_stage_cost(PARAMS, 0.25, 0.2)
 
 
 def test_two_stage_point_mass_recovery():
@@ -227,3 +253,60 @@ def test_multivariate_bits_per_sample_modes():
     assert relaxed.n_total == max(r.n_total for r in relaxed.reports)
     with pytest.raises(ValueError):
         multivariate_estimate([], params, 0.5, 0.2, trial_rng(13, "mv0", 0))
+
+
+DIST = make_gaussian_budget_tight(2.0, 1.0, 0.3)
+PLAN = build_plan(PARAMS, 0.5, 0.2)
+GRID = make_pair_grid(64.0, 1.0, 0.25)
+SMALL = FamilyParams(2.0, 16.0, 1.0)
+# Each entry point runs on a fresh agent and returns the query count its result
+# reports, the closed-form prediction of it (None where there is none), and the
+# per-phase counts the agent's transcript must hold.
+ENTRY_POINTS = {
+    "localize_median": lambda agent: (
+        localize_median(agent, PARAMS, 0.2).samples_used, median_search_cost(PARAMS, 0.2),
+        {"localization": median_search_cost(PARAMS, 0.2)}),
+    "localize_gray": lambda agent: (
+        localize_gray(agent, PARAMS, 0.2).samples_used, gray_cost(PARAMS, 0.2),
+        {"localization": gray_cost(PARAMS, 0.2)}),
+    "estimate_region": lambda agent: (
+        estimate_region(agent, Region(2, 1.0, 2.0), 50, 0.3, 3).size * 4 * 50, None,
+        {"default": 3 * 4 * 50}),
+    "base_estimate": lambda agent: (
+        base_estimate(agent, PLAN, 0.3, 3).size * PLAN.samples_per_batch, None,
+        {"default": 3 * PLAN.samples_per_batch}),
+    "estimate_mean": lambda agent: _report_counts(
+        estimate_mean(agent, PARAMS, 0.5, 0.2), predict_cost(PARAMS, 0.5, 0.2).total),
+    "two_stage_estimate": lambda agent: _report_counts(
+        two_stage_estimate(agent, PARAMS, 0.5, 0.2), two_stage_cost(PARAMS, 0.5, 0.2)),
+    "anytime_estimate": lambda agent: _report_counts(
+        anytime_estimate(agent, PARAMS, 0.2, predict_cost(PARAMS, 1 / 8, 0.2).total), None),
+    "unknown_scale_estimate": lambda agent: (
+        unknown_scale_estimate(agent, 2.0, 64.0, 1.0, 4.0, 0.5, 0.2).n_total, None, None),
+    "nonadaptive_baseline": lambda agent: _baseline_counts(
+        nonadaptive_baseline(agent, 64.0, 1.0, 0.25, 10 ** 5)),
+    "estimate_mean_bit_level": lambda agent: _report_counts(
+        estimate_mean(agent, SMALL, 0.5, 0.2), predict_cost(SMALL, 0.5, 0.2).total),
+}
+
+
+def _report_counts(report, predicted):
+    return report.n_total, predicted, {"localization": report.n_localization,
+                                       "refinement": report.n_refinement}
+
+
+def _baseline_counts(est):
+    return est.samples_used, (10 ** 5 // (2 * GRID.n_pairs)) * 2 * GRID.n_pairs, \
+        {"nonadaptive": est.samples_used}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_agent_transcript_counts_every_entry_point(entry):
+    agent_type = BitAgent if entry.endswith("_bit_level") else Agent
+    agent = agent_type(DIST, trial_rng(14, f"accounting/{entry}", 0))
+    reported, predicted, phases = ENTRY_POINTS[entry](agent)
+    assert agent.transcript.total == reported > 0
+    if predicted is not None:
+        assert reported == predicted
+    if phases is not None:
+        assert agent.transcript.counts == phases
