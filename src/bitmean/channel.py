@@ -18,6 +18,24 @@ repetitions of any query through one of two paths:
   table's parameter columns; a refinement round and the non-adaptive
   baseline are each one such draw.
 
+An estimator asks the same queries trial after trial: localization votes sit
+on a sigma-grid and a refinement round is one table shifted to the localized
+center.  So the aggregated path takes each probability from a memo whose
+entries live exactly as long as what fixes them:
+
+* a table's probabilities under a distribution are stored on the table, in a
+  map weakly keyed by the distribution;
+* ``QueryTable.shifted`` keeps the last ``SHIFT_MEMO_SIZE`` shifts of a table
+  on it, keyed by the exact offset, so a repeated center gives back the same
+  table, and with it the probabilities stored on it;
+* a single query's probability is kept in a per-distribution map of at most
+  ``QUERY_MEMO_SIZE`` queries, weakly keyed by the distribution, so the votes
+  of every agent on one distribution share it.
+
+A memoized probability is the value ``query_probabilities`` or
+``query_probability`` gives, so draws do not depend on the memo; those two
+public functions compute afresh on every call.
+
 Every estimator asks its queries through ``respond_count``, which records
 each answered query in the agent's ``transcript`` under the phase the
 estimator named last, so the agent's transcript holds the exact cost of
@@ -28,6 +46,8 @@ either path.
 from __future__ import annotations
 
 import math
+import threading
+import weakref
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -42,6 +62,8 @@ __all__ = [
     "Interval",
     "GrayBit",
     "MAX_GRAY_LEVEL",
+    "QUERY_MEMO_SIZE",
+    "SHIFT_MEMO_SIZE",
     "UniformThreshold",
     "Query",
     "QueryTable",
@@ -55,6 +77,11 @@ __all__ = [
 ]
 
 INT64_MAX = int(np.iinfo(np.int64).max)
+# Bounds of the probability memo: shifts kept per table, and single queries
+# kept per distribution.  A median search votes at one of 2^levels - 1 grid
+# points: 31 at lam = 16 sigma, 2,047 at lam = 2^10 sigma.
+SHIFT_MEMO_SIZE = 8
+QUERY_MEMO_SIZE = 1024
 
 
 @dataclass(frozen=True)
@@ -202,9 +229,14 @@ class QueryTable:
     columns first; ``queries`` builds the query values only when asked, and
     ``shifted`` translates every row at once.  Every array a table holds is
     read-only: ``reps`` is int64 and ``per_block`` an exact Python int.
+
+    A table also carries its part of the agent's probability memo (see the
+    module docstring): its recent shifts, and its probabilities under each
+    distribution that answered it.  Both die with the table.
     """
 
-    __slots__ = ("_blocks", "_reps", "_per_block")
+    __slots__ = ("_blocks", "_reps", "_per_block", "_shifts", "_probabilities",
+                 "__weakref__")
 
     def __init__(self, queries, reps):
         queries = tuple(queries)
@@ -269,6 +301,7 @@ class QueryTable:
         self._blocks, self._reps = tuple(blocks), reps.astype(np.int64)
         _read_only(self._reps)
         self._per_block = sum(self._reps.tolist())  # exact: may exceed int64
+        self._shifts = self._probabilities = None  # the memo, made on first use
 
     def shifted(self, offset: float) -> QueryTable:
         """The same table translated by ``offset``: every location parameter
@@ -277,7 +310,16 @@ class QueryTable:
         checked by their kinds' rules, as ``from_columns`` checks them, so a
         NaN offset, or one so large that an interval collapses, raises
         ``ValueError``.
+
+        The last ``SHIFT_MEMO_SIZE`` shifted tables are kept on this one, so
+        shifting again by an offset equal to one of theirs, 0.0 and -0.0
+        told apart, returns the same table.
         """
+        offset = float(offset)
+        key = offset, math.copysign(1.0, offset)
+        shifts = self._shifts
+        if shifts is not None and (cached := shifts.get(key)) is not None:
+            return cached
         blocks = []
         with np.errstate(invalid="ignore"):  # inf - inf is NaN, which the rules reject
             for kind, rows, params in self._blocks:
@@ -288,6 +330,11 @@ class QueryTable:
                 blocks.append((kind, rows, moved))
         table = type(self).__new__(type(self))
         table._blocks, table._reps, table._per_block = tuple(blocks), self._reps, self._per_block
+        table._shifts = table._probabilities = None
+        with _MEMO_LOCK:
+            if self._shifts is None:
+                self._shifts = {}
+            _remember(self._shifts, key, table, SHIFT_MEMO_SIZE)
         return table
 
     @property
@@ -325,6 +372,50 @@ def _read_only(*arrays: np.ndarray) -> None:
     # its arrays can be written through.
     for array in arrays:
         array.setflags(write=False)
+
+
+# Serializes memo writes, which may evict, across an experiment's threads;
+# reads take no lock.
+_MEMO_LOCK = threading.Lock()
+# distribution -> {query: Pr(bit = 1)}, at most QUERY_MEMO_SIZE queries each
+_QUERY_MEMO: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _remember(memo: dict, key, value, bound: int) -> None:
+    """Store ``value`` under ``key``, dropping the oldest entries past ``bound``;
+    the caller holds ``_MEMO_LOCK``."""
+    memo[key] = value
+    while len(memo) > bound:
+        del memo[next(iter(memo))]
+
+
+def _memo_probabilities(dist: Distribution, table: QueryTable) -> np.ndarray:
+    """``query_probabilities(dist, table)``, computed once per (distribution,
+    table) and kept on the table, read-only, while the distribution lives."""
+    stored = table._probabilities
+    if stored is not None and (p := stored.get(dist)) is not None:
+        return p
+    p = query_probabilities(dist, table)
+    _read_only(p)
+    with _MEMO_LOCK:
+        if table._probabilities is None:
+            table._probabilities = weakref.WeakKeyDictionary()
+        table._probabilities[dist] = p
+    return p
+
+
+def _memo_probability(dist: Distribution, q: Query) -> float:
+    """``query_probability(dist, q)``, computed once per distribution for each
+    of its last ``QUERY_MEMO_SIZE`` distinct queries."""
+    memo = _QUERY_MEMO.get(dist)
+    if memo is None:
+        memo = _QUERY_MEMO.setdefault(dist, {})
+    p = memo.get(q)
+    if p is None:
+        p = query_probability(dist, q)
+        with _MEMO_LOCK:
+            _remember(memo, q, p, QUERY_MEMO_SIZE)
+    return p
 
 
 def _gray_value(level: int, u) -> np.ndarray:
@@ -482,7 +573,11 @@ class Transcript:
 class Agent:
     """Memoryless responder: one fresh i.i.d. sample per query, bits out only.
 
-    ``transcript`` counts every query ``respond_count`` answers.
+    The agent keeps no sample and no answer from one query to the next.  What
+    it does keep is oracle probabilities: ``respond_count`` takes each p from
+    the module's memo, shared with every other agent on the same distribution,
+    and computes it only on a miss.  ``transcript`` counts every query
+    ``respond_count`` answers.
     """
 
     def __init__(self, distribution: Distribution, rng: np.random.Generator):
@@ -533,9 +628,9 @@ class Agent:
         ``reps`` times: shape (blocks,), or (blocks, Q) for a table, whose
         row j is repeated reps[j] times."""
         if isinstance(q, QueryTable):
-            return self._rng.binomial(reps, query_probabilities(self._distribution, q),
+            return self._rng.binomial(reps, _memo_probabilities(self._distribution, q),
                                       size=(blocks, len(q)))
-        return self._rng.binomial(reps, query_probability(self._distribution, q), size=blocks)
+        return self._rng.binomial(reps, _memo_probability(self._distribution, q), size=blocks)
 
     def respond_count_uniform_threshold(self, direction: str, lo: float,
                                         hi: float, n: int) -> int:

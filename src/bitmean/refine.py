@@ -82,13 +82,18 @@ def allocation_constant(profile: str, k: float) -> float:
 
 def worst_case_tail_bound(params: FamilyParams, t: float) -> float:
     """Upper bound on |E[(X - c) 1(|X - c| > t)]| for any family member with
-    |mean - c| <= 4 sigma: sigma^k/(t - 4s)^{k-1} + 4s * sigma^k/(t - 4s)^k."""
+    |mean - c| <= 4 sigma: sigma^k/(t - 4s)^{k-1} + 4s * sigma^k/(t - 4s)^k.
+
+    It is computed as s r^{k-1} + 4 s r^k with r = s / (t - 4s), whose powers
+    stay in float64 at any sigma that is itself a float64.
+    """
     k = params.operative_k
     s = params.sigma
     gap = t - SHIFTED_MEAN_BOUND * s
     if gap <= 0:
         return math.inf
-    return s ** k / gap ** (k - 1.0) + SHIFTED_MEAN_BOUND * s * s ** k / gap ** k
+    r = s / gap
+    return s * r ** (k - 1.0) + SHIFTED_MEAN_BOUND * s * r ** k
 
 
 def cutoff_threshold(params: FamilyParams, eps: float) -> float:
@@ -101,7 +106,7 @@ def cutoff_threshold(params: FamilyParams, eps: float) -> float:
         while worst_case_tail_bound(params, 2.0 ** j * params.sigma) > eps / 2.0:
             j += 1
         return 2.0 ** j * params.sigma  # inf once 2^j sigma overflows
-    except OverflowError:  # 2^j or gap^k beyond float64
+    except OverflowError:  # 2^j beyond float64
         return math.inf
 
 

@@ -1,11 +1,16 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 from pytest import approx
 
+from bitmean import channel
 from bitmean.channel import (
     MAX_GRAY_LEVEL,
+    QUERY_MEMO_SIZE,
+    SHIFT_MEMO_SIZE,
     Agent,
     BitAgent,
     GrayBit,
@@ -22,9 +27,11 @@ from bitmean.channel import (
     query_probability,
     uniform_threshold_probability,
 )
-from bitmean.distributions import make_discrete, make_gaussian_budget_tight, \
+from bitmean.distributions import FamilyParams, make_discrete, make_gaussian_budget_tight, \
     make_point_mass, make_two_sided_pareto
+from bitmean.hardness import make_pair_grid, nonadaptive_baseline
 from bitmean.harness import trial_rng
+from bitmean.refine import estimate_mean
 
 
 def _agent(dist, seed=0, tag="chan"):
@@ -446,3 +453,89 @@ def test_non_integer_query_counts_rejected(agent_type, n):
         agent.respond_count(QueryTable((ThresholdGE(0.0),), (1,)), n)
     with pytest.raises(ValueError, match="must be ints"):
         agent.respond_count(ThresholdGE(0.0), 10, groups=2.0)
+
+
+# -- the probability memo ------------------------------------------------------
+
+def test_memo_leaves_seeded_reports_unchanged_cold_and_warm(monkeypatch):
+    computed = []
+
+    def counted(dist, q):
+        computed.append(q)
+        return query_probability(dist, q)
+
+    monkeypatch.setattr(channel, "query_probability", counted)
+    dist = make_two_sided_pareto(1.5, 1.0, mu=0.3)  # a new distribution: the memo is cold
+    params = FamilyParams(1.5, 16.0, 1.0)
+    reports = []
+    for _ in range(2):
+        reports.append(estimate_mean(Agent(dist, trial_rng(3, "memo", 0)), params, 1 / 16, 0.1))
+        reports.append(len(computed))
+    cold, cold_computed, warm, warm_computed = reports
+    assert warm == cold and warm.batch_values == cold.batch_values
+    assert cold_computed > 0 and warm_computed == cold_computed  # the warm run computed none
+
+
+def test_memoized_probabilities_equal_query_probabilities():
+    d = make_two_sided_pareto(1.5, 1.0, mu=0.3, alpha=1.9)
+    agent = _agent(d, seed=16)
+    for table in (ALL_KINDS_TABLE, MIXED_TABLE.shifted(0.75)):
+        agent.respond_count(table, table.per_block)
+        assert channel._memo_probabilities(d, table) is channel._memo_probabilities(d, table)
+        assert channel._memo_probabilities(d, table).tobytes() == \
+            query_probabilities(d, table).tobytes()
+    for q in MIXED_TABLE.queries:
+        agent.respond_count(q, 3)
+        assert channel._QUERY_MEMO[d][q] == query_probability(d, q)
+
+
+def test_memo_keeps_no_distribution_or_table_alive():
+    tables = []
+
+    class Recording(Agent):
+        def respond_count(self, q, n, **kwargs):
+            if isinstance(q, QueryTable):
+                tables.append(weakref.ref(q))
+            return super().respond_count(q, n, **kwargs)
+
+    dist = make_two_sided_pareto(1.5, 1.0, mu=0.3)
+    estimate_mean(Agent(dist, trial_rng(4, "memo", 0)), FamilyParams(1.5, 16.0, 1.0), 1 / 16, 0.1)
+    member = make_pair_grid(64.0, 1.0, 0.125).member(3, 1)
+    nonadaptive_baseline(Recording(member, trial_rng(4, "memo", 1)), 64.0, 1.0, 0.125, 20000)
+    refs = [weakref.ref(dist), weakref.ref(member), *tables]
+    assert len(tables) == 1 and all(ref() is not None for ref in refs[:2])
+    del dist, member
+    gc.collect()
+    assert all(ref() is None for ref in refs)
+
+
+def test_memo_bounds_hold():
+    d = make_point_mass(0.0)
+    agent = _agent(d, seed=17)
+    for i in range(QUERY_MEMO_SIZE + 10):
+        assert agent.respond_count(ThresholdLE(float(i)), 1) == 1
+    assert len(channel._QUERY_MEMO[d]) == QUERY_MEMO_SIZE
+    assert ThresholdLE(0.0) not in channel._QUERY_MEMO[d]  # the oldest went first
+    table = QueryTable((ThresholdGE(0.0),), (1,))
+    for i in range(SHIFT_MEMO_SIZE + 3):
+        table.shifted(float(i))
+    assert len(table._shifts) == SHIFT_MEMO_SIZE
+
+
+def test_shifted_nan_raises_on_every_call():
+    table = QueryTable((ThresholdGE(0.1), Interval(-0.5, 1.5)), (1, 2))
+    assert table.shifted(1.0) is table.shifted(1.0)
+    for _ in range(3):
+        with pytest.raises(ValueError, match="NaN"):
+            table.shifted(math.nan)
+
+
+@pytest.mark.parametrize("first", [0.0, -0.0])
+def test_shifted_tells_zero_from_negative_zero(first):
+    table = QueryTable((ThresholdGE(-0.0),), (1,))
+    second = -first
+    a, b = table.shifted(first), table.shifted(second)
+    assert a is not b and table.shifted(first) is a and table.shifted(second) is b
+    # -0.0 + 0.0 is 0.0 and -0.0 + -0.0 is -0.0
+    for shifted, offset in ((a, first), (b, second)):
+        assert math.copysign(1.0, shifted.queries[0].gamma) == math.copysign(1.0, offset)

@@ -48,6 +48,25 @@ def test_tail_bound_decreases_in_t():
     assert all(a > b for a, b in zip(values, values[1:]))
 
 
+@pytest.mark.parametrize("k", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("c", [1e-200, 1e200])
+def test_predict_cost_is_scale_invariant(k, c):
+    # the tail bound is computed from sigma / (t - 4 sigma), so no power of
+    # sigma alone under- or overflows
+    for eps in (1 / 4, 1 / 16, 1 / 64):
+        base = predict_cost(FamilyParams(k, 16.0, 1.0), eps, 0.2)
+        scaled = predict_cost(FamilyParams(k, 16.0 * c, c), eps * c, 0.2)
+        assert (scaled.localization, scaled.refinement) == (base.localization, base.refinement)
+        assert scaled.plan.i_max == base.plan.i_max
+        assert scaled.plan.t == base.plan.t * c
+        assert dict(scaled.plan.n_by_magnitude) == dict(base.plan.n_by_magnitude)
+    params = FamilyParams(k, 16.0 * c, c)
+    dist = make_gaussian_budget_tight(k, c, mu=0.3 * c)
+    report = estimate_mean(Agent(dist, trial_rng(15, "scale", 0)), params, c / 4, 0.2)
+    assert report.n_total == predict_cost(params, c / 4, 0.2).total
+    assert math.isfinite(report.mu_hat)
+
+
 def test_build_plan_allocation_examples():
     plan = build_plan(FamilyParams(2.0, 64.0, 1.0), 1 / 8, 0.05)
     assert all(plan.n_by_magnitude[i] == 1024 for i in range(1, plan.i_max + 1))
@@ -95,8 +114,8 @@ def test_build_plan_rejects_unknown_profile():
 def test_allocation_beyond_int64_rejected_by_plan_predictor_and_estimator(capsys):
     params = FamilyParams(2.0, 16.0, 1.0)
     agent = Agent(make_point_mass(0.3), trial_rng(11, "int64", 0))
-    # at 1e-160 and below the cutoff's tail bound would overflow float64, so
-    # n_1 is checked before the cutoff search
+    # at 1e-160 and below (sigma/eps)^2 leaves float64, so n_1 is checked, in
+    # logs, before the cutoff search
     for eps in (1e-9, 1e-150, 1e-160, 1e-300):
         with pytest.raises(ValueError, match="int64"):
             build_plan(params, eps, 0.2)
