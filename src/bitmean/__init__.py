@@ -74,8 +74,10 @@ from .variants import (
     unknown_scale_estimate,
 )
 from .hardness import (
+    BaselinePlan,
     K2HardPair,
     PairGrid,
+    baseline_plan,
     make_k2_pair,
     make_pair_grid,
     nonadaptive_baseline,

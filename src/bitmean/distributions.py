@@ -120,8 +120,8 @@ class Distribution:
         """Pr(lo <= X <= hi), both endpoints included; vectorized over arrays."""
         lo = np.asarray(lo, dtype=float)
         hi = np.asarray(hi, dtype=float)
-        if np.any(lo > hi):
-            raise ValueError(f"interval endpoints out of order: [{lo}, {hi}]")
+        if not np.all(lo <= hi):  # NaN fails it too
+            raise ValueError(f"interval endpoints out of order or NaN: [{lo}, {hi}]")
         # infinite ends are exact: a discrete cdf's last cumulative sum may miss 1
         hi_part = np.where(hi == math.inf, 1.0, self.cdf(hi))
         lo_part = np.where(lo == -math.inf, 0.0, self.cdf_strict(lo))

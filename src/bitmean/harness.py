@@ -10,6 +10,7 @@ RFC-4180 style with a header row, '.' decimals, UTF-8.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 import zlib
@@ -23,8 +24,8 @@ from scipy.stats import beta
 from .channel import Agent
 from .distributions import Distribution, FamilyParams, make_discrete, \
     make_gaussian_budget_tight, make_point_mass, make_two_sided_pareto, validate_family
-from .hardness import K2HardPair, PairGrid, make_k2_pair, make_pair_grid, nonadaptive_baseline, \
-    verify_kl_bound
+from .hardness import K2HardPair, PairGrid, baseline_plan, make_k2_pair, make_pair_grid, \
+    nonadaptive_baseline, verify_kl_bound
 from .localization import gray_change_points, gray_decode, gray_bit_value, \
     localize_gray, localize_median
 from .refine import analytic_region_mean, build_plan, estimate_mean, predict_cost
@@ -178,12 +179,23 @@ def acceptance_matrix(sigma: float = 1.0, lam: float = 16.0) -> dict[str, Fixtur
 
 
 def _resolve_fixture(config: ExperimentConfig) -> Fixture:
-    """The configured fixture, built alone."""
+    """The configured fixture, built alone and once per (name, sigma, lam).
+
+    The last fixture is kept, so runner calls on one fixture share its
+    distribution, and with it the agent's probability memo;
+    ``_resolve_fixture.cache_clear()`` drops it.
+    """
     if config.fixture not in _FIXTURES:
         raise KeyError(
             f"unknown fixture {config.fixture!r}; available: {sorted(_FIXTURES)}"
         )
-    return _fixture(config.fixture, config.sigma, config.lam)
+    return _kept_fixture(config.fixture, config.sigma, config.lam)
+
+
+# One fixture: each runner resolves one.  Typed, so a fixture asked for at
+# sigma = 2 is built from the int 2, not taken from the one kept for sigma = 2.0
+_kept_fixture = functools.lru_cache(maxsize=1, typed=True)(_fixture)
+_resolve_fixture.cache_clear = _kept_fixture.cache_clear
 
 
 def _run_trials(config: ExperimentConfig, exp_id: str, source: Distribution | PairGrid,
@@ -306,6 +318,8 @@ def run_gap(config: ExperimentConfig):
     grid = make_pair_grid(config.lam, config.sigma, config.eps)
     adaptive_cost = predict_cost(params, config.eps, config.delta, config.profile).total
     budgets = tuple(config.budgets) or (adaptive_cost,)
+    # built before any trial, so a plan the baseline refuses fails first
+    baseline_plan(config.lam, config.sigma, config.eps, budgets[0])
     exp_id = f"gap/{config.lam}/{config.eps}/{config.delta}"
 
     def success_rate(stream: str, estimate: Callable[[Agent], float]) -> float:

@@ -29,7 +29,7 @@ from bitmean.channel import (
 )
 from bitmean.distributions import FamilyParams, make_discrete, make_gaussian_budget_tight, \
     make_point_mass, make_two_sided_pareto
-from bitmean.hardness import make_pair_grid, nonadaptive_baseline
+from bitmean.hardness import baseline_plan, make_pair_grid, nonadaptive_baseline
 from bitmean.harness import trial_rng
 from bitmean.refine import estimate_mean
 
@@ -505,6 +505,9 @@ def test_memo_keeps_no_distribution_or_table_alive():
     refs = [weakref.ref(dist), weakref.ref(member), *tables]
     assert len(tables) == 1 and all(ref() is not None for ref in refs[:2])
     del dist, member
+    gc.collect()  # the baseline's plan keeps its table by design, but not the member
+    assert refs[0]() is None and refs[1]() is None and refs[2]() is not None
+    baseline_plan.cache_clear()
     gc.collect()
     assert all(ref() is None for ref in refs)
 

@@ -249,3 +249,17 @@ def test_array_oracles_equal_scalar_loop(name):
             uniform_threshold_probability(dist, direction, lo[finite], hi[finite]),
             [uniform_threshold_probability(dist, direction, a, b)
              for a, b in zip(lo[finite], hi[finite])], rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("dist", [
+    make_discrete([-0.5, 0.5], [0.4, 0.6]),
+    make_point_mass(0.3),
+    make_two_sided_pareto(1.5, 1.0, mu=0.3, alpha=1.9),
+    make_gaussian_budget_tight(2.0, 1.0, mu=0.77),
+], ids=lambda d: type(d).__name__)
+def test_prob_interval_rejects_nan_endpoints(dist):
+    for lo, hi in ((math.nan, 1.0), (0.0, math.nan), (math.nan, math.nan),
+                   (np.array([0.0, math.nan]), np.array([1.0, 1.0]))):
+        with pytest.raises(ValueError, match="NaN"):
+            dist.prob_interval(lo, hi)
+    assert dist.prob_interval(-math.inf, math.inf) == 1.0

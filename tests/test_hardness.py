@@ -4,9 +4,13 @@ import numpy as np
 import pytest
 from pytest import approx
 
+from bitmean import hardness
 from bitmean.channel import Agent, Interval, QueryTable
 from bitmean.distributions import FamilyParams, validate_family
 from bitmean.hardness import (
+    MAX_BASELINE_LAM_OVER_SIGMA,
+    MAX_PAIR_GRID_LAM_OVER_SIGMA,
+    baseline_plan,
     baseline_query_plan,
     bernoulli_kl,
     make_k2_pair,
@@ -62,6 +66,12 @@ def test_pair_grid_index_validation():
         grid.member(0, 1)
     with pytest.raises(ValueError):
         grid.member(1, 2)
+    # a bool is not an int here, nor is a float equal to one
+    for pair_index, sign in ((True, 1), (2, True), (2, False), (2.0, 1), (np.float64(2), 1),
+                             (2, 1.0), (2, -1.0), ("2", 1), (None, 1), (2, None)):
+        with pytest.raises(ValueError, match="must be"):
+            grid.member(pair_index, sign)
+    assert grid.member(np.int64(2), np.int64(-1)).mean() == approx(grid.member(2, -1).mean())
 
 
 def test_k2_pair_construction_example():
@@ -237,3 +247,89 @@ def _baseline_agent():
 def test_baseline_inputs_rejected_at_the_boundary(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+def test_pair_grid_too_wide_is_refused(monkeypatch):
+    wide = MAX_PAIR_GRID_LAM_OVER_SIGMA + 1.0
+    for lam, sigma in ((2.0 ** 40, 1.0), (wide, 1.0), (1e300, 1e-300)):
+        with pytest.raises(ValueError, match="lam/sigma .* exceeds the pair grid's cap"):
+            make_pair_grid(lam, sigma, sigma / 8.0)
+    with pytest.raises(ValueError, match="no room"):
+        make_pair_grid(-1e300, 1e-300, 1e-301)  # lam/sigma is -inf
+    # the adaptive side reaches past the baseline's cap, which keeps 2^20 runnable
+    assert MAX_PAIR_GRID_LAM_OVER_SIGMA > MAX_BASELINE_LAM_OVER_SIGMA >= 2 ** 20
+    monkeypatch.setattr(hardness, "MAX_PAIR_GRID_LAM_OVER_SIGMA", 64)
+    widest = make_pair_grid(0.3 * 64, 0.3, 0.3 / 8.0)
+    assert widest.n_pairs == 63
+    with pytest.raises(ValueError, match="exceeds the pair grid's cap of 64"):
+        make_pair_grid(0.3 * 65, 0.3, 0.3 / 8.0)
+
+
+def test_baseline_too_wide_is_refused_before_its_grid(monkeypatch):
+    def unused(*args):
+        raise AssertionError("built the grid of a refused plan")
+
+    monkeypatch.setattr(hardness, "make_pair_grid", unused)
+    baseline_plan.cache_clear()
+    for lam, sigma in ((MAX_BASELINE_LAM_OVER_SIGMA + 1.0, 1.0), (0.5 * 2.0 ** 40, 0.5)):
+        with pytest.raises(ValueError, match="lam/sigma .* exceeds the baseline's cap"):
+            baseline_plan(lam, sigma, sigma / 8.0, 2 ** 50)
+    monkeypatch.setattr(hardness, "MAX_BASELINE_LAM_OVER_SIGMA", 64)
+    monkeypatch.setattr(hardness, "make_pair_grid", make_pair_grid)
+    assert baseline_plan(0.3 * 64, 0.3, 0.3 / 8.0, 1_000).grid.n_pairs == 63
+    with pytest.raises(ValueError, match="exceeds the baseline's cap of 64"):
+        baseline_plan(0.3 * 65, 0.3, 0.3 / 8.0, 1_000)
+    baseline_plan.cache_clear()
+
+
+def test_baseline_plan_is_built_once_and_read_by_both_callers(monkeypatch):
+    built = []
+    original = hardness.make_pair_grid
+    monkeypatch.setattr(hardness, "make_pair_grid",
+                        lambda *args: built.append(args) or original(*args))
+    baseline_plan.cache_clear()
+    plan = baseline_plan(64.0, 1.0, 0.125, 20_000)
+    grid = original(64.0, 1.0, 0.125)
+    assert (plan.grid, plan.per_slot, plan.table.per_block) == \
+        (grid, 20_000 // 126, 126 * (20_000 // 126))
+    assert baseline_plan(64.0, 1.0, 0.125, 20_000) is plan
+    rows = baseline_query_plan(64.0, 1.0, 0.125, 20_000)
+    assert [q for _, _, q, _ in rows] == list(plan.table.queries)
+    for trial in range(3):
+        dist = grid.member(1 + 5 * trial, 1)
+        est = nonadaptive_baseline(Agent(dist, trial_rng(8, "plan", trial)), 64.0, 1.0, 0.125,
+                                   20_000)
+        assert est.samples_used == plan.table.per_block
+    assert built == [(64.0, 1.0, 0.125)]
+    assert not plan.table.reps.flags.writeable
+
+
+def test_baseline_plan_memo_is_bounded_and_draws_do_not_depend_on_it():
+    grid = make_pair_grid(16.0, 1.0, 0.1)
+
+    def estimate():
+        return nonadaptive_baseline(Agent(grid.member(3, -1), trial_rng(9, "memo", 0)),
+                                    16.0, 1.0, 0.1, 3_000)
+
+    baseline_plan.cache_clear()
+    cold = estimate()
+    assert estimate() == cold and baseline_plan.cache_info().hits == 1
+    for budget in range(3_030, 3_120, 30):
+        baseline_plan(16.0, 1.0, 0.1, budget)
+    assert baseline_plan.cache_info().currsize == 1
+    assert estimate() == cold and baseline_plan.cache_info().misses == 5
+
+
+def test_cached_int_budget_admits_no_equal_non_int():
+    baseline_plan.cache_clear()
+    plan = baseline_plan(4.0, 1.0, 0.1, 60)
+    assert baseline_plan(4.0, 1.0, 0.1, 60) is plan
+    # 60.0 == 60 and True == 1 hash alike, so the type is checked before the memo
+    for budget in (60.0, True, np.float64(60)):
+        with pytest.raises(ValueError, match="budget must be an int"):
+            baseline_plan(4.0, 1.0, 0.1, budget)
+        with pytest.raises(ValueError, match="budget must be an int"):
+            baseline_query_plan(4.0, 1.0, 0.1, budget)
+        with pytest.raises(ValueError, match="budget must be an int"):
+            nonadaptive_baseline(_baseline_agent(), 4.0, 1.0, 0.1, budget)
+    assert baseline_plan(4.0, 1.0, 0.1, np.int64(60)).table.reps.tolist() == [10] * 6

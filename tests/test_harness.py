@@ -1,11 +1,12 @@
 import pytest
 
-from bitmean import cli, harness
+from bitmean import cli, hardness, harness
 from bitmean.cli import main
 from bitmean.harness import (
     ExperimentConfig,
     acceptance_matrix,
     binomial_lower_bound,
+    run_gap,
     run_localize,
     run_pac,
     run_scaling,
@@ -13,6 +14,7 @@ from bitmean.harness import (
     trial_rng,
     write_csv,
 )
+from bitmean.hardness import baseline_plan
 from bitmean.refine import build_plan
 
 
@@ -113,6 +115,7 @@ def test_unknown_fixture_is_config_error():
 
 
 def test_resolve_fixture_builds_only_the_named_fixture(monkeypatch):
+    harness._resolve_fixture.cache_clear()  # so every fixture below is built cold
     matrix = acceptance_matrix(2.0, 32.0)
 
     def unused(*args):
@@ -124,6 +127,30 @@ def test_resolve_fixture_builds_only_the_named_fixture(monkeypatch):
         fixture = harness._resolve_fixture(ExperimentConfig(fixture=name, sigma=2.0, lam=32.0))
         assert (fixture.name, fixture.params, fixture.mean) == \
             (name, matrix[name].params, matrix[name].mean)
+
+
+def test_resolve_fixture_keeps_each_fixture_once():
+    harness._resolve_fixture.cache_clear()
+    config = ExperimentConfig(fixture="pareto15", eps=1 / 16, delta=0.1, trials=3, seed=5)
+    first = harness._resolve_fixture(config)
+    assert harness._resolve_fixture(config).dist is first.dist
+    assert harness._resolve_fixture(ExperimentConfig(fixture="pareto15", sigma=2.0)) \
+        is not first
+    assert harness._resolve_fixture(config) is not first  # the bound of one dropped it
+    _, _, warm = run_pac(config)
+    harness._resolve_fixture.cache_clear()
+    _, _, cold = run_pac(config)
+    assert warm == cold
+
+
+def test_run_gap_same_text_on_cold_and_warm_memo():
+    config = ExperimentConfig(k=2.0, lam=64.0, eps=0.125, delta=0.1, trials=6, seed=3,
+                              budgets=(2_000, 20_000))
+    baseline_plan.cache_clear()
+    build_plan.cache_clear()
+    _, cold = run_gap(config)
+    _, warm = run_gap(config)
+    assert warm == cold
 
 
 def test_run_pac_same_text_on_cold_and_warm_plan_memo():
@@ -159,6 +186,24 @@ def test_cli_verify_exit_zero(capsys):
 
 def test_cli_unknown_fixture_exit_one(capsys):
     assert main(["pac", "--fixture", "nope", "--trials", "2"]) == 1
+
+
+def test_cli_gap_too_wide_is_config_error(capsys):
+    assert main(["gap", "--lambda", "1e12", "--trials", "1"]) == 1
+    err = capsys.readouterr().err
+    assert "lam/sigma = 1e+12 exceeds the pair grid's cap" in err and "Traceback" not in err
+
+
+def test_gap_refuses_a_baseline_too_wide_before_any_trial(monkeypatch, capsys):
+    def unused(*args, **kwargs):
+        raise AssertionError("ran a trial of a gap run whose baseline is refused")
+
+    monkeypatch.setattr(hardness, "MAX_BASELINE_LAM_OVER_SIGMA", 32)
+    monkeypatch.setattr(harness, "estimate_mean", unused)
+    baseline_plan.cache_clear()
+    assert main(["gap", "--lambda", "64", "--trials", "1"]) == 1
+    err = capsys.readouterr().err
+    assert "lam/sigma = 64 exceeds the baseline's cap of 32" in err and "Traceback" not in err
 
 
 def test_cli_pac_writes_csv(tmp_path, capsys):
