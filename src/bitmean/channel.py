@@ -18,6 +18,15 @@ repetitions of any query through one of two paths:
   table's parameter columns; a refinement round and the non-adaptive
   baseline are each one such draw.
 
+The table draw is query-major: it takes the K block counts of row 0, then
+the K of row 1, and so on.  numpy's Binomial sampler keeps the setup of the
+last (n, p) it drew from (BTPE's constants, or inversion's), so K variates
+of one row in a row pay for that setup once, where a block-major draw
+changes (n, p) at every variate and pays it K Q times.  Every count is still
+an independent Binomial(reps[j], p[j]); only the order in which the
+generator's stream is used depends on this, and with one block it is the
+order of the rows.
+
 An estimator asks the same queries trial after trial: localization votes sit
 on a sigma-grid and a refinement round is one table shifted to the localized
 center.  So the aggregated path takes each probability from a memo whose
@@ -607,30 +616,34 @@ class Agent:
         """Number of 1-bits among n repetitions of the query (exact Binomial).
 
         With ``groups=K`` the n repetitions form K equal consecutive blocks and
-        the answer is the int64 array of the K block counts, drawn at once.
-        A ``QueryTable`` is answered in one draw, with n the total number of
+        the answer is the int64 array of the K block counts, drawn at once;
+        without ``groups``, a single query's count is one scalar draw.  A
+        ``QueryTable`` is answered in one draw, with n the total number of
         queries, K times ``per_block``: the int64 counts have shape (Q,), or
-        (K, Q) with ``groups=K``.  A single query goes straight to its kind's
-        oracle, with no table built.  The n queries are recorded in
-        ``transcript`` once they are answered.
+        (K, Q) with ``groups=K``.  That draw is query-major (see the module
+        docstring), so the (K, Q) counts are the transpose of a (Q, K) array,
+        whose memory layout need not be C order.  A single query goes straight
+        to its kind's oracle, with no table built.  The n queries are recorded
+        in ``transcript`` once they are answered.
         """
         table = isinstance(q, QueryTable)
-        blocks, reps = (_table_blocks(q, n, groups), q.reps) if table \
-            else _query_blocks(n, groups)
-        counts = self._counts(q, reps, blocks)
+        reps = _table_reps(q, n, groups) if table else _query_reps(n, groups)
+        counts = self._counts(q, reps, groups)
         self.transcript.record_batch(n)
-        if groups is not None:
-            return counts
-        return counts[0] if table else int(counts[0])
+        return counts if table or groups is not None else int(counts)
 
-    def _counts(self, q: Query | QueryTable, reps, blocks: int) -> np.ndarray:
-        """The 1-bit counts of ``blocks`` blocks, in which q is repeated
-        ``reps`` times: shape (blocks,), or (blocks, Q) for a table, whose
-        row j is repeated reps[j] times."""
+    def _counts(self, q: Query | QueryTable, reps, groups: int | None):
+        """The 1-bit counts of ``groups`` blocks, in which q is repeated
+        ``reps`` times: shape (groups,), or (groups, Q) for a table, whose
+        row j is repeated reps[j] times.  Without ``groups`` there is one
+        block and no block axis: a scalar, or shape (Q,) for a table."""
         if isinstance(q, QueryTable):
-            return self._rng.binomial(reps, _memo_probabilities(self._distribution, q),
-                                      size=(blocks, len(q)))
-        return self._rng.binomial(reps, _memo_probability(self._distribution, q), size=blocks)
+            p = _memo_probabilities(self._distribution, q)
+            if groups is None:
+                return self._rng.binomial(reps, p)
+            # query-major: row j's K variates share the sampler's setup
+            return self._rng.binomial(reps[:, None], p[:, None], size=(len(q), groups)).T
+        return self._rng.binomial(reps, _memo_probability(self._distribution, q), size=groups)
 
     def respond_count_uniform_threshold(self, direction: str, lo: float,
                                         hi: float, n: int) -> int:
@@ -641,12 +654,13 @@ class Agent:
 class BitAgent(Agent):
     """The bit-level reference: every count is a sum of ``respond_bits``, one sample per bit."""
 
-    def _counts(self, q: Query | QueryTable, reps, blocks: int) -> np.ndarray:
+    def _counts(self, q: Query | QueryTable, reps, groups: int | None):
         table = isinstance(q, QueryTable)
         queries, rows = (q.queries, reps.tolist()) if table else ((q,), (reps,))
         counts = np.array([[self.respond_bits(query, r).sum() for query, r in zip(queries, rows)]
-                           for _ in range(blocks)], dtype=np.int64)
-        return counts if table else counts[:, 0]
+                           for _ in range(1 if groups is None else groups)], dtype=np.int64)
+        counts = counts if table else counts[:, 0]
+        return counts if groups is not None else counts[0]
 
 
 def _split(n: int, groups: int | None) -> tuple[int, int]:
@@ -662,18 +676,19 @@ def _split(n: int, groups: int | None) -> tuple[int, int]:
     return blocks, n // blocks
 
 
-def _table_blocks(table: QueryTable, n: int, groups: int | None) -> int:
-    """The number of blocks K when n queries answer ``table`` in ``groups`` blocks."""
+def _table_reps(table: QueryTable, n: int, groups: int | None) -> np.ndarray:
+    """The table's reps per block, once n queries are checked to answer it in
+    ``groups`` blocks."""
     blocks, per_block = _split(n, groups)
     if per_block != table.per_block:
         raise ValueError(f"{n} queries are not {blocks} blocks of the table's "
                          f"{table.per_block}")
-    return blocks
+    return table.reps
 
 
-def _query_blocks(n: int, groups: int | None) -> tuple[int, int]:
-    """(K, repetitions per block) when n repetitions of one query form ``groups`` blocks."""
-    blocks, per_block = _split(n, groups)
+def _query_reps(n: int, groups: int | None) -> int:
+    """The repetitions per block when n repetitions of one query form ``groups`` blocks."""
+    per_block = _split(n, groups)[1]
     if per_block > INT64_MAX:
         raise ValueError(f"{per_block} repetitions per block exceed int64")
-    return blocks, per_block
+    return per_block

@@ -10,6 +10,7 @@ so Monte Carlo checks can be run *against* these oracles.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,15 @@ MOMENT_REL_TOL = 1e-9
 MAX_LAM_OVER_SIGMA = 2.0 ** 52
 
 
+def _require_float64(**values) -> None:
+    """Refuse, with ``ValueError``, an int too large for float64 (a 400-digit
+    lam, say), which the first float arithmetic on it would meet with
+    ``OverflowError``."""
+    for name, value in values.items():
+        if isinstance(value, int) and abs(value) > sys.float_info.max:
+            raise ValueError(f"{name} is an int of {value.bit_length()} bits, beyond float64")
+
+
 def operative_order(k: float) -> float:
     """Moment order actually used in computations: orders above 3 are capped.
 
@@ -57,6 +67,7 @@ class FamilyParams:
     sigma: float
 
     def __post_init__(self):
+        _require_float64(k=self.k, lam=self.lam, sigma=self.sigma)
         if not self.k > 1:
             raise ValueError(f"moment order k must exceed 1, got {self.k}")
         if not (math.isfinite(self.lam) and math.isfinite(self.sigma)):
@@ -158,6 +169,10 @@ class DiscreteMixture(Distribution):
             )
         if points.size == 0:
             raise ValueError("support must be non-empty")
+        if not np.isfinite(points).all():
+            raise ValueError(f"points must be finite, got {points}")
+        if not np.isfinite(probs).all():  # a NaN passes both checks below
+            raise ValueError(f"probabilities must be finite, got {probs}")
         if np.any(probs < 0):
             raise ValueError("probabilities must be nonnegative")
         total = math.fsum(probs.tolist())
@@ -217,6 +232,8 @@ class PointMass(DiscreteMixture):
     kind = "point-mass"
 
     def __init__(self, location: float):
+        if not math.isfinite(location):
+            raise ValueError(f"location must be finite, got {location}")
         super().__init__([location], [1.0])
         self.location = float(location)
 
@@ -234,12 +251,14 @@ class TwoSidedPareto(Distribution):
     def __init__(self, k: float, sigma: float, mu: float = 0.0, alpha: float | None = None):
         if alpha is None:
             alpha = k + 0.4
-        if not k > 1:
-            raise ValueError(f"moment order k must exceed 1, got {k}")
-        if not alpha > k:
-            raise ValueError(f"tail exponent alpha={alpha} must exceed k={k}")
-        if not sigma > 0:
-            raise ValueError("sigma must be positive")
+        if not 1 < k < math.inf:
+            raise ValueError(f"moment order k must be finite and exceed 1, got {k}")
+        if not k < alpha < math.inf:
+            raise ValueError(f"tail exponent alpha={alpha} must be finite and exceed k={k}")
+        if not 0 < sigma < math.inf:
+            raise ValueError(f"sigma must be positive and finite, got {sigma}")
+        if not math.isfinite(mu):
+            raise ValueError(f"mu must be finite, got {mu}")
         self.k = float(k)
         self.sigma = float(sigma)
         self.mu = float(mu)
@@ -299,8 +318,10 @@ class Gaussian(Distribution):
     kind = "gaussian"
 
     def __init__(self, mu: float, scale: float):
-        if not scale > 0:
-            raise ValueError("scale must be positive")
+        if not 0 < scale < math.inf:
+            raise ValueError(f"scale must be positive and finite, got {scale}")
+        if not math.isfinite(mu):
+            raise ValueError(f"mu must be finite, got {mu}")
         self.mu = float(mu)
         self.scale = float(scale)
 
@@ -349,6 +370,8 @@ def make_two_sided_pareto(k: float, sigma: float, mu: float = 0.0,
 
 def make_gaussian_budget_tight(k: float, sigma: float, mu: float = 0.0) -> Gaussian:
     """Gaussian sized so E|X - mu|**k == sigma**k exactly (moment budget binds)."""
+    if not 0 < sigma < math.inf:
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
     scale = sigma * gaussian_abs_moment_factor(k) ** (-1.0 / k)
     return Gaussian(mu=mu, scale=scale)
 

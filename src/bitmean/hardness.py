@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import INT64_MAX, Agent, Interval, QueryTable, _is_count
-from .distributions import DiscreteMixture, make_discrete
+from .distributions import DiscreteMixture, make_discrete, _require_float64
 
 __all__ = [
     "PairGrid",
@@ -89,6 +89,7 @@ def make_pair_grid(lam: float, sigma: float, eps: float) -> PairGrid:
     rounded up to an integer multiple of sigma, at most
     ``MAX_PAIR_GRID_LAM_OVER_SIGMA`` of them.
     """
+    _require_float64(lam=lam, sigma=sigma)
     if not (math.isfinite(lam) and math.isfinite(sigma)):
         raise ValueError(f"lam and sigma must be finite, got lam={lam}, sigma={sigma}")
     if not sigma > 0:

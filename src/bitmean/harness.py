@@ -13,6 +13,7 @@ import csv
 import functools
 import io
 import math
+import sys
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
@@ -72,19 +73,20 @@ def _is_int(value) -> bool:
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    # an int beyond float64 would meet the first float arithmetic on it with OverflowError
+    return isinstance(value, float) or _is_int(value) and abs(value) <= sys.float_info.max
 
 
 # ExperimentConfig's field annotations, as written, with the values they accept
 _FIELD_TYPES = {
     "int": ("an integer", _is_int),
-    "float": ("a number", _is_number),
+    "float": ("a number within float64's range", _is_number),
     "bool": ("true or false", lambda v: isinstance(v, bool)),
     "str": ("a string", lambda v: isinstance(v, str)),
     "str | None": ("a string or null", lambda v: v is None or isinstance(v, str)),
     "tuple[int, ...]": ("a list of integers",
                         lambda v: isinstance(v, (list, tuple)) and all(map(_is_int, v))),
-    "tuple[float, ...]": ("a list of numbers",
+    "tuple[float, ...]": ("a list of numbers within float64's range",
                           lambda v: isinstance(v, (list, tuple)) and all(map(_is_number, v))),
 }
 

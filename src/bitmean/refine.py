@@ -300,12 +300,14 @@ def _region_kinds(index: int) -> tuple[type, type, type, type]:
 def _region_sums(agent: Agent, table: QueryTable, sign, inner, outer, batches: int) -> np.ndarray:
     """Each batch's sum over the regions of sign * (a p_a + b p_b), from one
     draw of ``table``, which holds the regions' four queries in order;
-    ``sign``, ``inner`` and ``outer`` are the regions' columns (or one
-    region's values)."""
+    ``sign``, ``inner`` and ``outer`` are the regions' columns."""
     counts = agent.respond_count(table, batches * table.per_block, groups=batches)
-    f = (counts / table.reps).reshape(batches, -1, 4)
-    values = sign * (inner * (f[..., 0] - f[..., 1]) + outer * (f[..., 2] - f[..., 3]))
-    return values.sum(axis=1)
+    # The draw is query-major, so counts.T is its own (Q, K) array: the
+    # regions are combined along its rows, with no copy into batch order.
+    f = (counts.T / table.reps[:, None]).reshape(-1, 4, batches)
+    values = sign[:, None] * (inner[:, None] * (f[:, 0] - f[:, 1])
+                              + outer[:, None] * (f[:, 2] - f[:, 3]))
+    return values.sum(axis=0)
 
 
 def estimate_region(agent: Agent, region: Region, n: int, center: float,
@@ -318,8 +320,8 @@ def estimate_region(agent: Agent, region: Region, n: int, center: float,
     sign * (a p_a + b p_b); 4 n queries per batch.  This is
     ``base_estimate``'s draw and combination for a single region.
     """
-    return _region_sums(agent, _region_table((region,), (n,), center), region.sign,
-                        region.inner, region.outer, batches)
+    return _region_sums(agent, _region_table((region,), (n,), center),
+                        *_region_columns((region,)), batches)
 
 
 def base_estimate(agent: Agent, plan: RefinementPlan, center: float, batches: int) -> np.ndarray:

@@ -31,7 +31,7 @@ from bitmean.distributions import FamilyParams, make_discrete, make_gaussian_bud
     make_point_mass, make_two_sided_pareto
 from bitmean.hardness import baseline_plan, make_pair_grid, nonadaptive_baseline
 from bitmean.harness import trial_rng
-from bitmean.refine import estimate_mean
+from bitmean.refine import build_plan, estimate_mean
 
 
 def _agent(dist, seed=0, tag="chan"):
@@ -320,7 +320,9 @@ def test_table_count_shapes_and_wrong_totals(agent_type):
     assert one.dtype == np.int64 and one.shape == (4,)
     # at the atom 0: x >= 0.1 never, 0 in [-0.5, 1.5] always, u = 1/2 has Gray bit 1
     assert one[[0, 2, 3]].tolist() == [0, 40, 20] and 0 <= one[1] <= 30
-    assert agent.respond_count(table, 3 * table.per_block, groups=3).shape == (3, 4)
+    for blocks in (1, 3):  # whatever the counts' memory layout
+        counts = agent.respond_count(table, blocks * table.per_block, groups=blocks)
+        assert counts.dtype == np.int64 and counts.shape == (blocks, 4)
     for n, groups in ((table.per_block + 1, None), (table.per_block, 2),
                       (2 * table.per_block, None), (0, 0)):
         with pytest.raises(ValueError):
@@ -432,15 +434,46 @@ def test_per_block_stays_exact_beyond_int64():
 
 
 def test_single_query_draws_the_one_row_table_stream():
-    # the single-query path skips the table, but not a single draw of the stream
+    # the single-query path skips the table, but not a single draw of the
+    # stream: without groups it is one scalar draw
     d = make_two_sided_pareto(1.5, 1.0, mu=0.3, alpha=1.9)
-    fast, table = _agent(d, seed=15), _agent(d, seed=15)
+    fast, table, rng = _agent(d, seed=15), _agent(d, seed=15), trial_rng(15, "chan", 0)
     for i in range(400):
         q = ThresholdLE(-5.0 + 0.025 * i)
         n = 1000 + 7 * i
-        assert fast.respond_count(q, n) == int(table.respond_count(QueryTable((q,), (n,)), n)[0])
+        count = fast.respond_count(q, n)
+        assert type(count) is int and count == rng.binomial(n, query_probability(d, q))
+        assert count == int(table.respond_count(QueryTable((q,), (n,)), n)[0])
     assert fast.respond_count(ThresholdGE(0.2), 60, groups=3).tolist() == \
         table.respond_count(QueryTable((ThresholdGE(0.2),), (20,)), 60, groups=3)[:, 0].tolist()
+
+
+def _refinement_table():
+    return build_plan(FamilyParams(1.5, 16.0, 1.0), 1 / 16, 0.1).table.shifted(0.3)
+
+
+@pytest.mark.parametrize("blocks", [2, 7, 19])
+def test_table_draw_is_query_major(blocks):
+    # row j's K block counts are consecutive variates of the stream, so the
+    # Binomial sampler sets up once per row
+    d = make_two_sided_pareto(1.5, 1.0, mu=0.3, alpha=1.9)
+    for table in (MIXED_TABLE, _refinement_table()):
+        agent, rng = _agent(d, seed=17), trial_rng(17, "chan", 0)
+        p, reps = query_probabilities(d, table), table.reps
+        counts = agent.respond_count(table, blocks * table.per_block, groups=blocks)
+        expected = rng.binomial(reps[:, None], p[:, None], size=(len(table), blocks)).T
+        assert np.array_equal(counts, expected)
+
+
+@pytest.mark.parametrize("groups", [None, 1])
+def test_one_block_table_draw_keeps_row_order(groups):
+    d = make_two_sided_pareto(1.5, 1.0, mu=0.3, alpha=1.9)
+    for table in (MIXED_TABLE, _refinement_table()):
+        agent, rng = _agent(d, seed=18), trial_rng(18, "chan", 0)
+        p, reps = query_probabilities(d, table), table.reps
+        counts = agent.respond_count(table, table.per_block, groups=groups)
+        expected = rng.binomial(reps, p, size=(1, len(table)))
+        assert np.array_equal(counts, expected if groups else expected[0])
 
 
 @pytest.mark.parametrize("agent_type", [Agent, BitAgent])

@@ -46,6 +46,23 @@ def test_discrete_validation_errors():
         make_discrete([0.0, 1.0], [0.6, 0.6])
 
 
+@pytest.mark.parametrize("points, probs, name", [
+    ([0.0, 1.0], [math.nan, 1.0], "probabilities"),  # passes the sign and sum checks
+    ([0.0, 1.0], [0.5, math.inf], "probabilities"),
+    ([math.nan, 1.0], [0.5, 0.5], "points"),
+    ([-math.inf, 1.0], [0.5, 0.5], "points"),
+])
+def test_discrete_rejects_non_finite_parameters(points, probs, name):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        make_discrete(points, probs)
+
+
+@pytest.mark.parametrize("location", [math.nan, math.inf, -math.inf])
+def test_point_mass_rejects_non_finite_location(location):
+    with pytest.raises(ValueError, match="location must be finite"):
+        make_point_mass(location)
+
+
 def test_discrete_cdf_handles_atoms_exactly():
     d = make_discrete([-1.0, 0.0, 2.0], [0.2, 0.5, 0.3])
     assert d.cdf(0.0) == approx(0.7, abs=1e-15)
@@ -72,6 +89,30 @@ def test_pareto_translation_shifts_mean():
 def test_pareto_requires_alpha_above_k():
     with pytest.raises(ValueError, match="alpha"):
         make_two_sided_pareto(2.0, 1.0, alpha=1.9)
+
+
+@pytest.mark.parametrize("args, kwargs, name", [
+    ((1.5, 1.0), {"mu": math.nan}, "mu"),
+    ((1.5, 1.0), {"mu": -math.inf}, "mu"),
+    ((1.5, math.inf), {}, "sigma"),
+    ((1.5, math.nan), {}, "sigma"),
+    ((math.inf, 1.0), {}, "moment order k"),
+    ((1.5, 1.0), {"alpha": math.inf}, "alpha"),
+])
+def test_pareto_rejects_non_finite_parameters(args, kwargs, name):
+    with pytest.raises(ValueError, match=name):
+        make_two_sided_pareto(*args, **kwargs)
+
+
+@pytest.mark.parametrize("sigma, mu, name", [
+    (math.inf, 0.0, "sigma"),
+    (math.nan, 0.0, "sigma"),
+    (1.0, math.nan, "mu"),
+    (1.0, math.inf, "mu"),
+])
+def test_gaussian_rejects_non_finite_parameters(sigma, mu, name):
+    with pytest.raises(ValueError, match=f"{name} must be"):
+        make_gaussian_budget_tight(2.0, sigma, mu=mu)
 
 
 def test_pareto_moment_above_alpha_is_infinite():
@@ -106,6 +147,18 @@ def test_family_params_validation():
 def test_family_params_rejects_non_finite(lam, sigma):
     with pytest.raises(ValueError, match="finite"):
         FamilyParams(k=2.0, lam=lam, sigma=sigma)
+
+
+@pytest.mark.parametrize("k, lam, sigma, name", [
+    (2, 10 ** 400, 1, "lam"),
+    (2, 16, 10 ** 400, "sigma"),
+    (10 ** 400, 16, 1, "k"),  # operative_k would convert it to a float
+    (2, -10 ** 400, 1, "lam"),
+], ids=["lam", "sigma", "k", "negative-lam"])
+def test_family_params_rejects_ints_beyond_float64(k, lam, sigma, name):
+    with pytest.raises(ValueError, match=f"{name} is an int of .* beyond float64"):
+        FamilyParams(k, lam, sigma)
+    assert FamilyParams(2, 2 ** 60, 2 ** 10).operative_k == 2.0  # ints within range stay valid
 
 
 @pytest.mark.parametrize("ratio", [2.0 ** 60, 2.0 ** 1000])

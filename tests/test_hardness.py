@@ -60,6 +60,13 @@ def test_pair_grid_rejects_large_shift():
         make_pair_grid(4.0, 1.0, 0.5)
 
 
+@pytest.mark.parametrize("lam, sigma, name", [(10 ** 400, 1, "lam"), (16, 10 ** 400, "sigma")],
+                         ids=["lam", "sigma"])
+def test_pair_grid_rejects_ints_beyond_float64(lam, sigma, name):
+    with pytest.raises(ValueError, match=f"{name} is an int of .* beyond float64"):
+        make_pair_grid(lam, sigma, 0.1)
+
+
 def test_pair_grid_index_validation():
     grid = make_pair_grid(4.0, 1.0, 0.1)
     with pytest.raises(ValueError):

@@ -194,6 +194,16 @@ def test_cli_gap_too_wide_is_config_error(capsys):
     assert "lam/sigma = 1e+12 exceeds the pair grid's cap" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("name", ["lam", "sigma", "k", "eps", "delta"])
+def test_cli_number_beyond_float64_is_config_error(tmp_path, capsys, name):
+    config = tmp_path / "big.json"
+    config.write_text(f'{{"{name}": {10 ** 400}}}')
+    assert main(["pac", "--trials", "1", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert f"configuration error: {name} must be a number within float64's range" in err
+    assert "Traceback" not in err
+
+
 def test_gap_refuses_a_baseline_too_wide_before_any_trial(monkeypatch, capsys):
     def unused(*args, **kwargs):
         raise AssertionError("ran a trial of a gap run whose baseline is refused")
@@ -322,6 +332,10 @@ def test_experiment_config_checks_its_settings():
     with pytest.raises(ValueError, match="budgets must be a list of integers"):
         ExperimentConfig(budgets=[100, 2.5])
     assert ExperimentConfig(eps=1).eps == 1  # an integer is a number
+    with pytest.raises(ValueError, match="lam must be a number within float64's range"):
+        ExperimentConfig(lam=10 ** 400)
+    with pytest.raises(ValueError, match="eps_list must be a list of numbers"):
+        ExperimentConfig(eps_list=[0.5, -10 ** 400])
     cfg = ExperimentConfig(budgets=[100, 1000])
     assert cfg.budgets == (100, 1000)
     with pytest.raises(AttributeError):

@@ -252,6 +252,20 @@ def test_base_estimate_point_mass_at_center_is_exact():
     assert base_estimate(agent, plan, 1.5, batches=5).tolist() == [1.5] * 5
 
 
+def test_round_arithmetic_reads_counts_in_either_layout(monkeypatch):
+    # the Agent's (K, Q) counts are the transpose of its query-major draw, the
+    # bit-level agent's are C-ordered; the round combines either alike, up to
+    # the order in which numpy sums the regions
+    plan = build_plan(FamilyParams(1.5, 16.0, 1.0), 1 / 16, 0.2)
+    dist = make_two_sided_pareto(1.5, 1.0, mu=0.3, alpha=1.9)
+    expected = base_estimate(Agent(dist, trial_rng(5, "layout", 0)), plan, 0.3, plan.batches)
+    draw = Agent._counts
+    monkeypatch.setattr(Agent, "_counts",
+                        lambda self, *args: np.ascontiguousarray(draw(self, *args)))
+    got = base_estimate(Agent(dist, trial_rng(5, "layout", 0)), plan, 0.3, plan.batches)
+    assert got.tolist() == approx(expected.tolist(), rel=1e-12, abs=1e-12)
+
+
 def test_base_estimate_unbiased_for_pair_member():
     params = FamilyParams(2.0, 16.0, 1.0)
     plan = build_plan(params, 0.25, 0.2)
