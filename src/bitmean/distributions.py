@@ -14,7 +14,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 __all__ = [
     "FamilyParams",
@@ -159,6 +158,9 @@ class DiscreteMixture(Distribution):
     kind = "discrete-mixture"
 
     def __init__(self, points, probs):
+        for name, values in (("points", points), ("probs", probs)):
+            if isinstance(values, (list, tuple)):  # a numeric ndarray holds no int beyond float64
+                _require_float64(**{f"{name}[{i}]": v for i, v in enumerate(values)})
         points = np.asarray(points, dtype=float)
         probs = np.asarray(probs, dtype=float)
         if points.ndim != 1 or probs.ndim != 1:
@@ -232,6 +234,7 @@ class PointMass(DiscreteMixture):
     kind = "point-mass"
 
     def __init__(self, location: float):
+        _require_float64(location=location)
         if not math.isfinite(location):
             raise ValueError(f"location must be finite, got {location}")
         super().__init__([location], [1.0])
@@ -249,6 +252,7 @@ class TwoSidedPareto(Distribution):
     kind = "two-sided-pareto"
 
     def __init__(self, k: float, sigma: float, mu: float = 0.0, alpha: float | None = None):
+        _require_float64(k=k, sigma=sigma, mu=mu, alpha=alpha)
         if alpha is None:
             alpha = k + 0.4
         if not 1 < k < math.inf:
@@ -314,10 +318,18 @@ def gaussian_abs_moment_factor(order: float) -> float:
     return 2.0 ** (order / 2.0) * math.gamma((order + 1.0) / 2.0) / math.sqrt(math.pi)
 
 
+def _ndtr(z):
+    """The standard normal CDF, from ``scipy.special``, which is loaded on the
+    first Gaussian oracle call rather than on ``import bitmean``."""
+    from scipy.special import ndtr
+    return ndtr(z)
+
+
 class Gaussian(Distribution):
     kind = "gaussian"
 
     def __init__(self, mu: float, scale: float):
+        _require_float64(mu=mu, scale=scale)
         if not 0 < scale < math.inf:
             raise ValueError(f"scale must be positive and finite, got {scale}")
         if not math.isfinite(mu):
@@ -329,7 +341,7 @@ class Gaussian(Distribution):
         return rng.normal(self.mu, self.scale, size=size)
 
     def cdf(self, x):
-        return _scalar_or_array(ndtr((np.asarray(x, dtype=float) - self.mu) / self.scale))
+        return _scalar_or_array(_ndtr((np.asarray(x, dtype=float) - self.mu) / self.scale))
 
     def cdf_strict(self, x):
         return self.cdf(x)
@@ -345,7 +357,7 @@ class Gaussian(Distribution):
         # z * z overflows only for |z| > 1e154, where the pdf is 0 anyway
         with np.errstate(over="ignore"):
             pdf = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
-        return _scalar_or_array(self.mu * ndtr(z) - self.scale * pdf)
+        return _scalar_or_array(self.mu * _ndtr(z) - self.scale * pdf)
 
     def partial_mean_strict(self, x):
         return self.partial_mean(x)
@@ -370,6 +382,7 @@ def make_two_sided_pareto(k: float, sigma: float, mu: float = 0.0,
 
 def make_gaussian_budget_tight(k: float, sigma: float, mu: float = 0.0) -> Gaussian:
     """Gaussian sized so E|X - mu|**k == sigma**k exactly (moment budget binds)."""
+    _require_float64(k=k, sigma=sigma)  # Gaussian checks mu
     if not 0 < sigma < math.inf:
         raise ValueError(f"sigma must be positive and finite, got {sigma}")
     scale = sigma * gaussian_abs_moment_factor(k) ** (-1.0 / k)

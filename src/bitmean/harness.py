@@ -20,9 +20,8 @@ from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
-from scipy.stats import beta
 
-from .channel import Agent
+from .channel import Agent, _is_count
 from .distributions import Distribution, FamilyParams, make_discrete, \
     make_gaussian_budget_tight, make_point_mass, make_two_sided_pareto, validate_family
 from .hardness import K2HardPair, PairGrid, baseline_plan, make_k2_pair, make_pair_grid, \
@@ -235,10 +234,24 @@ def write_csv(path: str | None, header: list[str], rows: list[tuple]) -> str:
 
 
 def binomial_lower_bound(successes: int, trials: int, confidence: float = 0.95) -> float:
-    """One-sided Clopper-Pearson lower bound on the success probability."""
+    """One-sided Clopper-Pearson lower bound on the success probability.
+
+    It is the (1 - confidence) quantile of Beta(s, n - s + 1), computed as
+    ``scipy.special.betaincinv(s, n - s + 1, 1 - confidence)``; scipy.special
+    is loaded on the first call, not on ``import bitmean``.  ``successes`` and
+    ``trials`` are ints (not bools) with 0 <= successes <= trials and
+    trials >= 1, and 0 < confidence < 1.
+    """
+    if not (_is_count(trials) and trials >= 1):
+        raise ValueError(f"trials must be an int >= 1, got {trials!r}")
+    if not (_is_count(successes) and 0 <= successes <= trials):
+        raise ValueError(f"successes must be an int in [0, {trials}], got {successes!r}")
+    if not 0 < confidence < 1:  # NaN fails it too
+        raise ValueError(f"confidence must be in (0, 1), got {confidence!r}")
     if successes == 0:
         return 0.0
-    return float(beta.ppf(1.0 - confidence, successes, trials - successes + 1))
+    from scipy.special import betaincinv
+    return float(betaincinv(successes, trials - successes + 1, 1.0 - confidence))
 
 
 def run_pac(config: ExperimentConfig):

@@ -18,7 +18,7 @@ import numpy as np
 
 from .channel import Agent, QueryTable, ThresholdGE, ThresholdGT, ThresholdLE, ThresholdLT, \
     UniformThreshold, query_probabilities
-from .distributions import Distribution, FamilyParams
+from .distributions import Distribution, FamilyParams, _require_float64
 from .localization import LocalizationResult, delta_count, localize_median, median_search_cost
 
 __all__ = [
@@ -245,7 +245,11 @@ def refinement_plan(params: FamilyParams, eps: float, delta: float,
                     profile: str = "empirical") -> RefinementPlan | None:
     """The refinement round's plan, fixed by (params, eps, delta) before any query;
     ``None`` when eps >= 4 sigma, where the localized center alone meets eps.
-    ``build_plan`` checks eps and delta; without a plan, the localizer checks delta."""
+    A non-finite eps is refused here; ``build_plan`` checks the rest of eps and
+    delta, and without a plan the localizer checks delta."""
+    _require_float64(eps=eps)
+    if not math.isfinite(eps):
+        raise ValueError(f"eps must be finite, got {eps}")
     if eps >= SHIFTED_MEAN_BOUND * params.sigma:
         return None
     return build_plan(params, eps, delta, profile)

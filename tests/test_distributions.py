@@ -6,7 +6,11 @@ from pytest import approx
 
 from bitmean.channel import uniform_threshold_probability
 from bitmean.distributions import (
+    DiscreteMixture,
     FamilyParams,
+    Gaussian,
+    PointMass,
+    TwoSidedPareto,
     gaussian_abs_moment_factor,
     make_discrete,
     make_gaussian_budget_tight,
@@ -113,6 +117,41 @@ def test_pareto_rejects_non_finite_parameters(args, kwargs, name):
 def test_gaussian_rejects_non_finite_parameters(sigma, mu, name):
     with pytest.raises(ValueError, match=f"{name} must be"):
         make_gaussian_budget_tight(2.0, sigma, mu=mu)
+
+
+BIG = 10 ** 400  # an int beyond float64
+
+
+def test_pareto_rejects_ints_beyond_float64():
+    with pytest.raises(ValueError, match="mu is an int of .* beyond float64"):
+        make_two_sided_pareto(1.5, 1.0, mu=BIG)
+    with pytest.raises(ValueError, match="alpha is an int of .* beyond float64"):
+        TwoSidedPareto(1.5, 1.0, alpha=BIG)
+    assert TwoSidedPareto(2, 1, mu=2 ** 60).mu == 2.0 ** 60  # ints within range stay valid
+
+
+def test_gaussian_rejects_ints_beyond_float64():
+    with pytest.raises(ValueError, match="mu is an int of .* beyond float64"):
+        make_gaussian_budget_tight(2.0, 1.0, mu=BIG)
+    with pytest.raises(ValueError, match="sigma is an int of .* beyond float64"):
+        make_gaussian_budget_tight(2.0, BIG)
+    with pytest.raises(ValueError, match="scale is an int of .* beyond float64"):
+        Gaussian(0.0, BIG)
+
+
+def test_point_mass_rejects_an_int_beyond_float64():
+    with pytest.raises(ValueError, match="location is an int of .* beyond float64"):
+        make_point_mass(BIG)
+    with pytest.raises(ValueError, match="location is an int of .* beyond float64"):
+        PointMass(-BIG)
+
+
+def test_discrete_rejects_ints_beyond_float64():
+    with pytest.raises(ValueError, match=r"points\[1\] is an int of .* beyond float64"):
+        make_discrete([0.0, BIG], [0.5, 0.5])
+    with pytest.raises(ValueError, match=r"probs\[0\] is an int of .* beyond float64"):
+        DiscreteMixture((0.0, 1.0), (BIG, 0.5))
+    assert make_discrete([0, 2 ** 60], [1, 0]).mean() == 0.0
 
 
 def test_pareto_moment_above_alpha_is_infinite():

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from bitmean import cli, hardness, harness
@@ -106,6 +108,24 @@ def test_binomial_lower_bound_behaviour():
     assert 0.0 < lb_most < lb_all <= 1.0
     # 240/300 successes still certify >= 0.75 at 95%
     assert binomial_lower_bound(248, 300) >= 0.75
+
+
+@pytest.mark.parametrize("args, match", [
+    ((5, 3), "successes must be an int in"),
+    ((-1, 10), "successes must be an int in"),
+    ((2.5, 10), "successes must be an int in"),
+    ((True, 10), "successes must be an int in"),
+    ((3, 0), "trials must be an int >= 1"),
+    ((3, 10.0), "trials must be an int >= 1"),
+    ((3, 10, 1.5), "confidence must be in"),
+    ((3, 10, 0.0), "confidence must be in"),
+    ((3, 10, 1.0), "confidence must be in"),
+    ((3, 10, math.nan), "confidence must be in"),
+], ids=["s>n", "s<0", "s-float", "s-bool", "n=0", "n-float", "conf>1", "conf=0", "conf=1",
+        "conf-nan"])
+def test_binomial_lower_bound_refuses_bad_input(args, match):
+    with pytest.raises(ValueError, match=match):
+        binomial_lower_bound(*args)
 
 
 def test_unknown_fixture_is_config_error():
@@ -289,7 +309,11 @@ def _assert_configuration_error(argv, capsys):
 
 
 @pytest.mark.parametrize("argv", [["pac", "--trials", "0"], ["localize", "--trials", "0"],
-                                  ["pac", "--trials", "-2"], ["localize", "--method", "mediam"]])
+                                  ["pac", "--trials", "-2"], ["localize", "--method", "mediam"],
+                                  ["pac", "--trials", "2", "--eps", "inf"],
+                                  ["pac", "--trials", "2", "--eps", "nan"],
+                                  ["scaling", "--eps-list", "0.5", "inf"],
+                                  ["run", "--two-stage", "--eps", "inf"]])
 def test_cli_invalid_setting_exits_one(argv, capsys):
     _assert_configuration_error(argv, capsys)
 

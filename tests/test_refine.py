@@ -174,6 +174,25 @@ def test_build_plan_rejects_eps_at_bypass_scale():
         build_plan(FamilyParams(2.0, 64.0, 1.0), 4.0, 0.1)
 
 
+@pytest.mark.parametrize("eps", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+def test_non_finite_eps_is_refused_before_any_query(eps):
+    # inf would otherwise pass as the bypass scale eps >= 4 sigma, which refines nothing
+    params = FamilyParams(2.0, 16.0, 1.0)
+    with pytest.raises(ValueError, match="eps must be finite"):
+        refinement_plan(params, eps, 0.1)
+    with pytest.raises(ValueError, match="eps must be finite"):
+        predict_cost(params, eps, 0.1)
+    agent = Agent(make_point_mass(0.5), trial_rng(1, "eps", 0))
+    with pytest.raises(ValueError, match="eps must be finite"):
+        estimate_mean(agent, params, eps, 0.1)
+    assert agent.transcript.total == 0
+
+
+def test_eps_beyond_float64_is_refused():
+    with pytest.raises(ValueError, match="eps is an int of .* beyond float64"):
+        predict_cost(FamilyParams(2.0, 16.0, 1.0), 10 ** 400, 0.1)
+
+
 def test_regions_tile_the_clipped_range():
     plan = build_plan(FamilyParams(1.5, 64.0, 1.0), 0.25, 0.1)
     bounds = sorted(r.bounds for r in plan.regions)

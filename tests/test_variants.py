@@ -211,6 +211,19 @@ def test_two_stage_meets_target_on_acceptance_fixtures(name):
     assert wins >= 0.8 * 40
 
 
+@pytest.mark.parametrize("eps", [math.inf, math.nan], ids=["inf", "nan"])
+def test_variants_refuse_a_non_finite_eps(eps):
+    agent = Agent(make_point_mass(0.5), trial_rng(1, "eps", 0))
+    with pytest.raises(ValueError, match="eps must be finite"):
+        two_stage_estimate(agent, PARAMS, eps, 0.1)
+    assert agent.transcript.total == 0
+    with pytest.raises(ValueError, match="eps must be finite"):
+        two_stage_cost(PARAMS, eps, 0.1)
+    with pytest.raises(ValueError, match="eps must be finite"):
+        multivariate_estimate([make_point_mass(0.5)] * 2, PARAMS, eps, 0.1,
+                              trial_rng(1, "eps", 1))
+
+
 def test_multivariate_single_coordinate_reduces_to_univariate():
     params = FamilyParams(2.0, 16.0, 1.0)
     dist = make_gaussian_budget_tight(2.0, 1.0, 0.5)
