@@ -10,12 +10,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import Agent
+from .channel import Agent, _is_count
 from .distributions import Distribution, FamilyParams
 from .localization import gray_cost, gray_interval_length_bound, localize_gray, \
     localize_median, median_search_cost
 from .refine import EstimateReport, PlanSizeError, build_plan, estimate_mean, pipeline_cost, \
-    refine_from_center, refinement_plan, run_pipeline
+    predict_cost, refine_from_center, refinement_plan, run_pipeline
 
 __all__ = [
     "BudgetError",
@@ -251,15 +251,17 @@ def multivariate_estimate(coordinate_dists: list[Distribution], params: FamilyPa
     fresh vector sample and thresholds one chosen coordinate, so the total
     cost is the sum over coordinates.  ``bits_per_sample=d`` relaxes it to one
     bit per coordinate per sample; coordinate runs then share each vector
-    sample and the cost is the largest single-coordinate count.
+    sample and the cost is the largest single-coordinate count.  A refused
+    call draws nothing from ``rng``.
     """
     d = len(coordinate_dists)
     if d == 0:
         raise ValueError("need at least one coordinate")
-    if bits_per_sample not in (1, d):
-        raise ValueError(f"bits_per_sample must be 1 or d={d}, got {bits_per_sample}")
+    if not (_is_count(bits_per_sample) and bits_per_sample in (1, d)):
+        raise ValueError(f"bits_per_sample must be the int 1 or d={d}, got {bits_per_sample!r}")
     eps_j = eps / math.sqrt(d)
     delta_j = delta / d
+    predict_cost(params, eps_j, delta_j, profile)  # refuses eps and delta before any draw
     reports = []
     for dist in coordinate_dists:
         agent = Agent(dist, np.random.default_rng(rng.integers(2 ** 63)))

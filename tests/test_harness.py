@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from bitmean import cli, hardness, harness
@@ -108,6 +109,53 @@ def test_binomial_lower_bound_behaviour():
     assert 0.0 < lb_most < lb_all <= 1.0
     # 240/300 successes still certify >= 0.75 at 95%
     assert binomial_lower_bound(248, 300) >= 0.75
+
+
+@pytest.mark.parametrize("confidence", [0.5, 0.9, 0.95, 0.99])
+def test_binomial_lower_bound_closed_forms(confidence):
+    alpha = 1.0 - confidence
+    for n in (1, 2, 7, 30, 10 ** 6):
+        assert binomial_lower_bound(0, n, confidence) == 0.0
+        assert binomial_lower_bound(n, n, confidence) == alpha ** (1.0 / n)
+        assert binomial_lower_bound(1, n, confidence) == -math.expm1(math.log1p(-alpha) / n)
+
+
+def test_binomial_lower_bound_is_monotone_in_successes_and_confidence():
+    confidences = (0.05, 0.3, 0.5, 0.8, 0.9, 0.95, 0.99, 0.999)
+    for n in (*range(1, 200, 11), 200):
+        bounds = [[binomial_lower_bound(s, n, c) for s in range(n + 1)] for c in confidences]
+        for row in bounds:
+            assert all(0.0 <= lo <= hi < 1.0 for lo, hi in zip(row, row[1:])), n
+        for looser, tighter in zip(bounds, bounds[1:]):
+            assert all(t <= l for l, t in zip(looser, tighter)), n
+
+
+@pytest.mark.parametrize("trials", [10 ** 5, 10 ** 6])
+@pytest.mark.parametrize("confidence", [0.9, 0.95, 0.99])
+def test_binomial_lower_bound_matches_betaincinv_at_large_n(trials, confidence):
+    from scipy.special import betaincinv
+    for successes in (1, 2, 10, 1001, trials // 3, trials // 2, trials - 1):
+        expected = float(betaincinv(successes, trials - successes + 1, 1.0 - confidence))
+        assert binomial_lower_bound(successes, trials, confidence) == pytest.approx(
+            expected, rel=1e-10, abs=0.0), successes
+
+
+@pytest.mark.parametrize("confidence", [0.05, 0.3, 0.49])
+def test_binomial_lower_bound_below_half_confidence_matches_betaincinv(confidence):
+    # solved in 1 - x, on the tail P(Bin(n, x) < s) = confidence
+    from scipy.special import betaincinv
+    for trials in (3, 30, 999, 10 ** 4):
+        for successes in {2, trials // 3, trials // 2, trials - 1}:
+            expected = float(betaincinv(successes, trials - successes + 1, 1.0 - confidence))
+            assert binomial_lower_bound(successes, trials, confidence) == pytest.approx(
+                expected, rel=1e-10, abs=0.0), (successes, trials)
+
+
+def test_binomial_lower_bound_takes_numpy_ints():
+    for successes, trials in ((0, 5), (1, 5), (3, 5), (5, 5), (1500, 4000), (2, 10 ** 6)):
+        value = binomial_lower_bound(np.int64(successes), np.int64(trials))
+        assert type(value) is float
+        assert value == binomial_lower_bound(successes, trials)
 
 
 @pytest.mark.parametrize("args, match", [

@@ -1,6 +1,6 @@
-"""The cold start: ``import bitmean`` and the estimator on non-Gaussian
-fixtures load no scipy module; only the Gaussian oracles and the
-Clopper-Pearson bound load ``scipy.special``, and nothing loads ``scipy.stats``."""
+"""The cold start: ``import bitmean``, the estimator on non-Gaussian fixtures,
+the Clopper-Pearson bound and ``run_pac`` load no scipy module; only the
+Gaussian oracles load ``scipy.special``, and nothing loads ``scipy.stats``."""
 
 import json
 import os
@@ -39,19 +39,25 @@ nonadaptive_baseline(Agent(member, harness.trial_rng(1, "cold", 2)), 64.0, 1.0, 
 before = scipy_modules()
 
 harness.binomial_lower_bound(29, 30)
+after_bound = scipy_modules()
+harness.run_pac(harness.ExperimentConfig(fixture="pareto15", k=1.5, trials=4, seed=1))
+after_pac = scipy_modules()
 bitmean.make_gaussian_budget_tight(2.0, 1.0).cdf(0.5)
-print(json.dumps({"before": before, "after": scipy_modules()}))
+print(json.dumps({"before": before, "after_bound": after_bound, "after_pac": after_pac,
+                  "after_gaussian": scipy_modules()}))
 """
 
 
-def test_estimator_runs_without_scipy_until_a_gaussian_or_the_bound_needs_it():
+def test_only_a_gaussian_oracle_loads_scipy():
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-c", COLD_START], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
     loaded = json.loads(proc.stdout.strip().splitlines()[-1])
     assert loaded["before"] == []
-    assert "scipy.special" in loaded["after"]
-    assert not any(name.startswith("scipy.stats") for name in loaded["after"])
+    assert loaded["after_bound"] == []
+    assert loaded["after_pac"] == []
+    assert "scipy.special" in loaded["after_gaussian"]
+    assert not any(name.startswith("scipy.stats") for name in loaded["after_gaussian"])
 
 
 @pytest.mark.parametrize("confidence", [0.9, 0.95, 0.99])

@@ -224,6 +224,20 @@ def test_variants_refuse_a_non_finite_eps(eps):
                               trial_rng(1, "eps", 1))
 
 
+@pytest.mark.parametrize("eps, delta, bits_per_sample", [
+    (math.inf, 0.1, 1), (math.nan, 0.1, 1), (-0.5, 0.1, 1), (0.5, 0.0, 1), (0.5, -0.1, 1),
+    (0.5, 0.1, True), (0.5, 0.1, 1.0), (0.5, 0.1, 2.0), (0.5, 0.1, 3),
+], ids=["eps-inf", "eps-nan", "eps<0", "delta=0", "delta<0", "bits-bool", "bits-float-1",
+        "bits-float-d", "bits-3"])
+def test_multivariate_refusal_draws_nothing(eps, delta, bits_per_sample):
+    rng = np.random.default_rng(5)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError):
+        multivariate_estimate([make_point_mass(0.5)] * 2, PARAMS, eps, delta, rng,
+                              bits_per_sample=bits_per_sample)
+    assert rng.bit_generator.state == state
+
+
 def test_multivariate_single_coordinate_reduces_to_univariate():
     params = FamilyParams(2.0, 16.0, 1.0)
     dist = make_gaussian_budget_tight(2.0, 1.0, 0.5)
