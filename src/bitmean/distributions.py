@@ -96,8 +96,6 @@ class Distribution:
     object itself holds no random state.
     """
 
-    kind: str = "abstract"
-
     # -- core oracles -----------------------------------------------------
     def sample(self, rng: np.random.Generator, size: int | None = None):
         raise NotImplementedError
@@ -154,8 +152,6 @@ def _scalar_or_array(out):
 
 class DiscreteMixture(Distribution):
     """Finite support distribution with exact rational-style bookkeeping."""
-
-    kind = "discrete-mixture"
 
     def __init__(self, points, probs):
         for name, values in (("points", points), ("probs", probs)):
@@ -231,8 +227,6 @@ class DiscreteMixture(Distribution):
 
 
 class PointMass(DiscreteMixture):
-    kind = "point-mass"
-
     def __init__(self, location: float):
         _require_float64(location=location)
         if not math.isfinite(location):
@@ -248,8 +242,6 @@ class TwoSidedPareto(Distribution):
     with x_min sized so E|X - mu|**k equals sigma**k exactly:
     E|X - mu|**k = alpha * x_min**k / (alpha - k).
     """
-
-    kind = "two-sided-pareto"
 
     def __init__(self, k: float, sigma: float, mu: float = 0.0, alpha: float | None = None):
         _require_float64(k=k, sigma=sigma, mu=mu, alpha=alpha)
@@ -326,8 +318,6 @@ def _ndtr(z):
 
 
 class Gaussian(Distribution):
-    kind = "gaussian"
-
     def __init__(self, mu: float, scale: float):
         _require_float64(mu=mu, scale=scale)
         if not 0 < scale < math.inf:

@@ -96,8 +96,8 @@ class ExperimentConfig:
 
     The CLI builds it from the ``--config`` file's values overridden by the
     flags actually typed. Every value's type is checked here, and so are the
-    values of ``trials`` and ``method``; the other values are checked by the
-    runner or estimator that reads them.
+    values of ``trials``, ``seed`` and ``method``; the other values are checked
+    by the runner or estimator that reads them.
     """
 
     fixture: str = "gauss_tight"
@@ -128,6 +128,8 @@ class ExperimentConfig:
                 raise ValueError(f"{f.name} must be {kind}, got {value!r}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.method not in ("median", "gray"):
             raise ValueError(f"method must be 'median' or 'gray', got {self.method!r}")
         for name in ("budgets", "eps_list"):

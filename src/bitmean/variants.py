@@ -145,8 +145,10 @@ class ScaleAdaptResult:
 
 def scale_grid(sigma_min: float, sigma_max: float) -> list[float]:
     """Halving guesses sigma_max * 2^-i for i = 0..ceil(log2(sigma_max/sigma_min))."""
-    if not 0 < sigma_min <= sigma_max:
-        raise ValueError(f"need 0 < sigma_min <= sigma_max, got [{sigma_min}, {sigma_max}]")
+    # a finite ratio also rules out an infinite bound and a grid past float64
+    if not (0 < sigma_min <= sigma_max and math.isfinite(sigma_max / sigma_min)):
+        raise ValueError(f"need 0 < sigma_min <= sigma_max with sigma_max/sigma_min finite, "
+                         f"got [{sigma_min}, {sigma_max}]")
     top = math.ceil(math.log2(sigma_max / sigma_min) - 1e-12)
     return [sigma_max * 2.0 ** (-i) for i in range(top + 1)]
 
@@ -161,25 +163,30 @@ def unknown_scale_estimate(agent: Agent, k: float, lam: float, sigma_min: float,
     eps_i = 6 / ratio keeps every round's refinement cost flat.  Halts the
     first time a new confidence interval misses every earlier one and returns
     the previous round's estimate (the last fully consistent one); if no
-    disjointness ever occurs, the final round is returned.
+    disjointness ever occurs, the final round is returned.  Every round's
+    parameters and plan are checked before the first query.
     """
     if not 0 < ratio < 1:
         raise ValueError(f"target ratio must be in (0, 1), got {ratio}")
+    if not 0 < delta < 1:
+        raise ValueError(f"total delta must be in (0, 1), got {delta}")
     guesses = scale_grid(sigma_min, sigma_max)
     delta_i = delta / len(guesses)
+    schedule = [(FamilyParams(k=k, lam=lam, sigma=sigma_i), ratio * sigma_i / 6.0)
+                for sigma_i in guesses]
+    for params_i, eps_i in schedule:
+        predict_cost(params_i, eps_i, delta_i, profile)
 
     rounds: list[ScaleRound] = []
     intervals: list[tuple[float, float]] = []
     halted = False
     chosen = len(guesses) - 1
     total = 0
-    for i, sigma_i in enumerate(guesses):
-        params_i = FamilyParams(k=k, lam=lam, sigma=sigma_i)
-        eps_i = ratio * sigma_i / 6.0
+    for i, (params_i, eps_i) in enumerate(schedule):
         report = estimate_mean(agent, params_i, eps_i, delta_i, profile=profile)
         interval = (report.mu_hat - eps_i, report.mu_hat + eps_i)
         total += report.n_total
-        rounds.append(ScaleRound(index=i, sigma_guess=sigma_i, eps=eps_i,
+        rounds.append(ScaleRound(index=i, sigma_guess=params_i.sigma, eps=eps_i,
                                  mu_hat=report.mu_hat, interval=interval,
                                  n_used=report.n_total))
         disjoint = any(interval[0] > earlier[1] or interval[1] < earlier[0]
@@ -259,9 +266,11 @@ def multivariate_estimate(coordinate_dists: list[Distribution], params: FamilyPa
         raise ValueError("need at least one coordinate")
     if not (_is_count(bits_per_sample) and bits_per_sample in (1, d)):
         raise ValueError(f"bits_per_sample must be the int 1 or d={d}, got {bits_per_sample!r}")
+    if not 0 < delta < 1:
+        raise ValueError(f"total delta must be in (0, 1), got {delta}")
     eps_j = eps / math.sqrt(d)
     delta_j = delta / d
-    predict_cost(params, eps_j, delta_j, profile)  # refuses eps and delta before any draw
+    predict_cost(params, eps_j, delta_j, profile)  # refuses eps before any draw
     reports = []
     for dist in coordinate_dists:
         agent = Agent(dist, np.random.default_rng(rng.integers(2 ** 63)))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -361,9 +362,58 @@ def _assert_configuration_error(argv, capsys):
                                   ["pac", "--trials", "2", "--eps", "inf"],
                                   ["pac", "--trials", "2", "--eps", "nan"],
                                   ["scaling", "--eps-list", "0.5", "inf"],
-                                  ["run", "--two-stage", "--eps", "inf"]])
+                                  ["run", "--two-stage", "--eps", "inf"],
+                                  ["scale-adapt", "--sigma-max", "inf", "--trials", "1"],
+                                  ["scale-adapt", "--sigma-min", "inf", "--sigma-max", "inf",
+                                   "--trials", "1"],
+                                  ["pac", "--seed", "-1", "--trials", "1"]])
 def test_cli_invalid_setting_exits_one(argv, capsys):
     _assert_configuration_error(argv, capsys)
+
+
+# a quick successful run of each command
+_COMMAND_RUNS = {
+    "run": ["--fixture", "point_mass", "--eps", "0.5"],
+    "localize": ["--fixture", "point_mass", "--trials", "2"],
+    "pac": ["--fixture", "point_mass", "--eps", "0.5", "--trials", "2"],
+    "scaling": ["--eps-list", "0.5", "0.25"],
+    "anytime": ["--budget", "185088", "--trials", "1"],
+    "scale-adapt": ["--sigma-min", "1", "--sigma-max", "4", "--lambda", "32", "--sigma", "2",
+                    "--trials", "1"],
+    "gap": ["--lambda", "8", "--eps", "0.125", "--trials", "1"],
+    "verify": [],
+}
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_cli_flags_are_the_fields_the_command_reads(monkeypatch, capsys, command):
+    read = set()
+    names = {f.name for f in dataclasses.fields(ExperimentConfig)}
+
+    class Recording(ExperimentConfig):
+        def __post_init__(self):
+            super().__post_init__()
+            read.clear()  # the checks read every field
+
+        def __getattribute__(self, name):
+            if name in names:
+                read.add(name)
+            return super().__getattribute__(name)
+
+    monkeypatch.setattr(cli, "ExperimentConfig", Recording)
+    assert main([command, *_COMMAND_RUNS[command]]) == 0
+    subparsers = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    flags = {a.dest for a in subparsers.choices[command]._actions} - {"help", "config"}
+    assert read == flags
+
+
+@pytest.mark.parametrize("argv", [["run", "--k", "0.5"], ["verify", "--trials", "3"],
+                                  ["pac", "--k", "3"]])
+def test_cli_flag_the_command_does_not_read_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_cli_bad_config_file_exits_one(tmp_path, capsys):

@@ -128,6 +128,9 @@ def test_scale_grid_values():
     assert guesses == [16.0, 8.0, 4.0, 2.0, 1.0]
     with pytest.raises(ValueError):
         scale_grid(4.0, 2.0)
+    for bounds in [(1.0, math.inf), (math.inf, math.inf), (1e-300, 1e300), (math.nan, 1.0)]:
+        with pytest.raises(ValueError, match="sigma_min <= sigma_max"):
+            scale_grid(*bounds)
 
 
 def test_unknown_scale_round_parameters():
@@ -153,6 +156,18 @@ def test_unknown_scale_validates_ratio():
     agent = Agent(make_point_mass(0.0), trial_rng(5, "scalev", 0))
     with pytest.raises(ValueError):
         unknown_scale_estimate(agent, 2.0, 64.0, 1.0, 16.0, 1.5, 0.2)
+
+
+@pytest.mark.parametrize("sigma_min, sigma_max, delta, match", [
+    (1.0, 4.0, 1.5, "total delta"), (1.0, 4.0, 1.0, "total delta"),
+    (1e-300, 16.0, 0.2, "lam/sigma"), (1.0, math.inf, 0.2, "sigma_max"),
+    (math.inf, math.inf, 0.2, "sigma_min"),
+], ids=["delta>1", "delta=1", "tiny-sigma_min", "sigma_max-inf", "both-inf"])
+def test_unknown_scale_refuses_before_its_first_query(sigma_min, sigma_max, delta, match):
+    agent = Agent(make_point_mass(0.0), trial_rng(5, "scalev", 1))
+    with pytest.raises(ValueError, match=match):
+        unknown_scale_estimate(agent, 2.0, 64.0, sigma_min, sigma_max, 0.25, delta)
+    assert agent.transcript.total == 0
 
 
 def test_unknown_scale_rarely_halts_while_guess_is_valid():
@@ -226,9 +241,10 @@ def test_variants_refuse_a_non_finite_eps(eps):
 
 @pytest.mark.parametrize("eps, delta, bits_per_sample", [
     (math.inf, 0.1, 1), (math.nan, 0.1, 1), (-0.5, 0.1, 1), (0.5, 0.0, 1), (0.5, -0.1, 1),
+    (0.5, 1.0, 1), (0.5, 1.5, 1),
     (0.5, 0.1, True), (0.5, 0.1, 1.0), (0.5, 0.1, 2.0), (0.5, 0.1, 3),
-], ids=["eps-inf", "eps-nan", "eps<0", "delta=0", "delta<0", "bits-bool", "bits-float-1",
-        "bits-float-d", "bits-3"])
+], ids=["eps-inf", "eps-nan", "eps<0", "delta=0", "delta<0", "delta=1", "delta>1",
+        "bits-bool", "bits-float-1", "bits-float-d", "bits-3"])
 def test_multivariate_refusal_draws_nothing(eps, delta, bits_per_sample):
     rng = np.random.default_rng(5)
     state = rng.bit_generator.state
