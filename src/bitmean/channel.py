@@ -14,9 +14,20 @@ repetitions of any query through one of two paths:
   are i.i.d. Bernoulli(p)) and is what makes the million-query experiments
   tractable.  It also answers a whole ``QueryTable`` -- query j repeated
   reps[j] times per block, in K blocks -- as one Binomial draw over the
-  table's probabilities, which ``query_probabilities`` computes from the
-  table's parameter columns; a refinement round and the non-adaptive
-  baseline are each one such draw.
+  table's probabilities, which ``query_probabilities`` computes in one point
+  pass (below); a refinement round and the non-adaptive baseline are each
+  one such draw.
+
+The point pass: a table holds the locations of its rows once, as sorted
+distinct points, so ``query_probabilities`` evaluates the distribution's
+``cdf`` and ``cdf_strict`` once on them, and its partial means only when the
+table has a ``UniformThreshold`` row.  Each kind's probabilities are then a
+gather from those arrays at its rows' point indices, followed by the
+arithmetic of the kind's own oracle, so they equal that oracle's bytewise; a
+``GrayBit`` keeps its own oracle.  A shifted table moves its points and
+shares everything else.  A single threshold query takes its probability from
+the scalar oracle at its float ``gamma``, which a ``DiscreteMixture`` answers
+by bisecting a list, with no array built.
 
 The table draw is query-major: it takes the K block counts of row 0, then
 the K of row 1, and so on.  numpy's Binomial sampler keeps the setup of the
@@ -104,7 +115,8 @@ class _Threshold:
         return gamma == gamma  # +-inf stays valid
 
     def __post_init__(self):
-        _require_valid(self)
+        if not self.gamma == self.gamma:  # _valid, inline: a vote builds one per query
+            _require_valid(self)
 
 
 @dataclass(frozen=True)
@@ -231,21 +243,25 @@ class QueryTable:
     """A batch of queries fixed before any is answered: query j is repeated
     ``reps[j]`` times in every block, so one block holds ``per_block`` queries.
 
-    The table holds its rows as columns, grouped by query kind once when it
-    is built: for each kind, its rows' positions and one array per parameter.
-    ``QueryTable.from_columns`` builds it from parameter arrays, and
-    ``QueryTable(queries, reps)`` from query values, by turning them into
-    columns first; ``queries`` builds the query values only when asked, and
-    ``shifted`` translates every row at once.  Every array a table holds is
-    read-only: ``reps`` is int64 and ``per_block`` an exact Python int.
+    The table holds the locations of its rows -- every ``gamma``, ``lo``,
+    ``hi`` and Gray ``shift`` -- once, as one sorted array of distinct points
+    (0.0 and -0.0 told apart), and its rows grouped once, when it is built,
+    by kind, a uniform threshold's also by direction: for each group, its
+    rows' positions, one index array into the points per location parameter,
+    and one array per other parameter.  ``QueryTable.from_columns`` builds it
+    from parameter arrays, and ``QueryTable(queries, reps)`` from query
+    values, by turning them into columns first; ``queries`` builds the query
+    values only when asked, and ``shifted`` moves the points and shares the
+    rest.  Every array a table holds is read-only: ``reps`` is int64 and
+    ``per_block`` an exact Python int.
 
     A table also carries its part of the agent's probability memo (see the
     module docstring): its recent shifts, and its probabilities under each
     distribution that answered it.  Both die with the table.
     """
 
-    __slots__ = ("_blocks", "_reps", "_per_block", "_shifts", "_probabilities",
-                 "__weakref__")
+    __slots__ = ("_points", "_blocks", "_reps", "_per_block", "_passes", "_shifts",
+                 "_probabilities", "__weakref__")
 
     def __init__(self, queries, reps):
         queries = tuple(queries)
@@ -289,7 +305,7 @@ class QueryTable:
             for j, kind in enumerate(kinds):
                 at.setdefault(kind, []).append(j)
             groups = {kind: np.array(rows, dtype=np.intp) for kind, rows in at.items()}
-        blocks = []
+        grouped = []
         for kind, rows in groups.items():
             if kind not in _ORACLES:
                 raise ValueError(f"not a query kind: {kind!r}")
@@ -305,20 +321,43 @@ class QueryTable:
                                      f"got {column.shape}")
                 params[name] = column[rows]  # a copy the caller cannot change
             _check_block(kind, rows, params)
-            _read_only(rows, *params.values())
-            blocks.append((kind, rows, params))
-        self._blocks, self._reps = tuple(blocks), reps.astype(np.int64)
+            if kind is UniformThreshold:  # one group per direction
+                grouped += [(kind, rows[side], {name: column[side] for name, column
+                                                in params.items()})
+                            for side in (params["direction"] == "ge",
+                                         params["direction"] == "le") if side.any()]
+            else:
+                grouped.append((kind, rows, params))
+        located = [column for _, _, params in grouped for name, column in params.items()
+                   if name in _LOCATIONS]
+        points, index = _distinct(np.concatenate(located))
+        blocks, start = [], 0
+        for kind, rows, params in grouped:
+            at, values = {}, {}
+            for name, column in params.items():
+                if name in _LOCATIONS:
+                    at[name], start = index[start:start + column.size], start + column.size
+                else:
+                    values[name] = column
+            _read_only(rows, *at.values(), *values.values())
+            blocks.append((kind, rows, at, values))
+        _read_only(points)
+        self._points, self._blocks, self._reps = points, tuple(blocks), reps.astype(np.int64)
         _read_only(self._reps)
         self._per_block = sum(self._reps.tolist())  # exact: may exceed int64
+        # the oracles query_probabilities evaluates on the points
+        self._passes = (any(kind is not GrayBit for kind in groups),
+                        UniformThreshold in groups)
         self._shifts = self._probabilities = None  # the memo, made on first use
 
     def shifted(self, offset: float) -> QueryTable:
         """The same table translated by ``offset``: every location parameter
         (``gamma``, ``lo``, ``hi``, a Gray bit's ``shift``) moves by it, while
-        the kinds, ``reps`` and ``per_block`` stay.  The shifted rows are
-        checked by their kinds' rules, as ``from_columns`` checks them, so a
-        NaN offset, or one so large that an interval collapses, raises
-        ``ValueError``.
+        the kinds, ``reps`` and ``per_block`` stay.  The offset is added to
+        the points, which stay sorted, though two may round to one value.
+        Each kind's rule is checked on the moved points, as ``from_columns``
+        checks it, so a NaN offset, or one so large that an interval
+        collapses, raises ``ValueError``.
 
         The last ``SHIFT_MEMO_SIZE`` shifted tables are kept on this one, so
         shifting again by an offset equal to one of theirs, 0.0 and -0.0
@@ -329,16 +368,19 @@ class QueryTable:
         shifts = self._shifts
         if shifts is not None and (cached := shifts.get(key)) is not None:
             return cached
-        blocks = []
         with np.errstate(invalid="ignore"):  # inf - inf is NaN, which the rules reject
-            for kind, rows, params in self._blocks:
-                moved = {name: column + offset if name in _LOCATIONS else column
-                         for name, column in params.items()}
-                _check_block(kind, rows, moved)
-                _read_only(*moved.values())
-                blocks.append((kind, rows, moved))
+            points = self._points + offset
+        # While the moved points stay finite and strictly increasing, every
+        # row keeps its parameters finite, apart and in their order, and so
+        # keeps to its rule; otherwise each kind's rule decides.
+        if not (-math.inf < points[0] and points[-1] < math.inf
+                and (points[1:] > points[:-1]).all()):
+            for kind, rows, at, values in self._blocks:
+                _check_block(kind, rows, _params(kind, points, at, values))
+        _read_only(points)
         table = type(self).__new__(type(self))
-        table._blocks, table._reps, table._per_block = tuple(blocks), self._reps, self._per_block
+        table._points, table._blocks, table._reps = points, self._blocks, self._reps
+        table._per_block, table._passes = self._per_block, self._passes
         table._shifts = table._probabilities = None
         with _MEMO_LOCK:
             if self._shifts is None:
@@ -361,10 +403,31 @@ class QueryTable:
     def queries(self) -> tuple[Query, ...]:
         """The rows as query values, built anew on each access."""
         out = [None] * self._reps.size
-        for kind, rows, params in self._blocks:
-            for row, *values in zip(rows.tolist(), *(col.tolist() for col in params.values())):
-                out[row] = kind(*values)
+        for kind, rows, at, values in self._blocks:
+            params = _params(kind, self._points, at, values)
+            for row, *args in zip(rows.tolist(), *(col.tolist() for col in params.values())):
+                out[row] = kind(*args)
         return tuple(out)
+
+
+def _params(kind, points: np.ndarray, at: dict, values: dict) -> dict:
+    """A group's parameter columns, in the kind's field order, its locations
+    read from ``points``."""
+    return {name: points[at[name]] if name in at else values[name] for name in _FIELDS[kind]}
+
+
+def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values in ascending order, -0.0 before 0.0, and each
+    value's position among them."""
+    negative = np.signbit(values)
+    order = np.lexsort((~negative, values))
+    ordered, negative = values[order], negative[order]
+    new = np.empty(values.size, dtype=bool)
+    new[0] = True
+    new[1:] = (ordered[1:] != ordered[:-1]) | (negative[1:] != negative[:-1])
+    index = np.empty(values.size, dtype=np.intp)
+    index[order] = np.cumsum(new) - 1
+    return ordered[new], index
 
 
 def _check_block(kind, rows: np.ndarray, params: dict) -> None:
@@ -413,17 +476,18 @@ def _memo_probabilities(dist: Distribution, table: QueryTable) -> np.ndarray:
     return p
 
 
-def _memo_probability(dist: Distribution, q: Query) -> float:
-    """``query_probability(dist, q)``, computed once per distribution for each
-    of its last ``QUERY_MEMO_SIZE`` distinct queries."""
+def _query_memo(dist: Distribution) -> dict:
+    """The distribution's map from its last ``QUERY_MEMO_SIZE`` distinct
+    queries to ``query_probability(dist, q)``."""
     memo = _QUERY_MEMO.get(dist)
-    if memo is None:
-        memo = _QUERY_MEMO.setdefault(dist, {})
-    p = memo.get(q)
-    if p is None:
-        p = query_probability(dist, q)
-        with _MEMO_LOCK:
-            _remember(memo, q, p, QUERY_MEMO_SIZE)
+    return _QUERY_MEMO.setdefault(dist, {}) if memo is None else memo
+
+
+def _memo_miss(memo: dict, dist: Distribution, q: Query) -> float:
+    """``query_probability(dist, q)``, stored in the distribution's query memo."""
+    p = query_probability(dist, q)
+    with _MEMO_LOCK:
+        _remember(memo, q, p, QUERY_MEMO_SIZE)
     return p
 
 
@@ -459,22 +523,81 @@ def evaluate_query(q: Query, x) -> np.ndarray:
 
 def query_probabilities(dist: Distribution, table: QueryTable) -> np.ndarray:
     """Pr(bit = 1) of each row of the table under the distribution, from its
-    analytic CDF.  Each kind's oracle is evaluated once, on the parameter
-    columns of its rows."""
+    analytic CDF: the point pass of the module docstring."""
+    points = table._points
+    located, uniform = table._passes
+    on = _OnPoints(dist, points, located, uniform)
     p = np.empty(len(table))
-    for kind, rows, params in table._blocks:
-        p[rows] = _ORACLES[kind](dist, **params)
+    for kind, rows, at, values in table._blocks:
+        if kind is GrayBit:
+            p[rows] = _gray_probability(dist, values["level"], points[at["shift"]],
+                                        values["scale"])
+        elif kind is UniformThreshold:
+            p[rows] = _uniform_on_points(on, values["direction"][0], **at)
+        else:
+            p[rows] = _ON_POINTS[kind](on, **at)
     return np.minimum(np.maximum(p, 0.0), 1.0)  # guard float cancellation in tail differences
 
 
 def query_probability(dist: Distribution, q: Query) -> float:
-    """Pr(bit = 1) for one query: its kind's oracle on one-row columns."""
+    """Pr(bit = 1) for one query: a threshold's oracle at its float gamma,
+    any other kind's oracle on one-row columns."""
     oracle = _ORACLES.get(type(q))
     if oracle is None:
         raise TypeError(f"unknown query type: {type(q).__name__}")
-    p = oracle(dist, **{name: np.array([value], dtype=_COLUMN_TYPES[name])
-                        for name, value in vars(q).items()})
-    return min(max(float(p[0]), 0.0), 1.0)  # as query_probabilities clamps
+    if isinstance(q, _Threshold):
+        p = oracle(dist, q.gamma)
+    else:
+        p = oracle(dist, **{name: np.array([value], dtype=_COLUMN_TYPES[name])
+                            for name, value in vars(q).items()})[0]
+    return min(max(float(p), 0.0), 1.0)  # as query_probabilities clamps
+
+
+class _OnPoints:
+    """A distribution's oracles evaluated once on a table's points: the CDFs
+    if any row is located by them, the partial means too if any row is a
+    uniform threshold."""
+
+    __slots__ = ("points", "cdf", "cdf_strict", "mean", "mean_strict")
+
+    def __init__(self, dist: Distribution, points: np.ndarray, located: bool, uniform: bool):
+        self.points = points
+        if located:
+            self.cdf, self.cdf_strict = dist.cdf(points), dist.cdf_strict(points)
+        if uniform:
+            self.mean = dist.partial_mean(points)
+            self.mean_strict = dist.partial_mean_strict(points)
+
+
+def _interval_on_points(on: _OnPoints, lo, hi) -> np.ndarray:
+    # prob_interval's arithmetic: infinite ends are exact.  The points are
+    # sorted, so -inf can only be the first and inf only the last.
+    upper, lower = on.cdf, on.cdf_strict
+    if on.points[-1] == math.inf:
+        upper = upper.copy()
+        upper[-1] = 1.0
+    if on.points[0] == -math.inf:
+        lower = lower.copy()
+        lower[0] = 0.0
+    return upper[hi] - lower[lo]
+
+
+def _uniform_on_points(on: _OnPoints, direction: str, lo, hi) -> np.ndarray:
+    # 'ge' reads the strict oracles, as uniform_threshold_probability does
+    cdf, mean = (on.cdf_strict, on.mean_strict) if direction == "ge" else (on.cdf, on.mean)
+    return _uniform_from_ends(direction, on.points[lo], on.points[hi], cdf[lo], cdf[hi],
+                              mean[lo], mean[hi])
+
+
+# The oracles of _ORACLES for thresholds and intervals, read off the oracles
+# on a table's points at its rows' point indices.
+_ON_POINTS = {
+    ThresholdGE: lambda on, gamma: 1.0 - on.cdf_strict[gamma],
+    ThresholdGT: lambda on, gamma: 1.0 - on.cdf[gamma],
+    ThresholdLE: lambda on, gamma: on.cdf[gamma],
+    ThresholdLT: lambda on, gamma: on.cdf_strict[gamma],
+    Interval: _interval_on_points,
+}
 
 
 def _gray_probability(dist: Distribution, level, shift, scale) -> np.ndarray:
@@ -502,7 +625,9 @@ def _uniform_probability(dist: Distribution, direction, lo, hi) -> np.ndarray:
     return p
 
 
-# Each kind's oracle takes its parameters as equal-length columns.
+# Each kind's oracle takes its parameters as equal-length columns, and a
+# threshold's also takes a float.  query_probability calls them; the point
+# pass of query_probabilities gives the values they give.
 _ORACLES = {
     ThresholdGE: lambda dist, gamma: 1.0 - dist.cdf_strict(gamma),
     ThresholdGT: lambda dist, gamma: 1.0 - dist.cdf(gamma),
@@ -534,20 +659,26 @@ def uniform_threshold_probability(dist: Distribution, direction: str, lo, hi):
     hi = np.asarray(hi, dtype=float)
     if not np.all(np.isfinite(lo) & np.isfinite(hi) & (hi > lo)):
         raise ValueError(f"uniform threshold needs finite lo < hi, got [{lo}, {hi}]")
-    span = hi - lo
     ends = np.stack([lo, hi])
     if direction == "ge":
         cdf_lo, cdf_hi = dist.cdf_strict(ends)
         mean_lo, mean_hi = dist.partial_mean_strict(ends)
-        p = 1.0 - cdf_hi + (mean_hi - mean_lo - lo * (cdf_hi - cdf_lo)) / span
     elif direction == "le":
         cdf_lo, cdf_hi = dist.cdf(ends)
         mean_lo, mean_hi = dist.partial_mean(ends)
-        p = cdf_lo + (hi * (cdf_hi - cdf_lo) - (mean_hi - mean_lo)) / span
     else:
         raise ValueError(f"direction must be 'ge' or 'le', got {direction!r}")
-    p = np.clip(p, 0.0, 1.0)  # guard float cancellation in tail differences
+    p = np.clip(_uniform_from_ends(direction, lo, hi, cdf_lo, cdf_hi, mean_lo, mean_hi),
+                0.0, 1.0)  # guard float cancellation in tail differences
     return float(p) if p.ndim == 0 else p
+
+
+def _uniform_from_ends(direction: str, lo, hi, cdf_lo, cdf_hi, mean_lo, mean_hi):
+    """A uniform threshold's Pr(bit = 1) from its ends and the CDF and partial
+    mean at them: the strict oracles for 'ge', the others for 'le'."""
+    if direction == "ge":
+        return 1.0 - cdf_hi + (mean_hi - mean_lo - lo * (cdf_hi - cdf_lo)) / (hi - lo)
+    return cdf_lo + (hi * (cdf_hi - cdf_lo) - (mean_hi - mean_lo)) / (hi - lo)
 
 
 class Transcript:
@@ -585,12 +716,14 @@ class Agent:
     The agent keeps no sample and no answer from one query to the next.  What
     it does keep is oracle probabilities: ``respond_count`` takes each p from
     the module's memo, shared with every other agent on the same distribution,
-    and computes it only on a miss.  ``transcript`` counts every query
+    and computes it only on a miss; the agent binds its distribution's
+    single-query memo when it is built.  ``transcript`` counts every query
     ``respond_count`` answers.
     """
 
     def __init__(self, distribution: Distribution, rng: np.random.Generator):
         self._distribution = distribution
+        self._memo = _query_memo(distribution)
         self._rng = rng
         self.transcript = Transcript()
 
@@ -626,6 +759,11 @@ class Agent:
         to its kind's oracle, with no table built.  The n queries are recorded
         in ``transcript`` once they are answered.
         """
+        if groups is None and type(n) is int and 0 < n <= INT64_MAX \
+                and not isinstance(q, QueryTable):  # a single vote
+            count = int(self._counts(q, n, None))
+            self.transcript.record_batch(n)
+            return count
         table = isinstance(q, QueryTable)
         reps = _table_reps(q, n, groups) if table else _query_reps(n, groups)
         counts = self._counts(q, reps, groups)
@@ -643,7 +781,10 @@ class Agent:
                 return self._rng.binomial(reps, p)
             # query-major: row j's K variates share the sampler's setup
             return self._rng.binomial(reps[:, None], p[:, None], size=(len(q), groups)).T
-        return self._rng.binomial(reps, _memo_probability(self._distribution, q), size=groups)
+        p = self._memo.get(q)
+        if p is None:
+            p = _memo_miss(self._memo, self._distribution, q)
+        return self._rng.binomial(reps, p, size=groups)
 
     def respond_count_uniform_threshold(self, direction: str, lo: float,
                                         hi: float, n: int) -> int:

@@ -9,6 +9,8 @@ so Monte Carlo checks can be run *against* these oracles.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -145,51 +147,67 @@ class Distribution:
         return total - (inner_mean - center * inner_prob)
 
 
+def _float_list(values) -> list[float] | None:
+    """``values`` as a list of floats, or None if they are not one-dimensional.
+    A list or tuple of Python numbers is converted without numpy; anything
+    else as ``np.asarray(values, dtype=float)`` converts it."""
+    if isinstance(values, (list, tuple)) and all(isinstance(v, (float, int)) for v in values):
+        return [float(v) for v in values]
+    array = np.asarray(values, dtype=float)
+    return array.tolist() if array.ndim == 1 else None
+
+
 def _scalar_or_array(out):
     """A float for a 0-d result, so scalar calls keep returning floats."""
     return float(out) if np.ndim(out) == 0 else out
 
 
 class DiscreteMixture(Distribution):
-    """Finite support distribution with exact rational-style bookkeeping."""
+    """Finite support distribution with exact rational-style bookkeeping.
+
+    ``cdf`` and ``cdf_strict`` answer a float that is not NaN by bisecting a
+    list of the atoms, with no array built; any other argument, and every
+    other oracle, goes through numpy.  Both give the same cumulative sums.
+    """
 
     def __init__(self, points, probs):
         for name, values in (("points", points), ("probs", probs)):
             if isinstance(values, (list, tuple)):  # a numeric ndarray holds no int beyond float64
                 _require_float64(**{f"{name}[{i}]": v for i, v in enumerate(values)})
-        points = np.asarray(points, dtype=float)
-        probs = np.asarray(probs, dtype=float)
-        if points.ndim != 1 or probs.ndim != 1:
+        xs, ps = _float_list(points), _float_list(probs)
+        if xs is None or ps is None:
             raise ValueError("points and probs must be one-dimensional")
-        if points.size != probs.size:
-            raise ValueError(
-                f"length mismatch: {points.size} points vs {probs.size} probabilities"
-            )
-        if points.size == 0:
+        if len(xs) != len(ps):
+            raise ValueError(f"length mismatch: {len(xs)} points vs {len(ps)} probabilities")
+        if not xs:
             raise ValueError("support must be non-empty")
-        if not np.isfinite(points).all():
-            raise ValueError(f"points must be finite, got {points}")
-        if not np.isfinite(probs).all():  # a NaN passes both checks below
-            raise ValueError(f"probabilities must be finite, got {probs}")
-        if np.any(probs < 0):
+        if not all(map(math.isfinite, xs)):
+            raise ValueError(f"points must be finite, got {np.array(xs)}")
+        if not all(map(math.isfinite, ps)):  # a NaN passes both checks below
+            raise ValueError(f"probabilities must be finite, got {np.array(ps)}")
+        if any(p < 0 for p in ps):
             raise ValueError("probabilities must be nonnegative")
-        total = math.fsum(probs.tolist())
+        total = math.fsum(ps)
         if abs(total - 1.0) > PROB_TOL:
             raise ValueError(f"probabilities sum to {total!r}, not 1 within {PROB_TOL}")
-        order = np.argsort(points, kind="stable")
         merged_x: list[float] = []
         merged_p: list[float] = []
-        for x, p in zip(points[order], probs[order]):
-            if merged_x and x == merged_x[-1]:
-                merged_p[-1] += p
+        for i in sorted(range(len(xs)), key=xs.__getitem__):  # a stable sort
+            if merged_x and xs[i] == merged_x[-1]:
+                merged_p[-1] += ps[i]
             else:
-                merged_x.append(float(x))
-                merged_p.append(float(p))
+                merged_x.append(xs[i])
+                merged_p.append(ps[i])
+        # zero-prefixed running sums, added left to right from the first atom
+        # as np.cumsum adds: entry i sums the first i atoms, so a searchsorted
+        # index reads it
+        self._xs = merged_x
+        self._cums = [0.0, *itertools.accumulate(merged_p)]
         self._x = np.array(merged_x)
         self._p = np.array(merged_p)
-        # zero-prefixed: entry i sums the first i atoms, so a searchsorted index reads it
-        self._cum = np.concatenate(([0.0], np.cumsum(self._p)))
-        self._cum_xp = np.concatenate(([0.0], np.cumsum(self._x * self._p)))
+        self._cum = np.array(self._cums)
+        self._cum_xp = np.array([0.0, *itertools.accumulate(
+            x * p for x, p in zip(merged_x, merged_p))])
         self._mean = math.fsum(x * p for x, p in zip(merged_x, merged_p))
         for arr in (self._x, self._p, self._cum, self._cum_xp):
             arr.setflags(write=False)
@@ -207,9 +225,13 @@ class DiscreteMixture(Distribution):
         return self._x[idx]
 
     def cdf(self, x):
+        if isinstance(x, float) and x == x:
+            return self._cums[bisect.bisect_right(self._xs, x)]
         return _scalar_or_array(self._cum[np.searchsorted(self._x, x, side="right")])
 
     def cdf_strict(self, x):
+        if isinstance(x, float) and x == x:
+            return self._cums[bisect.bisect_left(self._xs, x)]
         return _scalar_or_array(self._cum[np.searchsorted(self._x, x, side="left")])
 
     def mean(self):
@@ -268,7 +290,9 @@ class TwoSidedPareto(Distribution):
         return self.mu + side * magnitude
 
     def _tail_ratio(self, x):
-        # (x - mu, x_min / max(|x - mu|, x_min)): inside the gap the ratio is 1
+        # (x - mu, x_min / max(|x - mu|, x_min)): inside the gap the ratio is 1.
+        # Its powers are taken by np.power, which a float meets through the
+        # same loop as an array, where ** on a numpy float calls libm's pow.
         d = np.asarray(x, dtype=float) - self.mu
         return d, self.x_min / np.maximum(np.abs(d), self.x_min)
 
@@ -276,7 +300,7 @@ class TwoSidedPareto(Distribution):
         # Pr(|X - mu| >= y) = r^alpha with r = x_min / y, half on each side;
         # both sides give 1/2 inside the gap |x - mu| < x_min.
         d, r = self._tail_ratio(x)
-        half_tail = 0.5 * r ** self.alpha
+        half_tail = 0.5 * np.power(r, self.alpha)
         return _scalar_or_array(np.where(d >= 0, 1.0 - half_tail, half_tail))
 
     def cdf_strict(self, x):
@@ -296,8 +320,9 @@ class TwoSidedPareto(Distribution):
         # (alpha x_min / (alpha - 1)) r^(alpha - 1) / 2; the left side sums
         # mu - magnitude over X <= x, the right side subtracts X > x from mu.
         d, r = self._tail_ratio(x)
-        mass = 0.5 * r ** self.alpha
-        magnitude = 0.5 * self.alpha * self.x_min / (self.alpha - 1.0) * r ** (self.alpha - 1.0)
+        mass = 0.5 * np.power(r, self.alpha)
+        magnitude = 0.5 * self.alpha * self.x_min / (self.alpha - 1.0) \
+            * np.power(r, self.alpha - 1.0)
         return _scalar_or_array(np.where(d >= 0, self.mu - (self.mu * mass + magnitude),
                                          self.mu * mass - magnitude))
 

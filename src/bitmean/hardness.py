@@ -37,11 +37,10 @@ __all__ = [
     "nonadaptive_baseline",
 ]
 
-# The widest pair grid built: lam/sigma up to 2^22, so 2^22 - 1 pairs.  On a
-# 2-core x86-64 host that grid took 0.2 s to build, holds 128 MiB and raised
-# the process's peak RSS by 193 MiB; all three grow linearly in lam/sigma, and
-# at 2^40 the grid alone asked numpy for 8 TiB.  Fixtures and the adaptive
-# estimators use one member of the grid, so this is the grid's own cost.
+# The widest pair grid built: lam/sigma up to 2^22, so 2^22 - 1 pairs.  The
+# cap was the grid's own cost while it stored its centers (128 MiB at 2^22);
+# a grid now computes each center from its pair index and holds no array, so
+# the cap stays only until the pair grid is checked beyond it.
 MAX_PAIR_GRID_LAM_OVER_SIGMA = 2 ** 22
 # The widest baseline plan built: lam/sigma up to 2^20.  On the same host that
 # plan holds 96 MiB and one baseline call peaked at 285 MiB RSS.
@@ -56,7 +55,10 @@ class PairGrid:
     sigma: float
     eps: float
     n_pairs: int
-    centers: tuple[float, ...]
+
+    def center(self, pair_index: int) -> float:
+        """c_j = -lam + 2 j sigma, the center of pair j."""
+        return -self.lam + 2.0 * pair_index * self.sigma
 
     def member(self, pair_index: int, sign: int) -> DiscreteMixture:
         """The instance at the given center whose mean is center + sign * eps.
@@ -69,7 +71,7 @@ class PairGrid:
                              f"got {pair_index!r}")
         if not (_is_count(sign) and sign in (1, -1)):
             raise ValueError(f"sign must be the int +1 or -1, got {sign!r}")
-        c = self.centers[pair_index - 1]
+        c = self.center(pair_index)
         upper_mass = 0.5 + sign * self.eps / self.sigma
         return make_discrete(
             [c - self.sigma / 2.0, c + self.sigma / 2.0],
@@ -103,10 +105,7 @@ def make_pair_grid(lam: float, sigma: float, eps: float) -> PairGrid:
         raise ValueError(f"lam/sigma = {lam / sigma:g} exceeds the pair grid's cap of "
                          f"{MAX_PAIR_GRID_LAM_OVER_SIGMA}")
     n_pairs = math.ceil(cells) - 1
-    lam_grid = sigma * (n_pairs + 1)
-    centers = tuple((-lam_grid + 2.0 * np.arange(1, n_pairs + 1) * sigma).tolist())
-    return PairGrid(lam=lam_grid, sigma=sigma, eps=eps, n_pairs=n_pairs,
-                    centers=centers)
+    return PairGrid(lam=sigma * (n_pairs + 1), sigma=sigma, eps=eps, n_pairs=n_pairs)
 
 
 @dataclass(frozen=True)
@@ -289,7 +288,7 @@ def _cached_baseline_plan(lam: float, sigma: float, eps: float, budget: int) -> 
         raise ValueError(f"budget {budget} below the 2N = {slots} queries needed")
     if per_slot > INT64_MAX:
         raise ValueError(f"budget {budget} puts {per_slot} queries in one slot, beyond int64")
-    c = np.array(grid.centers)
+    c = -grid.lam + 2.0 * np.arange(1, grid.n_pairs + 1) * grid.sigma  # every PairGrid.center
     table = QueryTable.from_columns(Interval, np.full(slots, per_slot),
                                     lo=np.column_stack([c - grid.sigma, c]).ravel(),
                                     hi=np.repeat(c + grid.sigma, 2))
@@ -332,7 +331,7 @@ def nonadaptive_baseline(agent: Agent, lam: float, sigma: float, eps: float,
     j_hat = int(np.argmax(presence)) + 1
     sign = 1 if sign_frac[j_hat - 1] >= 0.5 else -1
     return BaselineEstimate(
-        mu_hat=plan.grid.centers[j_hat - 1] + sign * eps,
+        mu_hat=plan.grid.center(j_hat) + sign * eps,
         pair_index=j_hat,
         sign=sign,
         samples_used=table.per_block,

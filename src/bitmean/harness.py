@@ -13,6 +13,7 @@ import csv
 import functools
 import io
 import math
+import os
 import sys
 import zlib
 from concurrent.futures import ThreadPoolExecutor
@@ -96,8 +97,10 @@ class ExperimentConfig:
 
     The CLI builds it from the ``--config`` file's values overridden by the
     flags actually typed. Every value's type is checked here, and so are the
-    values of ``trials``, ``seed`` and ``method``; the other values are checked
-    by the runner or estimator that reads them.
+    values of ``trials``, ``seed``, ``method`` and ``threads``, and that
+    ``out`` names a file in an existing directory, so no sweep runs before
+    its CSV is found to have nowhere to go; the other values are checked by
+    the runner or estimator that reads them.
     """
 
     fixture: str = "gauss_tight"
@@ -132,6 +135,11 @@ class ExperimentConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.method not in ("median", "gray"):
             raise ValueError(f"method must be 'median' or 'gray', got {self.method!r}")
+        if self.threads < 1:
+            raise ValueError(f"threads must be >= 1, got {self.threads}")
+        if self.out is not None and (os.path.isdir(self.out)
+                                     or not os.path.isdir(os.path.dirname(self.out) or ".")):
+            raise ValueError(f"out must name a file in an existing directory, got {self.out!r}")
         for name in ("budgets", "eps_list"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
 
@@ -571,8 +579,8 @@ def run_verify(sigma: float = 1.0, lam: float = 16.0,
     grid = make_pair_grid(lam, sigma, sigma / 10.0)
     mid = (grid.n_pairs + 1) // 2
     for label, dist, center in [
-        ("pair_mid", grid.member(mid, 1), grid.centers[mid - 1]),
-        ("pair_mid_off", grid.member(mid, 1), grid.centers[mid - 1] - sigma / 2.0),
+        ("pair_mid", grid.member(mid, 1), grid.center(mid)),
+        ("pair_mid_off", grid.member(mid, 1), grid.center(mid) - sigma / 2.0),
         ("three_point", make_discrete([-1.8 * sigma, 0.0, 1.8 * sigma],
                                       [0.25, 0.5, 0.25]), 0.0),
         # atoms on the shared cell endpoints +-2 sigma and +-4 sigma

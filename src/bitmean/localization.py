@@ -16,6 +16,7 @@ Two routes:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -102,6 +103,34 @@ def median_search_cost(params: FamilyParams, delta: float) -> int:
     return 2 * levels * median_votes_per_level(params, delta)
 
 
+def _lower_search_keeps_lower_half(frac: float) -> bool:
+    """The lower search's decision on a vote's fraction of 1-bits."""
+    return frac >= (LOWER_BAND[0] + LOWER_BAND[1]) / 2
+
+
+def _upper_search_keeps_lower_half(frac: float) -> bool:
+    """The upper search's decision, mirrored."""
+    return frac > (UPPER_BAND[0] + UPPER_BAND[1]) / 2
+
+
+@functools.lru_cache(maxsize=64)
+def _vote_cutoff(votes: int, keeps_lower_half: Callable[[float], bool]) -> int:
+    """The least count c in 0..votes with ``keeps_lower_half(c / votes)``, or
+    votes + 1 if there is none.
+
+    c / votes never falls as c grows, and the decision is a threshold on it,
+    so ``keeps_lower_half(count / votes)`` holds exactly when count >= c.
+    """
+    lo, hi = 0, votes + 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if keeps_lower_half(mid / votes):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
 def localize_median(agent: Agent, params: FamilyParams, delta: float) -> LocalizationResult:
     """Adaptive localization: returns [L - sigma, U + sigma] containing the mean
     with probability >= 1 - delta/2, of length at most 8 sigma on that event.
@@ -122,11 +151,13 @@ def localize_median(agent: Agent, params: FamilyParams, delta: float) -> Localiz
         return left_edge + i * sigma
 
     def search(keeps_lower_half: Callable[[float], bool]) -> tuple[int, int]:
-        # halve [lo, hi] levels times; each midpoint's CDF vote picks the half
+        # halve [lo, hi] levels times; each midpoint's CDF vote picks the half,
+        # the lower one when its count of 1-bits reaches the cut-off
+        cutoff = _vote_cutoff(votes, keeps_lower_half)
         lo, hi = 0, n_steps
         for _ in range(levels):
             mid = (lo + hi) // 2
-            if keeps_lower_half(agent.respond_count(ThresholdLE(grid(mid)), votes) / votes):
+            if agent.respond_count(ThresholdLE(grid(mid)), votes) >= cutoff:
                 hi = mid
             else:
                 lo = mid
@@ -135,9 +166,9 @@ def localize_median(agent: Agent, params: FamilyParams, delta: float) -> Localiz
     # Lower search: keep lo with claim F(lo) < 0.5 and hi with claim F(hi) > 0.44.
     # Off-grid virtual endpoints need no certificate: the family mean bound
     # already covers them.
-    lower = grid(search(lambda frac: frac >= (LOWER_BAND[0] + LOWER_BAND[1]) / 2)[0])
+    lower = grid(search(_lower_search_keeps_lower_half)[0])
     # Upper search, mirrored: lo claims F < 0.56, hi claims F > 0.5.
-    upper = grid(search(lambda frac: frac > (UPPER_BAND[0] + UPPER_BAND[1]) / 2)[1])
+    upper = grid(search(_upper_search_keeps_lower_half)[1])
 
     low = min(lower - sigma, upper + sigma)
     high = max(lower - sigma, upper + sigma)

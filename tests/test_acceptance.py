@@ -56,7 +56,7 @@ def test_criterion_01_family_membership():
 def _decomposition_cases():
     grid = make_pair_grid(LAM, SIGMA, SIGMA / 10)
     mid = (grid.n_pairs + 1) // 2
-    c_mid = grid.centers[mid - 1]
+    c_mid = grid.center(mid)
     return [
         ("pair_plus", grid.member(mid, 1), c_mid),
         ("pair_plus_halfgrid", grid.member(mid, 1), c_mid - SIGMA / 2),

@@ -575,3 +575,89 @@ def test_shifted_tells_zero_from_negative_zero(first):
     # -0.0 + 0.0 is 0.0 and -0.0 + -0.0 is -0.0
     for shifted, offset in ((a, first), (b, second)):
         assert math.copysign(1.0, shifted.queries[0].gamma) == math.copysign(1.0, offset)
+
+
+# -- the point pass --------------------------------------------------------------
+
+POINT_PASS_DISTS = [
+    make_discrete([-1.0, 0.2, 0.7, 2.0, 3.0], [0.1, 0.3, 0.25, 0.15, 0.2]),
+    make_point_mass(0.7),
+    make_two_sided_pareto(1.5, 1.0, mu=0.3, alpha=1.9),
+    make_gaussian_budget_tight(2.0, 1.0, mu=0.77),
+]
+POINT_PASS_IDS = ["discrete", "point-mass", "pareto", "gaussian"]
+INFINITE_ENDS_TABLE = QueryTable(
+    (Interval(-math.inf, 0.2), Interval(0.7, math.inf), Interval(-math.inf, math.inf),
+     Interval(-math.inf, -math.inf), Interval(math.inf, math.inf), ThresholdLE(math.inf),
+     ThresholdGE(-math.inf), ThresholdGT(math.inf), Interval(0.2, 0.2), Interval(-1.0, 3.0),
+     UniformThreshold("le", -1.0, 3.0), ThresholdLT(0.2)),
+    (1,) * 12)
+
+
+def _point_pass_tables():
+    refinement = build_plan(FamilyParams(1.5, 16.0, 1.0), 1 / 16, 0.1).table
+    return [ALL_KINDS_TABLE, MIXED_TABLE, INFINITE_ENDS_TABLE, ALL_KINDS_TABLE.shifted(0.3),
+            INFINITE_ENDS_TABLE.shifted(-0.25), refinement, refinement.shifted(0.7),
+            refinement.shifted(-2.5), baseline_plan(64.0, 1.0, 0.125, 20000).table]
+
+
+def _per_kind_probabilities(dist, table):
+    # each kind's column oracle on its rows' columns, clamped: the pass the
+    # point pass replaces
+    queries = table.queries
+    p = np.empty(len(queries))
+    for kind in {type(q) for q in queries}:
+        rows = [j for j, q in enumerate(queries) if type(q) is kind]
+        columns = {name: np.array([getattr(queries[j], name) for j in rows],
+                                  dtype=channel._COLUMN_TYPES[name])
+                   for name in channel._FIELDS[kind]}
+        p[rows] = channel._ORACLES[kind](dist, **columns)
+    return np.minimum(np.maximum(p, 0.0), 1.0)
+
+
+@pytest.mark.parametrize("d", POINT_PASS_DISTS, ids=POINT_PASS_IDS)
+def test_point_pass_equals_per_kind_oracles_bytewise(d):
+    for table in _point_pass_tables():
+        assert query_probabilities(d, table).tobytes() == \
+            _per_kind_probabilities(d, table).tobytes()
+
+
+@pytest.mark.parametrize("d", POINT_PASS_DISTS, ids=POINT_PASS_IDS)
+def test_single_query_probability_equals_its_one_row_table(d):
+    for table in (ALL_KINDS_TABLE, INFINITE_ENDS_TABLE, ALL_KINDS_TABLE.shifted(-1.1)):
+        for q in table.queries:
+            assert query_probability(d, q) == query_probabilities(d, QueryTable([q], [1]))[0]
+    for gamma in np.linspace(-3.0, 3.0, 97).tolist() + [0.2, 0.7, -1.0]:
+        for kind in (ThresholdGE, ThresholdGT, ThresholdLE, ThresholdLT):
+            q = kind(gamma)
+            assert query_probability(d, q) == query_probabilities(d, QueryTable([q], [1]))[0]
+
+
+def test_table_points_are_sorted_distinct_and_keep_signed_zeros():
+    queries = (ThresholdGE(0.0), ThresholdLE(-0.0), Interval(-0.0, 1.0), Interval(0.0, 1.0),
+               UniformThreshold("ge", -0.0, 1.0), ThresholdGT(1.0), GrayBit(1, 1.0, 2.0))
+    table = QueryTable(queries, (1,) * len(queries))
+    assert table._points.tolist() == [-0.0, 0.0, 1.0]
+    assert [math.copysign(1.0, x) for x in table._points.tolist()] == [-1.0, 1.0, 1.0]
+    assert table.queries == queries
+    signs = [math.copysign(1.0, q.gamma if hasattr(q, "gamma") else q.lo)
+             for q in table.queries[:5]]
+    assert signs == [1.0, -1.0, -1.0, 1.0, -1.0]
+
+
+@pytest.mark.parametrize("offset,rule", [
+    (math.nan, "threshold query needs a gamma that is not NaN"),
+    (math.inf, "uniform threshold needs"),
+    (-math.inf, "uniform threshold needs"),
+    (2.0 ** 60, "uniform threshold needs"),  # 0.125 + c == 0.25 + c
+    (1.7e308, "uniform threshold needs"),  # the largest point overflows
+], ids=["nan", "inf", "-inf", "collapsing", "overflowing"])
+def test_shifting_a_finite_table_rejects_what_from_columns_rejects(offset, rule):
+    # every point finite and distinct: the rules are read only once a moved
+    # point is not
+    table = QueryTable((ThresholdGE(0.125), UniformThreshold("le", 0.125, 0.25),
+                        ThresholdLT(1e300)), (1, 2, 3))
+    with pytest.raises(ValueError, match=f"^{rule}.*, got row"):
+        table.shifted(offset)
+    assert table.shifted(2.0).queries == (ThresholdGE(2.125), UniformThreshold("le", 2.125, 2.25),
+                                          ThresholdLT(1e300))

@@ -355,3 +355,63 @@ def test_prob_interval_rejects_nan_endpoints(dist):
         with pytest.raises(ValueError, match="NaN"):
             dist.prob_interval(lo, hi)
     assert dist.prob_interval(-math.inf, math.inf) == 1.0
+
+
+@pytest.mark.parametrize("name", sorted(acceptance_matrix()))
+def test_scalar_cdf_equals_array_cdf_bytewise(name):
+    # a float is answered by the scalar path (a bisect on a discrete fixture),
+    # an array by numpy; between atoms, at +-inf and at NaN as well
+    fx = acceptance_matrix()[name]
+    xs = np.unique(_oracle_inputs(fx))
+    xs = np.concatenate([xs, (xs[1:-2] + xs[2:-1]) / 2, [math.nan, -0.0, 0.0]])
+    for oracle in (fx.dist.cdf, fx.dist.cdf_strict):
+        scalars = [oracle(x) for x in xs.tolist()]
+        assert all(type(value) is float for value in scalars)
+        assert np.array(scalars).tobytes() == oracle(xs).tobytes()
+
+
+def _merged_by_numpy(points, probs):
+    # the merge as numpy arrays make it: a stable argsort, then running sums
+    points, probs = np.asarray(points, dtype=float), np.asarray(probs, dtype=float)
+    order = np.argsort(points, kind="stable")
+    xs, ps = [], []
+    for x, p in zip(points[order], probs[order]):
+        if xs and x == xs[-1]:
+            ps[-1] += p
+        else:
+            xs.append(float(x))
+            ps.append(float(p))
+    xs, ps = np.array(xs), np.array(ps)
+    return (xs, ps, np.concatenate(([0.0], np.cumsum(ps))),
+            np.concatenate(([0.0], np.cumsum(xs * ps))))
+
+
+def test_discrete_merges_atoms_as_numpy_does():
+    rng = np.random.default_rng(8)
+    for size in (1, 2, 3, 7, 40):
+        for _ in range(20):
+            points = rng.integers(-4, 4, size) * 0.375
+            points[rng.random(size) < 0.2] = -0.0
+            probs = rng.dirichlet(np.ones(size))
+            expected = _merged_by_numpy(points, probs)
+            for d in (DiscreteMixture(points.tolist(), probs.tolist()),
+                      DiscreteMixture(tuple(points.tolist()), probs),
+                      DiscreteMixture(points, probs)):
+                got = (d.points, d.probs, d._cum, d._cum_xp)
+                assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
+                assert d.mean() == math.fsum((expected[0] * expected[1]).tolist())
+
+
+@pytest.mark.parametrize("points, probs, message", [
+    ([[0.0, 1.0]], [1.0], "one-dimensional"),
+    (np.zeros((2, 1)), [0.5, 0.5], "one-dimensional"),
+    (0.0, [1.0], "one-dimensional"),
+    ([0.0], 1.0, "one-dimensional"),
+    ([], [], "non-empty"),
+    ([0.0, 1.0], [1.0], "length mismatch: 2 points vs 1 probabilities"),
+    ([0.0, np.nan], [0.5, 0.5], r"points must be finite, got \[ 0. nan\]"),
+    ([0.0, 1.0], [np.inf, 0.5], r"probabilities must be finite, got \[inf 0.5\]"),
+])
+def test_discrete_checks_keep_their_messages(points, probs, message):
+    with pytest.raises(ValueError, match=message):
+        DiscreteMixture(points, probs)

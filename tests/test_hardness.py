@@ -24,7 +24,7 @@ from bitmean.harness import trial_rng
 def test_pair_grid_geometry():
     grid = make_pair_grid(4.0, 1.0, 0.1)
     assert grid.n_pairs == 3
-    assert grid.centers == (-2.0, 0.0, 2.0)
+    assert [grid.center(j) for j in (1, 2, 3)] == [-2.0, 0.0, 2.0]
 
 
 def test_pair_grid_member_masses_and_mean():
@@ -207,7 +207,11 @@ def test_baseline_consistent_with_large_budget():
 @pytest.mark.parametrize("lam", [4.0, 77.3, 1000.5, 2.0 ** 10, 2.0 ** 16])
 def test_pair_grid_centers_equal_per_pair_loop(lam, sigma):
     grid = make_pair_grid(lam, sigma, 0.1)
-    assert grid.centers == tuple(-grid.lam + 2.0 * j * sigma for j in range(1, grid.n_pairs + 1))
+    centers = [-grid.lam + 2.0 * j * sigma for j in range(1, grid.n_pairs + 1)]
+    assert [grid.center(j) for j in range(1, grid.n_pairs + 1)] == centers
+    # the baseline's columns, built from np.arange, hold the same centers
+    signs = baseline_plan(lam, sigma, 0.1, 2 * grid.n_pairs).table.queries[1::2]
+    assert [q.lo for q in signs] == centers
 
 
 @pytest.mark.parametrize("lam, sigma, eps, per_slot", [
@@ -215,7 +219,8 @@ def test_pair_grid_centers_equal_per_pair_loop(lam, sigma):
 def test_baseline_table_equals_object_built_rows(lam, sigma, eps, per_slot):
     grid = make_pair_grid(lam, sigma, eps)
     budget = 2 * grid.n_pairs * per_slot + 1  # the remainder is never spent
-    rows = [(j, kind, q, per_slot) for j, c in enumerate(grid.centers, start=1)
+    centers = [grid.center(j) for j in range(1, grid.n_pairs + 1)]
+    rows = [(j, kind, q, per_slot) for j, c in enumerate(centers, start=1)
             for kind, q in (("presence", Interval(c - sigma, c + sigma)),
                             ("sign", Interval(c, c + sigma)))]
     assert baseline_query_plan(lam, sigma, eps, budget) == rows
@@ -230,7 +235,7 @@ def test_baseline_table_equals_object_built_rows(lam, sigma, eps, per_slot):
         j_hat = int(np.argmax(ones[0::2])) + 1
         sign = 1 if ones[2 * j_hat - 1] / per_slot >= 0.5 else -1
         assert (est.pair_index, est.sign, est.samples_used) == (j_hat, sign, table.per_block)
-        assert est.mu_hat == grid.centers[j_hat - 1] + sign * eps
+        assert est.mu_hat == grid.center(j_hat) + sign * eps
 
 
 def _baseline_agent():

@@ -351,6 +351,26 @@ def test_cli_config_file(tmp_path, capsys):
     assert pac_stdout("--config", str(cfg_path), "--trials", "4").count("\npoint_mass,") == 4
 
 
+def test_config_refuses_no_threads_and_an_out_outside_any_directory(tmp_path):
+    with pytest.raises(ValueError, match="threads must be >= 1, got 0"):
+        ExperimentConfig(threads=0)
+    (tmp_path / "file.csv").write_text("")
+    for out in (tmp_path / "missing" / "x.csv", tmp_path / "file.csv" / "x.csv", tmp_path):
+        with pytest.raises(ValueError, match="out must name a file in an existing directory"):
+            ExperimentConfig(out=str(out))
+    for out in (tmp_path / "x.csv", tmp_path / "file.csv"):  # new or overwritten
+        ExperimentConfig(out=str(out))
+
+
+def test_cli_out_outside_any_directory_runs_no_trial(monkeypatch, capsys, tmp_path):
+    def no_trial(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(harness, "trial_rng", no_trial)
+    _assert_configuration_error(["pac", "--trials", "1", "--fixture", "point_mass",
+                                 "--out", str(tmp_path / "missing" / "x.csv")], capsys)
+
+
 def _assert_configuration_error(argv, capsys):
     assert main(argv) == 1
     err = capsys.readouterr().err
@@ -366,7 +386,10 @@ def _assert_configuration_error(argv, capsys):
                                   ["scale-adapt", "--sigma-max", "inf", "--trials", "1"],
                                   ["scale-adapt", "--sigma-min", "inf", "--sigma-max", "inf",
                                    "--trials", "1"],
-                                  ["pac", "--seed", "-1", "--trials", "1"]])
+                                  ["pac", "--seed", "-1", "--trials", "1"],
+                                  ["pac", "--trials", "1", "--fixture", "point_mass",
+                                   "--out", "/missing/dir/x.csv"],
+                                  ["pac", "--threads", "-3", "--trials", "1"]])
 def test_cli_invalid_setting_exits_one(argv, capsys):
     _assert_configuration_error(argv, capsys)
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from pytest import approx
 
+from bitmean import localization
 from bitmean.channel import MAX_GRAY_LEVEL, Agent, GrayBit, query_probabilities, \
     query_probability
 from bitmean.cli import main
@@ -305,3 +306,14 @@ def test_gray_level_outside_gray_bit_rule_rejected(level):
         gray_bit_value(level, 0.6)
     with pytest.raises(ValueError, match="level"):
         gray_change_points(level)
+
+
+@pytest.mark.parametrize("keeps_lower_half", [localization._lower_search_keeps_lower_half,
+                                              localization._upper_search_keeps_lower_half])
+def test_vote_cutoff_decides_as_the_float_test(keeps_lower_half):
+    # count / votes in numpy is the int division Python does: both counts are
+    # exact in float64 and the quotient is rounded once
+    for votes in range(1, 5001):
+        cutoff = localization._vote_cutoff(votes, keeps_lower_half)
+        counts = np.arange(votes + 1)
+        assert np.array_equal(keeps_lower_half(counts / votes), counts >= cutoff)

@@ -86,8 +86,9 @@ def test_build_plan_builds_each_plan_once_and_read_only():
     for column in (plan.sign, plan.inner, plan.outer, plan.table.reps):
         with pytest.raises(ValueError, match="read-only"):
             column[0] = 0
-    for _, rows, columns in plan.table._blocks:
-        assert not any(array.flags.writeable for array in (rows, *columns.values()))
+    assert not plan.table._points.flags.writeable
+    for _, rows, at, values in plan.table._blocks:
+        assert not any(array.flags.writeable for array in (rows, *at.values(), *values.values()))
     assert plan.samples_per_batch == sum(4 * plan.n_by_magnitude[abs(region.index)]
                                          for region in plan.regions)
     # the derived table and columns take no part in ==
