@@ -8,15 +8,15 @@ repetitions of any query through one of two paths:
   protocol and the reference the aggregated path is tested against;
   ``BitAgent`` draws every count of ``respond_count`` as a sum of these
   bits, so a whole run through it is bit level;
-* ``respond_count`` -- aggregated, the number of 1-bits as a single
-  Binomial(n, p) variate, with p computed from the distribution's analytic
-  CDF.  This is distributionally identical to the bit-level path (the n bits
-  are i.i.d. Bernoulli(p)) and is what makes the million-query experiments
-  tractable.  It also answers a whole ``QueryTable`` -- query j repeated
-  reps[j] times per block, in K blocks -- as one Binomial draw over the
-  table's probabilities, which ``query_probabilities`` computes in one point
-  pass (below); a refinement round and the non-adaptive baseline are each
-  one such draw.
+* ``respond_count`` -- aggregated: a single query's n repetitions get one
+  count, the number of 1-bits as a single Binomial(n, p) variate, with p
+  computed from the distribution's analytic CDF.  This is distributionally
+  identical to the bit-level path (the n bits are i.i.d. Bernoulli(p)) and
+  is what makes the million-query experiments tractable.  Block counts come
+  only from a ``QueryTable`` -- query j repeated reps[j] times per block, in
+  K blocks -- answered as one Binomial draw over the table's probabilities,
+  which ``query_probabilities`` computes in one point pass (below); a
+  refinement round and the non-adaptive baseline are each one such draw.
 
 The point pass: a table holds the locations of its rows once, as sorted
 distinct points, so ``query_probabilities`` evaluates the distribution's
@@ -735,8 +735,7 @@ class Agent:
         These bits are not recorded: ``respond_count`` records what it
         answers, and ``BitAgent`` answers it from these bits.
         """
-        if n < 1:
-            raise ValueError("need at least one query")
+        _require_count(n)
         x = self._distribution.sample(self._rng, size=n)
         if isinstance(q, UniformThreshold):
             cutoffs = self._rng.uniform(q.lo, q.hi, n)
@@ -748,33 +747,34 @@ class Agent:
                       groups: int | None = None) -> int | np.ndarray:
         """Number of 1-bits among n repetitions of the query (exact Binomial).
 
-        With ``groups=K`` the n repetitions form K equal consecutive blocks and
-        the answer is the int64 array of the K block counts, drawn at once;
-        without ``groups``, a single query's count is one scalar draw.  A
-        ``QueryTable`` is answered in one draw, with n the total number of
-        queries, K times ``per_block``: the int64 counts have shape (Q,), or
-        (K, Q) with ``groups=K``.  That draw is query-major (see the module
-        docstring), so the (K, Q) counts are the transpose of a (Q, K) array,
-        whose memory layout need not be C order.  A single query goes straight
-        to its kind's oracle, with no table built.  The n queries are recorded
-        in ``transcript`` once they are answered.
+        A single query's count is one int, a single draw; it takes no
+        ``groups``.  A ``QueryTable`` is answered in one draw, with n the
+        total number of queries, K times ``per_block``: the int64 counts have
+        shape (Q,), or (K, Q) with ``groups=K``, the counts of K blocks, in
+        each of which row j is repeated reps[j] times.  That draw is
+        query-major (see the module docstring), so the (K, Q) counts are the
+        transpose of a (Q, K) array, whose memory layout need not be C order.
+        A single query goes straight to its kind's oracle, with no table
+        built.  The n queries are recorded in ``transcript`` once they are
+        answered.
         """
-        if groups is None and type(n) is int and 0 < n <= INT64_MAX \
-                and not isinstance(q, QueryTable):  # a single vote
-            count = int(self._counts(q, n, None))
-            self.transcript.record_batch(n)
-            return count
-        table = isinstance(q, QueryTable)
-        reps = _table_reps(q, n, groups) if table else _query_reps(n, groups)
-        counts = self._counts(q, reps, groups)
+        if isinstance(q, QueryTable):
+            counts = self._counts(q, _table_reps(q, n, groups), groups)
+        else:
+            if groups is not None:
+                raise ValueError(f"a single query gets one count; block counts come from a "
+                                 f"QueryTable, got groups={groups!r}")
+            if not (type(n) is int and 0 < n <= INT64_MAX):  # the check, inline for a vote
+                _require_count(n)
+            counts = int(self._counts(q, n, None))
         self.transcript.record_batch(n)
-        return counts if table or groups is not None else int(counts)
+        return counts
 
     def _counts(self, q: Query | QueryTable, reps, groups: int | None):
-        """The 1-bit counts of ``groups`` blocks, in which q is repeated
-        ``reps`` times: shape (groups,), or (groups, Q) for a table, whose
-        row j is repeated reps[j] times.  Without ``groups`` there is one
-        block and no block axis: a scalar, or shape (Q,) for a table."""
+        """The 1-bit count of a single query repeated ``reps`` times; for a
+        table, whose row j is repeated reps[j] times, the counts of
+        ``groups`` blocks, shape (groups, Q), or of one block, shape (Q,),
+        without ``groups``."""
         if isinstance(q, QueryTable):
             p = _memo_probabilities(self._distribution, q)
             if groups is None:
@@ -784,7 +784,7 @@ class Agent:
         p = self._memo.get(q)
         if p is None:
             p = _memo_miss(self._memo, self._distribution, q)
-        return self._rng.binomial(reps, p, size=groups)
+        return self._rng.binomial(reps, p)
 
     def respond_count_uniform_threshold(self, direction: str, lo: float,
                                         hi: float, n: int) -> int:
@@ -796,16 +796,28 @@ class BitAgent(Agent):
     """The bit-level reference: every count is a sum of ``respond_bits``, one sample per bit."""
 
     def _counts(self, q: Query | QueryTable, reps, groups: int | None):
-        table = isinstance(q, QueryTable)
-        queries, rows = (q.queries, reps.tolist()) if table else ((q,), (reps,))
-        counts = np.array([[self.respond_bits(query, r).sum() for query, r in zip(queries, rows)]
+        if not isinstance(q, QueryTable):
+            return self.respond_bits(q, reps).sum()
+        counts = np.array([[self.respond_bits(query, r).sum()
+                            for query, r in zip(q.queries, reps.tolist())]
                            for _ in range(1 if groups is None else groups)], dtype=np.int64)
-        counts = counts if table else counts[:, 0]
         return counts if groups is not None else counts[0]
 
 
-def _split(n: int, groups: int | None) -> tuple[int, int]:
-    """(K, queries per block) for n queries in ``groups`` equal blocks, one if None."""
+def _require_count(n) -> None:
+    """Refuse a single query's repetition count n unless it is an int (not a
+    bool) in [1, 2^63 - 1]."""
+    if not _is_count(n):
+        raise ValueError(f"query counts must be ints, got n={n!r}")
+    if n < 1:
+        raise ValueError("need at least one query")
+    if n > INT64_MAX:
+        raise ValueError(f"{n} repetitions of one query exceed int64")
+
+
+def _table_reps(table: QueryTable, n: int, groups: int | None) -> np.ndarray:
+    """The table's reps per block, once n queries are checked to answer it in
+    ``groups`` equal blocks, one if None."""
     if not _is_count(n) or not (groups is None or _is_count(groups)):
         raise ValueError(f"query and block counts must be ints, got n={n!r}, "
                          f"groups={groups!r}")
@@ -814,22 +826,7 @@ def _split(n: int, groups: int | None) -> tuple[int, int]:
         raise ValueError("need at least one query")
     if blocks < 1 or n % blocks:
         raise ValueError(f"{n} repetitions do not split into {groups} equal blocks")
-    return blocks, n // blocks
-
-
-def _table_reps(table: QueryTable, n: int, groups: int | None) -> np.ndarray:
-    """The table's reps per block, once n queries are checked to answer it in
-    ``groups`` blocks."""
-    blocks, per_block = _split(n, groups)
-    if per_block != table.per_block:
+    if n // blocks != table.per_block:
         raise ValueError(f"{n} queries are not {blocks} blocks of the table's "
                          f"{table.per_block}")
     return table.reps
-
-
-def _query_reps(n: int, groups: int | None) -> int:
-    """The repetitions per block when n repetitions of one query form ``groups`` blocks."""
-    per_block = _split(n, groups)[1]
-    if per_block > INT64_MAX:
-        raise ValueError(f"{per_block} repetitions per block exceed int64")
-    return per_block

@@ -139,8 +139,10 @@ class Distribution:
 
     def shifted_tail_contribution(self, center: float, t: float) -> float:
         """E[(X - center) * 1(|X - center| > t)], strict inequality."""
-        if t <= 0:
-            raise ValueError("cutoff t must be positive")
+        if not t > 0:  # NaN too
+            raise ValueError(f"cutoff t must be positive, got {t}")
+        if not math.isfinite(center):
+            raise ValueError(f"center must be finite, got {center}")
         inner_mean = self.partial_mean(center + t) - self.partial_mean_strict(center - t)
         inner_prob = float(self.cdf(center + t)) - float(self.cdf_strict(center - t))
         total = self.mean() - center

@@ -16,7 +16,6 @@ import math
 import os
 import sys
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from typing import Callable
 
@@ -227,6 +226,7 @@ def _run_trials(config: ExperimentConfig, exp_id: str, source: Distribution | Pa
 
     if config.threads <= 1:
         return [one(i) for i in range(config.trials)]
+    from concurrent.futures import ThreadPoolExecutor  # a serial sweep loads no thread pool
     with ThreadPoolExecutor(max_workers=config.threads) as pool:
         return list(pool.map(one, range(config.trials)))
 

@@ -16,14 +16,13 @@ Two routes:
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .channel import MAX_GRAY_LEVEL, Agent, GrayBit, QueryTable, ThresholdLE
+from .channel import MAX_GRAY_LEVEL, Agent, GrayBit, QueryTable, ThresholdLE, _gray_value
 from .distributions import FamilyParams
 
 __all__ = [
@@ -113,24 +112,6 @@ def _upper_search_keeps_lower_half(frac: float) -> bool:
     return frac > (UPPER_BAND[0] + UPPER_BAND[1]) / 2
 
 
-@functools.lru_cache(maxsize=64)
-def _vote_cutoff(votes: int, keeps_lower_half: Callable[[float], bool]) -> int:
-    """The least count c in 0..votes with ``keeps_lower_half(c / votes)``, or
-    votes + 1 if there is none.
-
-    c / votes never falls as c grows, and the decision is a threshold on it,
-    so ``keeps_lower_half(count / votes)`` holds exactly when count >= c.
-    """
-    lo, hi = 0, votes + 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if keeps_lower_half(mid / votes):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
-
-
 def localize_median(agent: Agent, params: FamilyParams, delta: float) -> LocalizationResult:
     """Adaptive localization: returns [L - sigma, U + sigma] containing the mean
     with probability >= 1 - delta/2, of length at most 8 sigma on that event.
@@ -151,13 +132,11 @@ def localize_median(agent: Agent, params: FamilyParams, delta: float) -> Localiz
         return left_edge + i * sigma
 
     def search(keeps_lower_half: Callable[[float], bool]) -> tuple[int, int]:
-        # halve [lo, hi] levels times; each midpoint's CDF vote picks the half,
-        # the lower one when its count of 1-bits reaches the cut-off
-        cutoff = _vote_cutoff(votes, keeps_lower_half)
+        # halve [lo, hi] levels times; each midpoint's CDF vote picks the half
         lo, hi = 0, n_steps
         for _ in range(levels):
             mid = (lo + hi) // 2
-            if agent.respond_count(ThresholdLE(grid(mid)), votes) >= cutoff:
+            if keeps_lower_half(agent.respond_count(ThresholdLE(grid(mid)), votes) / votes):
                 hi = mid
             else:
                 lo = mid
@@ -192,10 +171,13 @@ def _check_level(level: int) -> None:
 
 
 def gray_bit_value(level: int, x: float) -> int:
-    """0 if floor(2**level * clamp(x, 0, 1)) mod 4 is 0 or 3, else 1."""
+    """0 if floor(2**level * clamp(x, 0, 1)) mod 4 is 0 or 3, else 1: the bit
+    a ``GrayBit`` of this level with shift 0 and scale 1 gives the sample x."""
     _check_level(level)
-    cell = int(math.floor(math.ldexp(min(max(x, 0.0), 1.0), level)))
-    return 1 if cell % 4 in (1, 2) else 0
+    x = float(x)
+    if x != x:
+        raise ValueError("x must not be NaN")
+    return int(_gray_value(level, x))
 
 
 def gray_change_points(level: int) -> np.ndarray:

@@ -144,8 +144,10 @@ class RefinementPlan:
     every region's four queries around center 0, in ``regions`` order, each
     repeated n_i times per batch (``base_estimate`` shifts it to the
     localized center, which gives the same bits as ``_region_table`` around
-    that center), and ``sign``/``inner``/``outer`` are the regions'
-    read-only columns.  Those four are derived, so ``==`` ignores them.
+    that center), and ``weights`` is the read-only (R, 2) array of each
+    region's (sign * inner / n_i, sign * outer / n_i), the weights of its
+    count differences C1 - C2 and C3 - C4 in a batch value.  Those two are
+    derived, so ``==`` ignores them.
     """
 
     t: float
@@ -157,9 +159,7 @@ class RefinementPlan:
     params: FamilyParams
     eps: float
     table: QueryTable = field(compare=False, repr=False)
-    sign: np.ndarray = field(compare=False, repr=False)
-    inner: np.ndarray = field(compare=False, repr=False)
-    outer: np.ndarray = field(compare=False, repr=False)
+    weights: np.ndarray = field(compare=False, repr=False)
 
     @property
     def samples_per_batch(self) -> int:
@@ -226,14 +226,13 @@ def _cached_plan(params: FamilyParams, eps: float, delta: float,
     batches = delta_count(8.0 * math.log(2.0 / delta), "batches", delta)
     regions = tuple(Region(index=side * i, inner=inner, outer=outer)
                     for side in (1, -1) for i, inner, outer in _region_magnitudes(sigma, i_max))
-    sign, inner, outer = _region_columns(regions)
-    for column in (sign, inner, outer):
-        column.setflags(write=False)
+    reps = [n_by_magnitude[abs(r.index)] for r in regions]
+    weights = _region_weights(regions, reps)
+    weights.setflags(write=False)
     return RefinementPlan(
         t=t, i_max=i_max, regions=regions, n_by_magnitude=MappingProxyType(n_by_magnitude),
         batches=batches, profile=profile, params=params, eps=eps,
-        table=_region_table(regions, [n_by_magnitude[abs(r.index)] for r in regions], 0.0),
-        sign=sign, inner=inner, outer=outer,
+        table=_region_table(regions, reps, 0.0), weights=weights,
     )
 
 
@@ -269,8 +268,9 @@ def _region_table(regions, reps, center: float) -> QueryTable:
     onto [-b, -a).  The inner endpoint is strict so an atom on a cell boundary
     is counted once; regions +-1 keep f1 closed at the center, where a = 0.
     """
-    sign, inner, outer = _region_columns(regions)
-    right = sign > 0
+    inner = np.array([region.inner for region in regions])
+    outer = np.array([region.outer for region in regions])
+    right = np.array([region.index > 0 for region in regions])
     lo = np.where(right, center + inner, center - outer)
     hi = np.where(right, center + outer, center - inner)
     toward, away = np.where(right, "ge", "le"), np.where(right, "le", "ge")
@@ -284,11 +284,10 @@ def _region_table(regions, reps, center: float) -> QueryTable:
         lo=np.repeat(lo, 4), hi=np.repeat(hi, 4))
 
 
-def _region_columns(regions) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The regions' sign (+-1.0), inner and outer magnitudes as arrays."""
-    return (np.array([region.sign for region in regions], dtype=float),
-            np.array([region.inner for region in regions]),
-            np.array([region.outer for region in regions]))
+def _region_weights(regions, reps) -> np.ndarray:
+    """Each region's (sign * inner / n_i, sign * outer / n_i), with n_i = reps[i]."""
+    return np.array([(region.sign * region.inner / n, region.sign * region.outer / n)
+                     for region, n in zip(regions, reps)])
 
 
 def _region_kinds(index: int) -> tuple[type, type, type, type]:
@@ -301,17 +300,18 @@ def _region_kinds(index: int) -> tuple[type, type, type, type]:
         UniformThreshold
 
 
-def _region_sums(agent: Agent, table: QueryTable, sign, inner, outer, batches: int) -> np.ndarray:
+def _region_sums(agent: Agent, table: QueryTable, weights: np.ndarray,
+                 batches: int) -> np.ndarray:
     """Each batch's sum over the regions of sign * (a p_a + b p_b), from one
-    draw of ``table``, which holds the regions' four queries in order;
-    ``sign``, ``inner`` and ``outer`` are the regions' columns."""
+    draw of ``table``, which holds the regions' four queries in order:
+    ``weights[:, 0]`` applied to the count differences D = C1 - C2 and
+    ``weights[:, 1]`` to E = C3 - C4.  Counts lie in [0, n_i], so D and E
+    are exact int64."""
     counts = agent.respond_count(table, batches * table.per_block, groups=batches)
     # The draw is query-major, so counts.T is its own (Q, K) array: the
     # regions are combined along its rows, with no copy into batch order.
-    f = (counts.T / table.reps[:, None]).reshape(-1, 4, batches)
-    values = sign[:, None] * (inner[:, None] * (f[:, 0] - f[:, 1])
-                              + outer[:, None] * (f[:, 2] - f[:, 3]))
-    return values.sum(axis=0)
+    c = counts.T.reshape(-1, 4, batches)
+    return weights[:, 0] @ (c[:, 0] - c[:, 1]) + weights[:, 1] @ (c[:, 2] - c[:, 3])
 
 
 def estimate_region(agent: Agent, region: Region, n: int, center: float,
@@ -325,7 +325,7 @@ def estimate_region(agent: Agent, region: Region, n: int, center: float,
     ``base_estimate``'s draw and combination for a single region.
     """
     return _region_sums(agent, _region_table((region,), (n,), center),
-                        *_region_columns((region,)), batches)
+                        _region_weights((region,), (n,)), batches)
 
 
 def base_estimate(agent: Agent, plan: RefinementPlan, center: float, batches: int) -> np.ndarray:
@@ -335,8 +335,7 @@ def base_estimate(agent: Agent, plan: RefinementPlan, center: float, batches: in
     The whole round is one ``respond_count`` draw of ``plan.table`` shifted
     to ``center``.
     """
-    return center + _region_sums(agent, plan.table.shifted(center), plan.sign, plan.inner,
-                                 plan.outer, batches)
+    return center + _region_sums(agent, plan.table.shifted(center), plan.weights, batches)
 
 
 @dataclass(frozen=True)
@@ -441,12 +440,12 @@ def analytic_region_mean(dist: Distribution, center: float, region: Region) -> f
 def analytic_base_variance(dist: Distribution, center: float, plan: RefinementPlan) -> float:
     """Exact variance of one batch of the base estimator around ``center``.
 
-    Every count is an independent Binomial(n_i, p), so a region contributes
-    (a^2 (v1 + v2) + b^2 (v3 + v4)) / n_i with v = p (1 - p) for its four
-    queries.
+    Every count is an independent Binomial(n_i, p), so a region with weights
+    (w_a, w_b) contributes n_i (w_a^2 (v1 + v2) + w_b^2 (v3 + v4)) with
+    v = p (1 - p) for its four queries.
     """
-    table = plan.table.shifted(center)
-    p = query_probabilities(dist, table)
-    v = (p * (1.0 - p) / table.reps).reshape(-1, 4)
-    return float(np.sum(plan.inner ** 2 * (v[:, 0] + v[:, 1])
-                        + plan.outer ** 2 * (v[:, 2] + v[:, 3])))
+    p = query_probabilities(dist, plan.table.shifted(center))
+    v = (p * (1.0 - p)).reshape(-1, 4)
+    w = plan.weights
+    return float(np.sum(plan.table.reps[::4] * (w[:, 0] ** 2 * (v[:, 0] + v[:, 1])
+                                                + w[:, 1] ** 2 * (v[:, 2] + v[:, 3]))))

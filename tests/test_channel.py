@@ -222,9 +222,11 @@ def test_block_counts_have_binomial_moments_on_both_agents(q):
     var = n_block * p * (1 - p)
     excess_kurtosis = (1 - 6 * p * (1 - p)) / var
     var_se = var * math.sqrt(2 / (blocks - 1) + excess_kurtosis / blocks)
+    # a single query's block counts come from its one-row table
+    table = QueryTable((q,), (n_block,))
     for agent_type in (Agent, BitAgent):
         agent = agent_type(d, trial_rng(12, f"blocks/{agent_type.__name__}", 0))
-        counts = agent.respond_count(q, blocks * n_block, groups=blocks)
+        counts = agent.respond_count(table, blocks * n_block, groups=blocks)[:, 0]
         assert counts.dtype == np.int64 and counts.shape == (blocks,)
         assert float(np.mean(counts)) == approx(n_block * p, abs=4 * math.sqrt(var / blocks))
         assert float(np.var(counts, ddof=1)) == approx(var, abs=4 * var_se)
@@ -233,9 +235,14 @@ def test_block_counts_have_binomial_moments_on_both_agents(q):
 @pytest.mark.parametrize("agent_type", [Agent, BitAgent])
 def test_indivisible_block_split_rejected(agent_type):
     agent = agent_type(make_point_mass(0.0), trial_rng(0, "chan", 0))
+    table = QueryTable((ThresholdGE(0.0),), (5,))
     for groups in (3, 0):
         with pytest.raises(ValueError, match="equal blocks"):
+            agent.respond_count(table, 10, groups=groups)
+    for groups in (1, 2):  # a single query gets one count, whatever groups divides n
+        with pytest.raises(ValueError, match="QueryTable"):
             agent.respond_count(ThresholdGE(0.0), 10, groups=groups)
+    assert agent.transcript.total == 0
 
 
 BAD_QUERIES = [
@@ -435,7 +442,7 @@ def test_per_block_stays_exact_beyond_int64():
 
 def test_single_query_draws_the_one_row_table_stream():
     # the single-query path skips the table, but not a single draw of the
-    # stream: without groups it is one scalar draw
+    # stream: it is one scalar draw
     d = make_two_sided_pareto(1.5, 1.0, mu=0.3, alpha=1.9)
     fast, table, rng = _agent(d, seed=15), _agent(d, seed=15), trial_rng(15, "chan", 0)
     for i in range(400):
@@ -444,8 +451,6 @@ def test_single_query_draws_the_one_row_table_stream():
         count = fast.respond_count(q, n)
         assert type(count) is int and count == rng.binomial(n, query_probability(d, q))
         assert count == int(table.respond_count(QueryTable((q,), (n,)), n)[0])
-    assert fast.respond_count(ThresholdGE(0.2), 60, groups=3).tolist() == \
-        table.respond_count(QueryTable((ThresholdGE(0.2),), (20,)), 60, groups=3)[:, 0].tolist()
 
 
 def _refinement_table():
@@ -485,6 +490,8 @@ def test_non_integer_query_counts_rejected(agent_type, n):
     with pytest.raises(ValueError, match="must be ints"):
         agent.respond_count(QueryTable((ThresholdGE(0.0),), (1,)), n)
     with pytest.raises(ValueError, match="must be ints"):
+        agent.respond_bits(ThresholdGE(0.0), n)
+    with pytest.raises(ValueError, match="QueryTable"):  # a single query takes no groups
         agent.respond_count(ThresholdGE(0.0), 10, groups=2.0)
 
 

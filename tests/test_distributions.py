@@ -299,6 +299,17 @@ def test_shifted_tail_contribution_matches_empirical():
             abs=4 * _stderr(vals) + 1e-12)
 
 
+@pytest.mark.parametrize("center, t, name", [
+    (0.0, math.nan, "cutoff t"), (0.0, 0.0, "cutoff t"), (0.0, -1.0, "cutoff t"),
+    (math.inf, 1.0, "center"), (-math.inf, 1.0, "center"), (math.nan, 1.0, "center"),
+], ids=["t-nan", "t-zero", "t-negative", "center-inf", "center-neg-inf", "center-nan"])
+def test_shifted_tail_contribution_refuses_bad_cutoff_and_center(center, t, name):
+    # refused by name before any oracle call: a NaN t is not a positive cutoff
+    dist = make_discrete([0.0, 1.0], [0.5, 0.5])
+    with pytest.raises(ValueError, match=name):
+        dist.shifted_tail_contribution(center, t)
+
+
 def test_discrete_arrays_are_immutable():
     d = make_discrete([0.0, 1.0], [0.5, 0.5])
     with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """The cold start: ``import bitmean``, the estimator on non-Gaussian fixtures,
 the Clopper-Pearson bound and ``run_pac`` load no scipy module; only the
-Gaussian oracles load ``scipy.special``, and nothing loads ``scipy.stats``."""
+Gaussian oracles load ``scipy.special``, and nothing loads ``scipy.stats``.
+A serial sweep loads no thread pool (``concurrent.futures``)."""
 
 import json
 import os
@@ -58,6 +59,23 @@ def test_only_a_gaussian_oracle_loads_scipy():
     assert loaded["after_pac"] == []
     assert "scipy.special" in loaded["after_gaussian"]
     assert not any(name.startswith("scipy.stats") for name in loaded["after_gaussian"])
+
+
+SERIAL_SWEEP = """
+import sys
+import bitmean
+from bitmean import harness
+harness.run_pac(harness.ExperimentConfig(fixture="pareto15", k=1.5, trials=4, seed=1))
+harness.run_gap(harness.ExperimentConfig(lam=64.0, trials=4, seed=1))
+print("concurrent.futures" in sys.modules)
+"""
+
+
+def test_a_serial_sweep_loads_no_thread_pool():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", SERIAL_SWEEP], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert proc.stdout.strip().splitlines()[-1] == "False"
 
 
 @pytest.mark.parametrize("confidence", [0.9, 0.95, 0.99])

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 from pytest import approx
 
-from bitmean import localization
-from bitmean.channel import MAX_GRAY_LEVEL, Agent, GrayBit, query_probabilities, \
-    query_probability
+from bitmean.channel import MAX_GRAY_LEVEL, Agent, GrayBit, evaluate_query, \
+    query_probabilities, query_probability
 from bitmean.cli import main
 from bitmean.distributions import FamilyParams, make_gaussian_budget_tight, \
     make_point_mass, make_two_sided_pareto
@@ -38,6 +37,19 @@ def test_gray_bit_values_from_definition():
 def test_gray_bit_clamps_outside_unit_interval():
     assert gray_bit_value(2, -3.0) == gray_bit_value(2, 0.0) == 0
     assert gray_bit_value(1, 7.0) == gray_bit_value(1, 1.0) == 1
+
+
+def test_gray_bit_value_is_the_gray_bit_query():
+    # one definition: the bit GrayBit(level, 0, 1) gives the sample x; a NaN
+    # sample has no bit
+    xs = [-math.inf, -1.0, -0.0, 0.0, 1 / 3, 0.5, 0.75, 1 - 2 ** -30, 1.0, 2.5, math.inf]
+    xs += np.linspace(0.0, 1.0, 257).tolist()
+    for level in range(1, 13):
+        expected = evaluate_query(GrayBit(level, 0.0, 1.0), xs).tolist()
+        assert [gray_bit_value(level, x) for x in xs] == expected
+        assert all(type(gray_bit_value(level, x)) is int for x in xs[:3])
+    with pytest.raises(ValueError, match="x must not be NaN"):
+        gray_bit_value(3, math.nan)
 
 
 def test_gray_change_points_disjoint_up_to_level_12():
@@ -306,14 +318,3 @@ def test_gray_level_outside_gray_bit_rule_rejected(level):
         gray_bit_value(level, 0.6)
     with pytest.raises(ValueError, match="level"):
         gray_change_points(level)
-
-
-@pytest.mark.parametrize("keeps_lower_half", [localization._lower_search_keeps_lower_half,
-                                              localization._upper_search_keeps_lower_half])
-def test_vote_cutoff_decides_as_the_float_test(keeps_lower_half):
-    # count / votes in numpy is the int division Python does: both counts are
-    # exact in float64 and the quotient is rounded once
-    for votes in range(1, 5001):
-        cutoff = localization._vote_cutoff(votes, keeps_lower_half)
-        counts = np.arange(votes + 1)
-        assert np.array_equal(keeps_lower_half(counts / votes), counts >= cutoff)

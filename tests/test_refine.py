@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from bitmean.harness import acceptance_matrix, trial_rng
 from bitmean.refine import (
     PlanSizeError,
     Region,
+    _region_sums,
     _region_table,
     allocation_constant,
     analytic_base_variance,
@@ -83,7 +85,7 @@ def test_build_plan_builds_each_plan_once_and_read_only():
     assert build_plan(params, 1 / 16, 0.1, "proof-safe") is not plan
     with pytest.raises(TypeError):
         plan.n_by_magnitude[1] = 5
-    for column in (plan.sign, plan.inner, plan.outer, plan.table.reps):
+    for column in (plan.weights, plan.table.reps):
         with pytest.raises(ValueError, match="read-only"):
             column[0] = 0
     assert not plan.table._points.flags.writeable
@@ -270,6 +272,45 @@ def test_base_estimate_point_mass_at_center_is_exact():
     dist = make_point_mass(1.5)
     agent = Agent(dist, trial_rng(3, "basepm", 0))
     assert base_estimate(agent, plan, 1.5, batches=5).tolist() == [1.5] * 5
+
+
+class _RecordingAgent(Agent):
+    """Keeps every count ``respond_count`` returns."""
+
+    def __init__(self, dist, rng):
+        super().__init__(dist, rng)
+        self.answers = []
+
+    def respond_count(self, q, n, *, groups=None):
+        counts = super().respond_count(q, n, groups=groups)
+        self.answers.append(counts)
+        return counts
+
+
+def test_round_is_region_weights_on_exact_count_differences():
+    # Each batch value against the same counts in exact rational arithmetic,
+    # sum_i sign_i (a_i (C1 - C2) + b_i (C3 - C4)) / n_i.  The differences are
+    # exact ints and each term takes at most R + 2 roundings (its weight, the
+    # product, R - 1 additions in its dot product, the final sum), so the
+    # error is at most (R + 2) u sum_i |term_i|, u = 2^-53.  On these streams
+    # the round's worst error is 1.3e-16 with sum |term_i| ~0.76 (bound
+    # ~5e-15); dividing each count by n_i first, then differencing, erred by
+    # up to 5.2e-14 on the same counts.
+    fixture = acceptance_matrix()["pareto15"]
+    plan = build_plan(fixture.params, fixture.params.sigma / 64, 0.05)
+    regions, reps, batches = plan.regions, plan.table.reps[::4].tolist(), plan.batches
+    unit = 2.0 ** -53
+    for seed in range(3):
+        agent = _RecordingAgent(fixture.dist, trial_rng(seed, "exact-round", 0))
+        values = _region_sums(agent, plan.table, plan.weights, batches).tolist()
+        (counts,) = agent.answers
+        c = counts.T.reshape(len(regions), 4, batches).tolist()
+        for k, value in enumerate(values):
+            terms = [Fraction(region.sign) * (Fraction(region.inner) * (c[i][0][k] - c[i][1][k])
+                                              + Fraction(region.outer) * (c[i][2][k] - c[i][3][k]))
+                     / n for i, (region, n) in enumerate(zip(regions, reps))]
+            bound = (len(regions) + 2) * unit * float(sum(map(abs, terms)))
+            assert abs(float(Fraction(value) - sum(terms))) <= bound, (seed, k)
 
 
 def test_round_arithmetic_reads_counts_in_either_layout(monkeypatch):
