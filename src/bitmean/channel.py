@@ -12,22 +12,25 @@ repetitions of any query through one of two paths:
   count, the number of 1-bits as a single Binomial(n, p) variate, with p
   computed from the distribution's analytic CDF.  This is distributionally
   identical to the bit-level path (the n bits are i.i.d. Bernoulli(p)) and
-  is what makes the million-query experiments tractable.  Block counts come
-  only from a ``QueryTable`` -- query j repeated reps[j] times per block, in
-  K blocks -- answered as one Binomial draw over the table's probabilities,
-  which ``query_probabilities`` computes in one point pass (below); a
-  refinement round and the non-adaptive baseline are each one such draw.
+  is what makes the million-query experiments tractable.  A ``QueryTable``
+  -- query j repeated reps[j] times per block -- is answered in whole
+  blocks, K = n / ``per_block`` of them, as one Binomial draw over the
+  table's probabilities, which ``query_probabilities`` computes in one point
+  pass (below); a refinement round and the non-adaptive baseline are each
+  one such draw.
 
 The point pass: a table holds the locations of its rows once, as sorted
 distinct points, so ``query_probabilities`` evaluates the distribution's
 ``cdf`` and ``cdf_strict`` once on them, and its partial means only when the
 table has a ``UniformThreshold`` row.  Each kind's probabilities are then a
 gather from those arrays at its rows' point indices, followed by the
-arithmetic of the kind's own oracle, so they equal that oracle's bytewise; a
-``GrayBit`` keeps its own oracle.  A shifted table moves its points and
-shares everything else.  A single threshold query takes its probability from
-the scalar oracle at its float ``gamma``, which a ``DiscreteMixture`` answers
-by bisecting a list, with no array built.
+arithmetic of the kind's own oracle (``cdf``, ``cdf_strict``,
+``Distribution.prob_interval``, ``uniform_threshold_probability``), so they
+equal that oracle's bytewise; a ``GrayBit`` keeps its own oracle.  A shifted
+table moves its points and shares everything else.  A single threshold query
+takes its probability from the scalar oracle at its float ``gamma``, which a
+``DiscreteMixture`` answers by bisecting a list, with no array built; any
+other single query is the one row of a one-row table.
 
 The table draw is query-major: it takes the K block counts of row 0, then
 the K of row 1, and so on.  numpy's Binomial sampler keeps the setup of the
@@ -36,7 +39,7 @@ of one row in a row pay for that setup once, where a block-major draw
 changes (n, p) at every variate and pays it K Q times.  Every count is still
 an independent Binomial(reps[j], p[j]); only the order in which the
 generator's stream is used depends on this, and with one block it is the
-order of the rows.
+order of the rows, as a flat draw over the rows would use it.
 
 An estimator asks the same queries trial after trial: localization votes sit
 on a sigma-grid and a refinement round is one table shifted to the localized
@@ -46,7 +49,7 @@ entries live exactly as long as what fixes them:
 * a table's probabilities under a distribution are stored on the table, in a
   map weakly keyed by the distribution;
 * ``QueryTable.shifted`` keeps the last ``SHIFT_MEMO_SIZE`` shifts of a table
-  on it, keyed by the exact offset, so a repeated center gives back the same
+  on it, keyed by the offset, so a repeated center gives back the same
   table, and with it the probabilities stored on it;
 * a single query's probability is kept in a per-distribution map of at most
   ``QUERY_MEMO_SIZE`` queries, weakly keyed by the distribution, so the votes
@@ -245,7 +248,7 @@ class QueryTable:
 
     The table holds the locations of its rows -- every ``gamma``, ``lo``,
     ``hi`` and Gray ``shift`` -- once, as one sorted array of distinct points
-    (0.0 and -0.0 told apart), and its rows grouped once, when it is built,
+    (0.0 and -0.0 are one point), and its rows grouped once, when it is built,
     by kind, a uniform threshold's also by direction: for each group, its
     rows' positions, one index array into the points per location parameter,
     and one array per other parameter.  ``QueryTable.from_columns`` builds it
@@ -307,7 +310,7 @@ class QueryTable:
             groups = {kind: np.array(rows, dtype=np.intp) for kind, rows in at.items()}
         grouped = []
         for kind, rows in groups.items():
-            if kind not in _ORACLES:
+            if kind not in _FIELDS:
                 raise ValueError(f"not a query kind: {kind!r}")
             params = {}
             for name in _FIELDS[kind]:
@@ -330,7 +333,7 @@ class QueryTable:
                 grouped.append((kind, rows, params))
         located = [column for _, _, params in grouped for name, column in params.items()
                    if name in _LOCATIONS]
-        points, index = _distinct(np.concatenate(located))
+        points, index = np.unique(np.concatenate(located), return_inverse=True)
         blocks, start = [], 0
         for kind, rows, params in grouped:
             at, values = {}, {}
@@ -360,13 +363,12 @@ class QueryTable:
         collapses, raises ``ValueError``.
 
         The last ``SHIFT_MEMO_SIZE`` shifted tables are kept on this one, so
-        shifting again by an offset equal to one of theirs, 0.0 and -0.0
-        told apart, returns the same table.
+        shifting again by an offset equal to one of theirs returns the same
+        table.
         """
         offset = float(offset)
-        key = offset, math.copysign(1.0, offset)
         shifts = self._shifts
-        if shifts is not None and (cached := shifts.get(key)) is not None:
+        if shifts is not None and (cached := shifts.get(offset)) is not None:
             return cached
         with np.errstate(invalid="ignore"):  # inf - inf is NaN, which the rules reject
             points = self._points + offset
@@ -385,7 +387,7 @@ class QueryTable:
         with _MEMO_LOCK:
             if self._shifts is None:
                 self._shifts = {}
-            _remember(self._shifts, key, table, SHIFT_MEMO_SIZE)
+            _remember(self._shifts, offset, table, SHIFT_MEMO_SIZE)
         return table
 
     @property
@@ -414,20 +416,6 @@ def _params(kind, points: np.ndarray, at: dict, values: dict) -> dict:
     """A group's parameter columns, in the kind's field order, its locations
     read from ``points``."""
     return {name: points[at[name]] if name in at else values[name] for name in _FIELDS[kind]}
-
-
-def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct values in ascending order, -0.0 before 0.0, and each
-    value's position among them."""
-    negative = np.signbit(values)
-    order = np.lexsort((~negative, values))
-    ordered, negative = values[order], negative[order]
-    new = np.empty(values.size, dtype=bool)
-    new[0] = True
-    new[1:] = (ordered[1:] != ordered[:-1]) | (negative[1:] != negative[:-1])
-    index = np.empty(values.size, dtype=np.intp)
-    index[order] = np.cumsum(new) - 1
-    return ordered[new], index
 
 
 def _check_block(kind, rows: np.ndarray, params: dict) -> None:
@@ -500,8 +488,9 @@ def _gray_value(level: int, u) -> np.ndarray:
 def evaluate_query(q: Query, x) -> np.ndarray:
     """Apply the quantization function to sample value(s); returns 0/1.
 
-    A ``UniformThreshold`` has no fixed quantization function: only the Agent,
-    which draws its cutoffs, can answer it.
+    A ``UniformThreshold`` has no fixed quantization function: only an
+    ``Agent``, which draws its cutoffs, can answer it, so it is refused with
+    ``TypeError``.
     """
     x = np.asarray(x, dtype=float)
     if isinstance(q, ThresholdGE):
@@ -516,6 +505,10 @@ def evaluate_query(q: Query, x) -> np.ndarray:
         bits = ((x >= q.lo) & (x <= q.hi)).astype(np.int64)
     elif isinstance(q, GrayBit):
         bits = _gray_value(q.level, (x - q.shift) / q.scale)
+    elif isinstance(q, UniformThreshold):
+        raise TypeError(f"a uniform threshold has no fixed quantization function, since "
+                        f"its cutoff is drawn afresh for every repetition; only an Agent "
+                        f"answers it, got {q!r}")
     else:
         raise TypeError(f"unknown query type: {q!r}")
     return bits if bits.ndim else int(bits)
@@ -540,17 +533,14 @@ def query_probabilities(dist: Distribution, table: QueryTable) -> np.ndarray:
 
 
 def query_probability(dist: Distribution, q: Query) -> float:
-    """Pr(bit = 1) for one query: a threshold's oracle at its float gamma,
-    any other kind's oracle on one-row columns."""
+    """Pr(bit = 1) for one query: a threshold's scalar oracle at its float
+    gamma, any other kind's row of its one-row table."""
     oracle = _ORACLES.get(type(q))
-    if oracle is None:
+    if oracle is not None:
+        return min(max(float(oracle(dist, q.gamma)), 0.0), 1.0)  # as query_probabilities clamps
+    if type(q) not in _FIELDS:
         raise TypeError(f"unknown query type: {type(q).__name__}")
-    if isinstance(q, _Threshold):
-        p = oracle(dist, q.gamma)
-    else:
-        p = oracle(dist, **{name: np.array([value], dtype=_COLUMN_TYPES[name])
-                            for name, value in vars(q).items()})[0]
-    return min(max(float(p), 0.0), 1.0)  # as query_probabilities clamps
+    return float(query_probabilities(dist, QueryTable((q,), (1,)))[0])
 
 
 class _OnPoints:
@@ -589,8 +579,8 @@ def _uniform_on_points(on: _OnPoints, direction: str, lo, hi) -> np.ndarray:
                               mean[lo], mean[hi])
 
 
-# The oracles of _ORACLES for thresholds and intervals, read off the oracles
-# on a table's points at its rows' point indices.
+# The threshold oracles of _ORACLES and prob_interval, read off the oracles on
+# a table's points at its rows' point indices.
 _ON_POINTS = {
     ThresholdGE: lambda on, gamma: 1.0 - on.cdf_strict[gamma],
     ThresholdGT: lambda on, gamma: 1.0 - on.cdf[gamma],
@@ -616,28 +606,16 @@ def _gray_probability(dist: Distribution, level, shift, scale) -> np.ndarray:
     return prob
 
 
-def _uniform_probability(dist: Distribution, direction, lo, hi) -> np.ndarray:
-    ge = direction == "ge"
-    p = np.empty(len(lo))
-    for side, rows in (("ge", ge), ("le", ~ge)):
-        if rows.any():
-            p[rows] = uniform_threshold_probability(dist, side, lo[rows], hi[rows])
-    return p
-
-
-# Each kind's oracle takes its parameters as equal-length columns, and a
-# threshold's also takes a float.  query_probability calls them; the point
-# pass of query_probabilities gives the values they give.
+# A threshold's oracle at its gamma, a float or an array; query_probability
+# calls it for a single threshold, which a vote asks, and the point pass of
+# query_probabilities gives the values it gives.
 _ORACLES = {
     ThresholdGE: lambda dist, gamma: 1.0 - dist.cdf_strict(gamma),
     ThresholdGT: lambda dist, gamma: 1.0 - dist.cdf(gamma),
     ThresholdLE: lambda dist, gamma: dist.cdf(gamma),
     ThresholdLT: lambda dist, gamma: dist.cdf_strict(gamma),
-    Interval: lambda dist, lo, hi: dist.prob_interval(lo, hi),
-    GrayBit: _gray_probability,
-    UniformThreshold: _uniform_probability,
 }
-_FIELDS = {kind: tuple(f.name for f in fields(kind)) for kind in _ORACLES}
+_FIELDS = {kind: tuple(f.name for f in fields(kind)) for kind in Query.__args__}
 # The parameters that place a query on the line, which QueryTable.shifted moves.
 _LOCATIONS = frozenset({"gamma", "lo", "hi", "shift"})
 # None keeps an int column as given, so the kind's rule sees a float or bool level.
@@ -692,10 +670,6 @@ class Transcript:
         self.counts: dict[str, int] = {}
         self._phase = "default"
 
-    @property
-    def phase(self) -> str:
-        return self._phase
-
     def begin_phase(self, name: str) -> None:
         self._phase = name
         self.counts.setdefault(name, 0)
@@ -743,48 +717,37 @@ class Agent:
             return hits.astype(np.int64)
         return np.asarray(evaluate_query(q, x))
 
-    def respond_count(self, q: Query | QueryTable, n: int, *,
-                      groups: int | None = None) -> int | np.ndarray:
+    def respond_count(self, q: Query | QueryTable, n: int) -> int | np.ndarray:
         """Number of 1-bits among n repetitions of the query (exact Binomial).
 
-        A single query's count is one int, a single draw; it takes no
-        ``groups``.  A ``QueryTable`` is answered in one draw, with n the
-        total number of queries, K times ``per_block``: the int64 counts have
-        shape (Q,), or (K, Q) with ``groups=K``, the counts of K blocks, in
-        each of which row j is repeated reps[j] times.  That draw is
-        query-major (see the module docstring), so the (K, Q) counts are the
-        transpose of a (Q, K) array, whose memory layout need not be C order.
-        A single query goes straight to its kind's oracle, with no table
-        built.  The n queries are recorded in ``transcript`` once they are
-        answered.
+        A single query's count is one int, a single draw.  A ``QueryTable``
+        is answered in whole blocks, K = n / ``per_block`` of them, in each
+        of which row j is repeated reps[j] times: its int64 counts have shape
+        (K, Q), one row per block, from one draw.  That draw is query-major
+        (see the module docstring), so the counts are the transpose of a
+        (Q, K) array, whose memory layout need not be C order.  The n
+        queries are recorded in ``transcript`` once they are answered.
         """
         if isinstance(q, QueryTable):
-            counts = self._counts(q, _table_reps(q, n, groups), groups)
+            counts = self._counts(q, _table_blocks(q, n))
         else:
-            if groups is not None:
-                raise ValueError(f"a single query gets one count; block counts come from a "
-                                 f"QueryTable, got groups={groups!r}")
             if not (type(n) is int and 0 < n <= INT64_MAX):  # the check, inline for a vote
                 _require_count(n)
-            counts = int(self._counts(q, n, None))
+            counts = int(self._counts(q, n))
         self.transcript.record_batch(n)
         return counts
 
-    def _counts(self, q: Query | QueryTable, reps, groups: int | None):
-        """The 1-bit count of a single query repeated ``reps`` times; for a
-        table, whose row j is repeated reps[j] times, the counts of
-        ``groups`` blocks, shape (groups, Q), or of one block, shape (Q,),
-        without ``groups``."""
+    def _counts(self, q: Query | QueryTable, times: int):
+        """The 1-bit count of a single query repeated ``times`` times, or the
+        (times, Q) counts of ``times`` blocks of a table."""
         if isinstance(q, QueryTable):
             p = _memo_probabilities(self._distribution, q)
-            if groups is None:
-                return self._rng.binomial(reps, p)
             # query-major: row j's K variates share the sampler's setup
-            return self._rng.binomial(reps[:, None], p[:, None], size=(len(q), groups)).T
+            return self._rng.binomial(q.reps[:, None], p[:, None], size=(len(q), times)).T
         p = self._memo.get(q)
         if p is None:
             p = _memo_miss(self._memo, self._distribution, q)
-        return self._rng.binomial(reps, p)
+        return self._rng.binomial(times, p)
 
     def respond_count_uniform_threshold(self, direction: str, lo: float,
                                         hi: float, n: int) -> int:
@@ -795,13 +758,12 @@ class Agent:
 class BitAgent(Agent):
     """The bit-level reference: every count is a sum of ``respond_bits``, one sample per bit."""
 
-    def _counts(self, q: Query | QueryTable, reps, groups: int | None):
+    def _counts(self, q: Query | QueryTable, times: int):
         if not isinstance(q, QueryTable):
-            return self.respond_bits(q, reps).sum()
-        counts = np.array([[self.respond_bits(query, r).sum()
-                            for query, r in zip(q.queries, reps.tolist())]
-                           for _ in range(1 if groups is None else groups)], dtype=np.int64)
-        return counts if groups is not None else counts[0]
+            return self.respond_bits(q, times).sum()
+        return np.array([[self.respond_bits(query, r).sum()
+                          for query, r in zip(q.queries, q.reps.tolist())]
+                         for _ in range(times)], dtype=np.int64)
 
 
 def _require_count(n) -> None:
@@ -815,18 +777,12 @@ def _require_count(n) -> None:
         raise ValueError(f"{n} repetitions of one query exceed int64")
 
 
-def _table_reps(table: QueryTable, n: int, groups: int | None) -> np.ndarray:
-    """The table's reps per block, once n queries are checked to answer it in
-    ``groups`` equal blocks, one if None."""
-    if not _is_count(n) or not (groups is None or _is_count(groups)):
-        raise ValueError(f"query and block counts must be ints, got n={n!r}, "
-                         f"groups={groups!r}")
-    blocks = 1 if groups is None else groups
-    if n < 1:
-        raise ValueError("need at least one query")
-    if blocks < 1 or n % blocks:
-        raise ValueError(f"{n} repetitions do not split into {groups} equal blocks")
-    if n // blocks != table.per_block:
-        raise ValueError(f"{n} queries are not {blocks} blocks of the table's "
-                         f"{table.per_block}")
-    return table.reps
+def _table_blocks(table: QueryTable, n: int) -> int:
+    """The number of whole blocks n queries of the table make, once n is
+    checked to be an int (not a bool), at least 1 and a multiple of the
+    table's ``per_block``."""
+    per_block = table.per_block
+    if not (_is_count(n) and n >= 1 and int(n) % per_block == 0):
+        raise ValueError(f"a table is answered in whole blocks: n must be a positive int "
+                         f"multiple of per_block {per_block}, got n={n!r}")
+    return int(n) // per_block

@@ -74,7 +74,7 @@ COMMANDS = {
     "anytime": ("budget-oblivious estimation",
                 f"budget fixture lam sigma delta profile {_SWEEP}", _printer(run_anytime)),
     "scale-adapt": ("unknown-scale grid search",
-                    f"sigma_min sigma_max ratio fixture k lam sigma delta profile {_SWEEP}",
+                    f"sigma_min sigma_max ratio fixture lam sigma delta profile {_SWEEP}",
                     _printer(run_scale_adapt, "success rate: {success_rate:.3f}")),
     "gap": ("adaptive vs non-adaptive success curves",
             f"budgets k lam sigma eps delta profile {_SWEEP}", _printer(run_gap)),

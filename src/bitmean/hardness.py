@@ -324,7 +324,7 @@ def nonadaptive_baseline(agent: Agent, lam: float, sigma: float, eps: float,
     agent.transcript.begin_phase("nonadaptive")
     plan = baseline_plan(lam, sigma, eps, budget)
     table = plan.table
-    ones = agent.respond_count(table, table.per_block)
+    ones = agent.respond_count(table, table.per_block)[0]
     frac = ones / table.reps
     presence, sign_frac = frac[0::2], frac[1::2]  # the table alternates the two per pair
 

@@ -501,7 +501,7 @@ def run_scale_adapt(config: ExperimentConfig):
         fixture.params.operative_k) ** (1.0 / fixture.params.operative_k)
 
     def body(trial: int, agent: Agent, dist: Distribution):
-        res = unknown_scale_estimate(agent, config.k, config.lam, config.sigma_min,
+        res = unknown_scale_estimate(agent, fixture.params.k, config.lam, config.sigma_min,
                                      config.sigma_max, config.ratio, config.delta,
                                      profile=config.profile)
         err = abs(res.mu_hat - mu_true)

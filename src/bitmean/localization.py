@@ -197,8 +197,9 @@ def gray_decode(bits) -> tuple[float, float]:
     bits = list(bits)
     if not bits:
         raise ValueError("need at least one bit")
-    if any(b not in (0, 1) for b in bits):
-        raise ValueError(f"bits must be 0/1, got {bits!r}")
+    for b in bits:
+        if not (isinstance(b, (int, np.integer)) and b in (0, 1)):
+            raise ValueError(f"bits must be 0 or 1 as an int or bool, got {b!r} in {bits!r}")
     m = len(bits)
     index = 0
     digit = 0
@@ -281,7 +282,7 @@ def localize_gray(agent: Agent, params: FamilyParams, delta: float) -> Localizat
         return LocalizationResult(low=-params.lam, high=params.lam, center=0.0,
                                   samples_used=0, method="gray-bypass", rounds=0)
 
-    counts = agent.respond_count(plan.table, plan.total_queries)
+    counts = agent.respond_count(plan.table, plan.total_queries)[0]
     frac = counts / plan.table.reps
     x0, x1 = gray_decode((frac >= 0.5).astype(int).tolist())
     pad = 0.5 ** (plan.n_bits + 2)

@@ -307,7 +307,7 @@ def _region_sums(agent: Agent, table: QueryTable, weights: np.ndarray,
     ``weights[:, 0]`` applied to the count differences D = C1 - C2 and
     ``weights[:, 1]`` to E = C3 - C4.  Counts lie in [0, n_i], so D and E
     are exact int64."""
-    counts = agent.respond_count(table, batches * table.per_block, groups=batches)
+    counts = agent.respond_count(table, batches * table.per_block)
     # The draw is query-major, so counts.T is its own (Q, K) array: the
     # regions are combined along its rows, with no copy into batch order.
     c = counts.T.reshape(-1, 4, batches)

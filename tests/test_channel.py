@@ -72,7 +72,7 @@ def test_respond_count_point_mass_and_accounting():
     assert agent.respond_count(ThresholdLE(0.0), 100) / 100 == 1.0
     assert agent.transcript.total == 100
     agent.respond_count(ThresholdGE(1.0), 5)
-    agent.respond_count(QueryTable([ThresholdGE(1.0), ThresholdLE(0.0)], [2, 3]), 10, groups=2)
+    agent.respond_count(QueryTable([ThresholdGE(1.0), ThresholdLE(0.0)], [2, 3]), 10)
     assert agent.transcript.total == 115
 
 
@@ -196,6 +196,11 @@ def test_uniform_threshold_probability_matches_bitwise_simulation():
     assert float(np.mean(bits)) == approx(p, abs=4 * math.sqrt(0.25 / n))
 
 
+def test_evaluate_query_refuses_a_uniform_threshold():
+    with pytest.raises(TypeError, match="no fixed quantization function.*only an Agent"):
+        evaluate_query(UniformThreshold("ge", 0.0, 1.0), [0.5])
+
+
 def test_evaluate_query_vectorizes():
     x = np.array([-1.0, 0.0, 0.5, 2.0])
     bits = evaluate_query(ThresholdGE(0.25), x)
@@ -226,7 +231,7 @@ def test_block_counts_have_binomial_moments_on_both_agents(q):
     table = QueryTable((q,), (n_block,))
     for agent_type in (Agent, BitAgent):
         agent = agent_type(d, trial_rng(12, f"blocks/{agent_type.__name__}", 0))
-        counts = agent.respond_count(table, blocks * n_block, groups=blocks)[:, 0]
+        counts = agent.respond_count(table, blocks * n_block)[:, 0]
         assert counts.dtype == np.int64 and counts.shape == (blocks,)
         assert float(np.mean(counts)) == approx(n_block * p, abs=4 * math.sqrt(var / blocks))
         assert float(np.var(counts, ddof=1)) == approx(var, abs=4 * var_se)
@@ -234,14 +239,13 @@ def test_block_counts_have_binomial_moments_on_both_agents(q):
 
 @pytest.mark.parametrize("agent_type", [Agent, BitAgent])
 def test_indivisible_block_split_rejected(agent_type):
+    # a table is answered in whole blocks: a partial one is refused before
+    # any draw, with nothing recorded
     agent = agent_type(make_point_mass(0.0), trial_rng(0, "chan", 0))
-    table = QueryTable((ThresholdGE(0.0),), (5,))
-    for groups in (3, 0):
-        with pytest.raises(ValueError, match="equal blocks"):
-            agent.respond_count(table, 10, groups=groups)
-    for groups in (1, 2):  # a single query gets one count, whatever groups divides n
-        with pytest.raises(ValueError, match="QueryTable"):
-            agent.respond_count(ThresholdGE(0.0), 10, groups=groups)
+    table = QueryTable((ThresholdGE(0.0), ThresholdLE(1.0)), (2, 3))
+    for n in (1, 4, 6, 11, 0, -5, 10.0, True):
+        with pytest.raises(ValueError, match=f"per_block 5, got n={n!r}"):
+            agent.respond_count(table, n)
     assert agent.transcript.total == 0
 
 
@@ -312,7 +316,7 @@ def test_table_counts_have_binomial_moments_on_both_agents():
     var_se = var * np.sqrt(2 / (blocks - 1) + excess_kurtosis / blocks)
     for agent_type in (Agent, BitAgent):
         agent = agent_type(d, trial_rng(14, f"table/{agent_type.__name__}", 0))
-        counts = agent.respond_count(table, blocks * table.per_block, groups=blocks)
+        counts = agent.respond_count(table, blocks * table.per_block)
         assert counts.dtype == np.int64 and counts.shape == (blocks, 4)
         mean, sample_var = counts.mean(axis=0), counts.var(axis=0, ddof=1)
         assert np.all(np.abs(mean - reps * p) <= 4 * np.sqrt(var / blocks))
@@ -323,17 +327,19 @@ def test_table_counts_have_binomial_moments_on_both_agents():
 def test_table_count_shapes_and_wrong_totals(agent_type):
     agent = agent_type(make_point_mass(0.0), trial_rng(0, "chan", 0))
     table = MIXED_TABLE
-    one = agent.respond_count(table, table.per_block)
-    assert one.dtype == np.int64 and one.shape == (4,)
-    # at the atom 0: x >= 0.1 never, 0 in [-0.5, 1.5] always, u = 1/2 has Gray bit 1
-    assert one[[0, 2, 3]].tolist() == [0, 40, 20] and 0 <= one[1] <= 30
-    for blocks in (1, 3):  # whatever the counts' memory layout
-        counts = agent.respond_count(table, blocks * table.per_block, groups=blocks)
+    total = 0
+    for blocks in (1, 3):  # K * per_block queries are K blocks, whatever the memory layout
+        counts = agent.respond_count(table, blocks * table.per_block)
+        total += blocks * table.per_block
         assert counts.dtype == np.int64 and counts.shape == (blocks, 4)
-    for n, groups in ((table.per_block + 1, None), (table.per_block, 2),
-                      (2 * table.per_block, None), (0, 0)):
-        with pytest.raises(ValueError):
-            agent.respond_count(table, n, groups=groups)
+        assert agent.transcript.total == total
+        # at the atom 0: x >= 0.1 never, 0 in [-0.5, 1.5] always, u = 1/2 has Gray bit 1
+        assert np.all(counts[:, [0, 2, 3]] == [0, 40, 20])
+        assert np.all((0 <= counts[:, 1]) & (counts[:, 1] <= 30))
+    for n in (table.per_block + 1, 3 * table.per_block - 1, 0):
+        with pytest.raises(ValueError, match="per_block"):
+            agent.respond_count(table, n)
+    assert agent.transcript.total == total
     with pytest.raises(ValueError, match="int64"):  # numpy would raise OverflowError
         agent.respond_count(ThresholdGE(0.0), 2 ** 63)
 
@@ -450,35 +456,27 @@ def test_single_query_draws_the_one_row_table_stream():
         n = 1000 + 7 * i
         count = fast.respond_count(q, n)
         assert type(count) is int and count == rng.binomial(n, query_probability(d, q))
-        assert count == int(table.respond_count(QueryTable((q,), (n,)), n)[0])
+        assert count == int(table.respond_count(QueryTable((q,), (n,)), n)[0, 0])
 
 
 def _refinement_table():
     return build_plan(FamilyParams(1.5, 16.0, 1.0), 1 / 16, 0.1).table.shifted(0.3)
 
 
-@pytest.mark.parametrize("blocks", [2, 7, 19])
+@pytest.mark.parametrize("blocks", [1, 2, 7, 19])
 def test_table_draw_is_query_major(blocks):
     # row j's K block counts are consecutive variates of the stream, so the
-    # Binomial sampler sets up once per row
+    # Binomial sampler sets up once per row; one block takes the rows in order,
+    # as a flat draw over them does
     d = make_two_sided_pareto(1.5, 1.0, mu=0.3, alpha=1.9)
     for table in (MIXED_TABLE, _refinement_table()):
         agent, rng = _agent(d, seed=17), trial_rng(17, "chan", 0)
         p, reps = query_probabilities(d, table), table.reps
-        counts = agent.respond_count(table, blocks * table.per_block, groups=blocks)
+        counts = agent.respond_count(table, blocks * table.per_block)
         expected = rng.binomial(reps[:, None], p[:, None], size=(len(table), blocks)).T
         assert np.array_equal(counts, expected)
-
-
-@pytest.mark.parametrize("groups", [None, 1])
-def test_one_block_table_draw_keeps_row_order(groups):
-    d = make_two_sided_pareto(1.5, 1.0, mu=0.3, alpha=1.9)
-    for table in (MIXED_TABLE, _refinement_table()):
-        agent, rng = _agent(d, seed=18), trial_rng(18, "chan", 0)
-        p, reps = query_probabilities(d, table), table.reps
-        counts = agent.respond_count(table, table.per_block, groups=groups)
-        expected = rng.binomial(reps, p, size=(1, len(table)))
-        assert np.array_equal(counts, expected if groups else expected[0])
+        if blocks == 1:
+            assert np.array_equal(counts[0], trial_rng(17, "chan", 0).binomial(reps, p))
 
 
 @pytest.mark.parametrize("agent_type", [Agent, BitAgent])
@@ -487,12 +485,10 @@ def test_non_integer_query_counts_rejected(agent_type, n):
     agent = agent_type(make_point_mass(0.0), trial_rng(0, "chan", 0))
     with pytest.raises(ValueError, match="must be ints"):
         agent.respond_count(ThresholdGE(0.0), n)
-    with pytest.raises(ValueError, match="must be ints"):
+    with pytest.raises(ValueError, match="positive int multiple of per_block"):
         agent.respond_count(QueryTable((ThresholdGE(0.0),), (1,)), n)
     with pytest.raises(ValueError, match="must be ints"):
         agent.respond_bits(ThresholdGE(0.0), n)
-    with pytest.raises(ValueError, match="QueryTable"):  # a single query takes no groups
-        agent.respond_count(ThresholdGE(0.0), 10, groups=2.0)
 
 
 # -- the probability memo ------------------------------------------------------
@@ -574,14 +570,12 @@ def test_shifted_nan_raises_on_every_call():
 
 
 @pytest.mark.parametrize("first", [0.0, -0.0])
-def test_shifted_tells_zero_from_negative_zero(first):
-    table = QueryTable((ThresholdGE(-0.0),), (1,))
-    second = -first
-    a, b = table.shifted(first), table.shifted(second)
-    assert a is not b and table.shifted(first) is a and table.shifted(second) is b
-    # -0.0 + 0.0 is 0.0 and -0.0 + -0.0 is -0.0
-    for shifted, offset in ((a, first), (b, second)):
-        assert math.copysign(1.0, shifted.queries[0].gamma) == math.copysign(1.0, offset)
+def test_shifted_by_signed_zeros_gives_one_table(first):
+    # the offsets compare equal, so they key one memo entry, whichever came first
+    table = QueryTable((ThresholdGE(-0.0), Interval(0.0, 1.0)), (1, 2))
+    shifted = table.shifted(first)
+    assert table.shifted(-first) is shifted and len(table._shifts) == 1
+    assert shifted.queries == (ThresholdGE(0.0), Interval(0.0, 1.0))
 
 
 # -- the point pass --------------------------------------------------------------
@@ -608,17 +602,30 @@ def _point_pass_tables():
             refinement.shifted(-2.5), baseline_plan(64.0, 1.0, 0.125, 20000).table]
 
 
+# each kind's public oracle on a column of its parameters
+PER_KIND_ORACLES = {
+    ThresholdGE: lambda dist, gamma: 1.0 - dist.cdf_strict(gamma),
+    ThresholdGT: lambda dist, gamma: 1.0 - dist.cdf(gamma),
+    ThresholdLE: lambda dist, gamma: dist.cdf(gamma),
+    ThresholdLT: lambda dist, gamma: dist.cdf_strict(gamma),
+    Interval: lambda dist, lo, hi: dist.prob_interval(lo, hi),
+    GrayBit: channel._gray_probability,
+    UniformThreshold: lambda dist, direction, lo, hi: uniform_threshold_probability(
+        dist, direction[0], lo, hi),
+}
+
+
 def _per_kind_probabilities(dist, table):
-    # each kind's column oracle on its rows' columns, clamped: the pass the
-    # point pass replaces
+    # each kind's oracle on its rows' columns, a uniform threshold's once per
+    # direction, clamped: the pass the point pass replaces
     queries = table.queries
     p = np.empty(len(queries))
-    for kind in {type(q) for q in queries}:
-        rows = [j for j, q in enumerate(queries) if type(q) is kind]
-        columns = {name: np.array([getattr(queries[j], name) for j in rows],
-                                  dtype=channel._COLUMN_TYPES[name])
+    groups = [(type(q), getattr(q, "direction", None)) for q in queries]
+    for kind, direction in set(groups):
+        rows = [j for j, group in enumerate(groups) if group == (kind, direction)]
+        columns = {name: np.array([getattr(queries[j], name) for j in rows])
                    for name in channel._FIELDS[kind]}
-        p[rows] = channel._ORACLES[kind](dist, **columns)
+        p[rows] = PER_KIND_ORACLES[kind](dist, **columns)
     return np.minimum(np.maximum(p, 0.0), 1.0)
 
 
@@ -640,16 +647,13 @@ def test_single_query_probability_equals_its_one_row_table(d):
             assert query_probability(d, q) == query_probabilities(d, QueryTable([q], [1]))[0]
 
 
-def test_table_points_are_sorted_distinct_and_keep_signed_zeros():
+def test_table_points_are_sorted_and_distinct():
+    # 0.0 and -0.0 are one point; the rows still equal the queries given
     queries = (ThresholdGE(0.0), ThresholdLE(-0.0), Interval(-0.0, 1.0), Interval(0.0, 1.0),
                UniformThreshold("ge", -0.0, 1.0), ThresholdGT(1.0), GrayBit(1, 1.0, 2.0))
     table = QueryTable(queries, (1,) * len(queries))
-    assert table._points.tolist() == [-0.0, 0.0, 1.0]
-    assert [math.copysign(1.0, x) for x in table._points.tolist()] == [-1.0, 1.0, 1.0]
+    assert table._points.tolist() == [0.0, 1.0]
     assert table.queries == queries
-    signs = [math.copysign(1.0, q.gamma if hasattr(q, "gamma") else q.lo)
-             for q in table.queries[:5]]
-    assert signs == [1.0, -1.0, -1.0, 1.0, -1.0]
 
 
 @pytest.mark.parametrize("offset,rule", [

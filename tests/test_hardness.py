@@ -231,7 +231,7 @@ def test_baseline_table_equals_object_built_rows(lam, sigma, eps, per_slot):
         dist = grid.member(1 + (7 * trial) % grid.n_pairs, 1 if trial % 2 else -1)
         est = nonadaptive_baseline(Agent(dist, trial_rng(6, "table", trial)), lam, sigma, eps,
                                    budget)
-        ones = Agent(dist, trial_rng(6, "table", trial)).respond_count(table, table.per_block)
+        ones = Agent(dist, trial_rng(6, "table", trial)).respond_count(table, table.per_block)[0]
         j_hat = int(np.argmax(ones[0::2])) + 1
         sign = 1 if ones[2 * j_hat - 1] / per_slot >= 0.5 else -1
         assert (est.pair_index, est.sign, est.samples_used) == (j_hat, sign, table.per_block)

@@ -13,6 +13,7 @@ from bitmean.harness import (
     run_gap,
     run_localize,
     run_pac,
+    run_scale_adapt,
     run_scaling,
     run_verify,
     trial_rng,
@@ -334,6 +335,23 @@ def test_cli_anytime_and_scale_adapt(tmp_path):
                  "--trials", "2"]) == 0
 
 
+def test_scale_adapt_runs_at_its_fixtures_k(monkeypatch):
+    class Stop(Exception):
+        pass
+
+    seen = []
+
+    def recording(agent, k, *args, **kwargs):
+        seen.append(k)
+        raise Stop
+
+    monkeypatch.setattr(harness, "unknown_scale_estimate", recording)
+    for fixture, k in (("pareto15", 1.5), ("gauss_tight", 2.0)):
+        with pytest.raises(Stop):  # a config's own k is not read
+            run_scale_adapt(ExperimentConfig(fixture=fixture, k=3.0, trials=1))
+        assert seen.pop() == k
+
+
 def test_cli_config_file(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text('{"trials": 3, "eps": 0.5, "fixture": "point_mass", "seed": 5}')
@@ -431,7 +449,7 @@ def test_cli_flags_are_the_fields_the_command_reads(monkeypatch, capsys, command
 
 
 @pytest.mark.parametrize("argv", [["run", "--k", "0.5"], ["verify", "--trials", "3"],
-                                  ["pac", "--k", "3"]])
+                                  ["pac", "--k", "3"], ["scale-adapt", "--k", "1.5"]])
 def test_cli_flag_the_command_does_not_read_is_a_usage_error(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)

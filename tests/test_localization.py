@@ -76,6 +76,10 @@ def test_gray_decode_rejects_bad_input():
         gray_decode([])
     with pytest.raises(ValueError):
         gray_decode([0, 2])
+    for bits, bad in (([1.0, 0.0], "1.0"), ([1, 0.0], "0.0"), (["1"], "'1'"), ([None], "None")):
+        with pytest.raises(ValueError, match=f"int or bool, got {bad} in"):
+            gray_decode(bits)
+    assert gray_decode([True, False]) == gray_decode([1, 0]) == gray_decode(np.array([1, 0]))
 
 
 def test_gray_roundtrip_exact_on_fine_grid():
@@ -161,10 +165,10 @@ class _CountingAgent(Agent):
         super().__init__(dist, rng)
         self.calls, self.refuse = 0, refuse
 
-    def respond_count(self, q, n, *, groups=None):
+    def respond_count(self, q, n):
         assert not self.refuse, "no query may be made"
         self.calls += 1
-        return super().respond_count(q, n, groups=groups)
+        return super().respond_count(q, n)
 
 
 @pytest.mark.parametrize("lam", [64.0, 1024.0])

@@ -166,7 +166,7 @@ def test_region_blocks_beyond_int64_in_total():
     # the same region as a table with one more query: K * per_block > int64
     table = QueryTable(_region_table((region,), (1,), 0.0).queries + (ThresholdGE(3.0),),
                        (n_i,) * 4 + (5,))
-    counts = agent.respond_count(table, batches * table.per_block, groups=batches)
+    counts = agent.respond_count(table, batches * table.per_block)
     assert batches * table.per_block > 2 ** 63 and counts.shape == (batches, 5)
     assert np.all(counts[:, [0, 2]] == n_i) and np.all(counts[:, 4] == 0)
     assert np.all(np.abs(counts[:, [1, 3]] / n_i - 0.5) < 1e-6)
@@ -281,8 +281,8 @@ class _RecordingAgent(Agent):
         super().__init__(dist, rng)
         self.answers = []
 
-    def respond_count(self, q, n, *, groups=None):
-        counts = super().respond_count(q, n, groups=groups)
+    def respond_count(self, q, n):
+        counts = super().respond_count(q, n)
         self.answers.append(counts)
         return counts
 
