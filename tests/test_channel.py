@@ -463,11 +463,10 @@ def _refinement_table():
     return build_plan(FamilyParams(1.5, 16.0, 1.0), 1 / 16, 0.1).table.shifted(0.3)
 
 
-@pytest.mark.parametrize("blocks", [1, 2, 7, 19])
+@pytest.mark.parametrize("blocks", [2, 7, 19])
 def test_table_draw_is_query_major(blocks):
     # row j's K block counts are consecutive variates of the stream, so the
-    # Binomial sampler sets up once per row; one block takes the rows in order,
-    # as a flat draw over them does
+    # Binomial sampler sets up once per row
     d = make_two_sided_pareto(1.5, 1.0, mu=0.3, alpha=1.9)
     for table in (MIXED_TABLE, _refinement_table()):
         agent, rng = _agent(d, seed=17), trial_rng(17, "chan", 0)
@@ -475,8 +474,20 @@ def test_table_draw_is_query_major(blocks):
         counts = agent.respond_count(table, blocks * table.per_block)
         expected = rng.binomial(reps[:, None], p[:, None], size=(len(table), blocks)).T
         assert np.array_equal(counts, expected)
-        if blocks == 1:
-            assert np.array_equal(counts[0], trial_rng(17, "chan", 0).binomial(reps, p))
+
+
+@pytest.mark.parametrize("blocks", [None, 1])
+def test_one_block_table_draw_keeps_row_order(blocks):
+    # one block takes the rows in order: its (1, Q) counts are those of a flat
+    # draw over the rows (no block axis) and of a one-block (1, Q) draw
+    d = make_two_sided_pareto(1.5, 1.0, mu=0.3, alpha=1.9)
+    for table in (MIXED_TABLE, _refinement_table()):
+        agent, rng = _agent(d, seed=18), trial_rng(18, "chan", 0)
+        p, reps = query_probabilities(d, table), table.reps
+        counts = agent.respond_count(table, table.per_block)
+        size = None if blocks is None else (blocks, len(table))
+        assert counts.shape == (1, len(table))
+        assert np.array_equal(counts, np.atleast_2d(rng.binomial(reps, p, size=size)))
 
 
 @pytest.mark.parametrize("agent_type", [Agent, BitAgent])
