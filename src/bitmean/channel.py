@@ -43,17 +43,18 @@ order of the rows, as a flat draw over the rows would use it.
 
 An estimator asks the same queries trial after trial: localization votes sit
 on a sigma-grid and a refinement round is one table shifted to the localized
-center.  So the aggregated path takes each probability from a memo whose
-entries live exactly as long as what fixes them:
+center.  So the aggregated path memoizes, by two rules:
 
-* a table's probabilities under a distribution are stored on the table, in a
-  map weakly keyed by the distribution;
-* ``QueryTable.shifted`` keeps the last ``SHIFT_MEMO_SIZE`` shifts of a table
-  on it, keyed by the offset, so a repeated center gives back the same
-  table, and with it the probabilities stored on it;
-* a single query's probability is kept in a per-distribution map of at most
-  ``QUERY_MEMO_SIZE`` queries, weakly keyed by the distribution, so the votes
-  of every agent on one distribution share it.
+* every probability -- a single query's, or a table's vector, read-only --
+  sits in one map per distribution, weakly keyed by it, of at most
+  ``QUERY_MEMO_SIZE`` queries and tables, oldest out first; the votes of
+  every agent on one distribution share it, and no probability outlives its
+  distribution;
+* ``QueryTable.shifted`` computes a shift once per (table, offset) in one
+  cache of ``SHIFT_MEMO_SIZE`` entries for all tables, so a repeated center
+  gives back the same table, and with it the probabilities memoized for it.
+  That cache keeps up to ``SHIFT_MEMO_SIZE`` shifted tables and their bases
+  alive until ``QueryTable.shifted.cache_clear()`` empties it.
 
 A memoized probability is the value ``query_probabilities`` or
 ``query_probability`` gives, so draws do not depend on the memo; those two
@@ -68,6 +69,7 @@ either path.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 import weakref
@@ -100,10 +102,14 @@ __all__ = [
 ]
 
 INT64_MAX = int(np.iinfo(np.int64).max)
-# Bounds of the probability memo: shifts kept per table, and single queries
-# kept per distribution.  A median search votes at one of 2^levels - 1 grid
-# points: 31 at lam = 16 sigma, 2,047 at lam = 2^10 sigma.
+# Bound of the shift cache, for all tables.  Counted shifts, seed 1: run_pac on
+# pareto15 at eps = sigma/64 (200 trials) makes 200 at 2 distinct (table,
+# offset) keys, and run_anytime on gauss_tight (50 trials, budget 17,476,410)
+# 200 at 4; run_gap at lam = 2^10 sigma (200 trials) makes 200 at 189, mostly
+# one per new pair member, which no cache size would serve.
 SHIFT_MEMO_SIZE = 8
+# Bound of each distribution's probability memo.  A median search votes at one
+# of 2^levels - 1 grid points: 31 at lam = 16 sigma, 2,047 at lam = 2^10 sigma.
 QUERY_MEMO_SIZE = 1024
 
 
@@ -256,15 +262,11 @@ class QueryTable:
     values, by turning them into columns first; ``queries`` builds the query
     values only when asked, and ``shifted`` moves the points and shares the
     rest.  Every array a table holds is read-only: ``reps`` is int64 and
-    ``per_block`` an exact Python int.
-
-    A table also carries its part of the agent's probability memo (see the
-    module docstring): its recent shifts, and its probabilities under each
-    distribution that answered it.  Both die with the table.
+    ``per_block`` an exact Python int.  A table is compared and hashed by
+    identity, so it keys the probability memo (see the module docstring).
     """
 
-    __slots__ = ("_points", "_blocks", "_reps", "_per_block", "_passes", "_shifts",
-                 "_probabilities", "__weakref__")
+    __slots__ = ("_points", "_blocks", "_reps", "_per_block", "_passes", "__weakref__")
 
     def __init__(self, queries, reps):
         queries = tuple(queries)
@@ -351,7 +353,6 @@ class QueryTable:
         # the oracles query_probabilities evaluates on the points
         self._passes = (any(kind is not GrayBit for kind in groups),
                         UniformThreshold in groups)
-        self._shifts = self._probabilities = None  # the memo, made on first use
 
     def shifted(self, offset: float) -> QueryTable:
         """The same table translated by ``offset``: every location parameter
@@ -362,33 +363,12 @@ class QueryTable:
         checks it, so a NaN offset, or one so large that an interval
         collapses, raises ``ValueError``.
 
-        The last ``SHIFT_MEMO_SIZE`` shifted tables are kept on this one, so
-        shifting again by an offset equal to one of theirs returns the same
-        table.
+        A shift is computed once per (table, offset) in one cache of the
+        last ``SHIFT_MEMO_SIZE`` shifts of any table, so shifting again by an
+        equal offset returns the same table while the shift is cached;
+        ``QueryTable.shifted.cache_clear()`` empties the cache.
         """
-        offset = float(offset)
-        shifts = self._shifts
-        if shifts is not None and (cached := shifts.get(offset)) is not None:
-            return cached
-        with np.errstate(invalid="ignore"):  # inf - inf is NaN, which the rules reject
-            points = self._points + offset
-        # While the moved points stay finite and strictly increasing, every
-        # row keeps its parameters finite, apart and in their order, and so
-        # keeps to its rule; otherwise each kind's rule decides.
-        if not (-math.inf < points[0] and points[-1] < math.inf
-                and (points[1:] > points[:-1]).all()):
-            for kind, rows, at, values in self._blocks:
-                _check_block(kind, rows, _params(kind, points, at, values))
-        _read_only(points)
-        table = type(self).__new__(type(self))
-        table._points, table._blocks, table._reps = points, self._blocks, self._reps
-        table._per_block, table._passes = self._per_block, self._passes
-        table._shifts = table._probabilities = None
-        with _MEMO_LOCK:
-            if self._shifts is None:
-                self._shifts = {}
-            _remember(self._shifts, offset, table, SHIFT_MEMO_SIZE)
-        return table
+        return _shifted(self, float(offset))  # one key for any spelling of the offset
 
     @property
     def reps(self) -> np.ndarray:
@@ -410,6 +390,30 @@ class QueryTable:
             for row, *args in zip(rows.tolist(), *(col.tolist() for col in params.values())):
                 out[row] = kind(*args)
         return tuple(out)
+
+
+# One cache for every table, keyed by (table, float offset); lru_cache is
+# thread-safe, so it takes no lock.
+@functools.lru_cache(maxsize=SHIFT_MEMO_SIZE)
+def _shifted(table: QueryTable, offset: float) -> QueryTable:
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, which the rules reject
+        points = table._points + offset
+    # While the moved points stay finite and strictly increasing, every row
+    # keeps its parameters finite, apart and in their order, and so keeps to
+    # its rule; otherwise each kind's rule decides.
+    if not (-math.inf < points[0] and points[-1] < math.inf
+            and (points[1:] > points[:-1]).all()):
+        for kind, rows, at, values in table._blocks:
+            _check_block(kind, rows, _params(kind, points, at, values))
+    _read_only(points)
+    moved = type(table).__new__(type(table))
+    moved._points, moved._blocks, moved._reps = points, table._blocks, table._reps
+    moved._per_block, moved._passes = table._per_block, table._passes
+    return moved
+
+
+QueryTable.shifted.cache_clear = _shifted.cache_clear
+QueryTable.shifted.cache_info = _shifted.cache_info
 
 
 def _params(kind, points: np.ndarray, at: dict, values: dict) -> dict:
@@ -437,45 +441,30 @@ def _read_only(*arrays: np.ndarray) -> None:
 # Serializes memo writes, which may evict, across an experiment's threads;
 # reads take no lock.
 _MEMO_LOCK = threading.Lock()
-# distribution -> {query: Pr(bit = 1)}, at most QUERY_MEMO_SIZE queries each
+# distribution -> {query or table: Pr(bit = 1)}, at most QUERY_MEMO_SIZE entries each
 _QUERY_MEMO: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def _remember(memo: dict, key, value, bound: int) -> None:
-    """Store ``value`` under ``key``, dropping the oldest entries past ``bound``;
-    the caller holds ``_MEMO_LOCK``."""
-    memo[key] = value
-    while len(memo) > bound:
-        del memo[next(iter(memo))]
-
-
-def _memo_probabilities(dist: Distribution, table: QueryTable) -> np.ndarray:
-    """``query_probabilities(dist, table)``, computed once per (distribution,
-    table) and kept on the table, read-only, while the distribution lives."""
-    stored = table._probabilities
-    if stored is not None and (p := stored.get(dist)) is not None:
-        return p
-    p = query_probabilities(dist, table)
-    _read_only(p)
-    with _MEMO_LOCK:
-        if table._probabilities is None:
-            table._probabilities = weakref.WeakKeyDictionary()
-        table._probabilities[dist] = p
-    return p
 
 
 def _query_memo(dist: Distribution) -> dict:
     """The distribution's map from its last ``QUERY_MEMO_SIZE`` distinct
-    queries to ``query_probability(dist, q)``."""
+    queries and tables to their probabilities."""
     memo = _QUERY_MEMO.get(dist)
     return _QUERY_MEMO.setdefault(dist, {}) if memo is None else memo
 
 
-def _memo_miss(memo: dict, dist: Distribution, q: Query) -> float:
-    """``query_probability(dist, q)``, stored in the distribution's query memo."""
-    p = query_probability(dist, q)
+def _memo_miss(memo: dict, dist: Distribution, q: Query | QueryTable):
+    """``query_probabilities(dist, q)``, read-only, for a table, or
+    ``query_probability(dist, q)`` for a query, stored in the distribution's
+    memo, which drops its oldest entries beyond ``QUERY_MEMO_SIZE``."""
+    if isinstance(q, QueryTable):
+        p = query_probabilities(dist, q)
+        _read_only(p)
+    else:
+        p = query_probability(dist, q)
     with _MEMO_LOCK:
-        _remember(memo, q, p, QUERY_MEMO_SIZE)
+        memo[q] = p
+        while len(memo) > QUERY_MEMO_SIZE:
+            del memo[next(iter(memo))]
     return p
 
 
@@ -688,10 +677,10 @@ class Agent:
     """Memoryless responder: one fresh i.i.d. sample per query, bits out only.
 
     The agent keeps no sample and no answer from one query to the next.  What
-    it does keep is oracle probabilities: ``respond_count`` takes each p from
-    the module's memo, shared with every other agent on the same distribution,
-    and computes it only on a miss; the agent binds its distribution's
-    single-query memo when it is built.  ``transcript`` counts every query
+    it does keep is oracle probabilities: ``respond_count`` takes each p, or
+    a table's vector of them, from its distribution's memo, shared with every
+    other agent on the same distribution, and computes it only on a miss; the
+    agent binds that memo when it is built.  ``transcript`` counts every query
     ``respond_count`` answers.
     """
 
@@ -740,13 +729,12 @@ class Agent:
     def _counts(self, q: Query | QueryTable, times: int):
         """The 1-bit count of a single query repeated ``times`` times, or the
         (times, Q) counts of ``times`` blocks of a table."""
-        if isinstance(q, QueryTable):
-            p = _memo_probabilities(self._distribution, q)
-            # query-major: row j's K variates share the sampler's setup
-            return self._rng.binomial(q.reps[:, None], p[:, None], size=(len(q), times)).T
         p = self._memo.get(q)
         if p is None:
             p = _memo_miss(self._memo, self._distribution, q)
+        if isinstance(q, QueryTable):
+            # query-major: row j's K variates share the sampler's setup
+            return self._rng.binomial(q.reps[:, None], p[:, None], size=(len(q), times)).T
         return self._rng.binomial(times, p)
 
     def respond_count_uniform_threshold(self, direction: str, lo: float,

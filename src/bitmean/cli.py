@@ -25,7 +25,7 @@ def _run(cfg: ExperimentConfig) -> int:
 
     fixture = _resolve_fixture(cfg)
     agent = Agent(fixture.dist, trial_rng(cfg.seed, "run", 0))
-    estimator = two_stage_estimate if cfg.two_stage else estimate_mean
+    estimator = two_stage_estimate if cfg.method == "gray" else estimate_mean
     report = estimator(agent, fixture.params, cfg.eps, cfg.delta, profile=cfg.profile)
     print(f"mu_hat: {report.mu_hat:.6f} (true mean {fixture.mean:.6f})")
     print(f"samples: localization={report.n_localization} "
@@ -62,7 +62,7 @@ _SWEEP = "trials seed out threads"
 # name: (summary, the ExperimentConfig fields its runner reads, action)
 COMMANDS = {
     "run": ("single estimate with plan summary",
-            "fixture lam sigma eps delta profile seed two_stage", _run),
+            "method fixture lam sigma eps delta profile seed", _run),
     "localize": ("localization coverage trials",
                  f"method fixture lam sigma delta {_SWEEP}",
                  _printer(run_localize, "coverage: {coverage:.3f} over {trials} trials")),
@@ -85,7 +85,6 @@ COMMANDS = {
 _FLAG_KINDS = {
     "int": {"type": int},
     "float": {"type": float},
-    "bool": {"action": "store_true"},
     "str": {},
     "str | None": {},
     "tuple[int, ...]": {"type": int, "nargs": "*"},

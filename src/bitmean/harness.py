@@ -66,25 +66,19 @@ class Fixture:
         return self.dist.mean()
 
 
-def _is_int(value) -> bool:
-    # bool is an int subclass, and JSON true parses to it
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _is_number(value) -> bool:
     # an int beyond float64 would meet the first float arithmetic on it with OverflowError
-    return isinstance(value, float) or _is_int(value) and abs(value) <= sys.float_info.max
+    return isinstance(value, float) or _is_count(value) and abs(value) <= sys.float_info.max
 
 
 # ExperimentConfig's field annotations, as written, with the values they accept
 _FIELD_TYPES = {
-    "int": ("an integer", _is_int),
+    "int": ("an integer", _is_count),
     "float": ("a number within float64's range", _is_number),
-    "bool": ("true or false", lambda v: isinstance(v, bool)),
     "str": ("a string", lambda v: isinstance(v, str)),
     "str | None": ("a string or null", lambda v: v is None or isinstance(v, str)),
     "tuple[int, ...]": ("a list of integers",
-                        lambda v: isinstance(v, (list, tuple)) and all(map(_is_int, v))),
+                        lambda v: isinstance(v, (list, tuple)) and all(map(_is_count, v))),
     "tuple[float, ...]": ("a list of numbers within float64's range",
                           lambda v: isinstance(v, (list, tuple)) and all(map(_is_number, v))),
 }
@@ -119,7 +113,6 @@ class ExperimentConfig:
     sigma_min: float = 1.0
     sigma_max: float = 16.0
     budget: int = 0
-    two_stage: bool = False
     threads: int = 1
 
     def __post_init__(self):
@@ -452,8 +445,10 @@ def run_gap(config: ExperimentConfig):
     grid = make_pair_grid(config.lam, config.sigma, config.eps)
     adaptive_cost = predict_cost(params, config.eps, config.delta, config.profile).total
     budgets = tuple(config.budgets) or (adaptive_cost,)
-    # built before any trial, so a plan the baseline refuses fails first
-    baseline_plan(config.lam, config.sigma, config.eps, budgets[0])
+    # every plan is built before any trial, so a budget the baseline refuses
+    # fails first; the first budget's, built last, stays kept for its trials
+    for budget in reversed(budgets):
+        baseline_plan(config.lam, config.sigma, config.eps, budget)
     exp_id = f"gap/{config.lam}/{config.eps}/{config.delta}"
 
     def success_rate(stream: str, estimate: Callable[[Agent], float]) -> float:

@@ -14,8 +14,8 @@ from .channel import Agent, _is_count
 from .distributions import Distribution, FamilyParams
 from .localization import gray_cost, gray_interval_length_bound, localize_gray, \
     localize_median, median_search_cost
-from .refine import EstimateReport, PlanSizeError, build_plan, estimate_mean, pipeline_cost, \
-    predict_cost, refine_from_center, refinement_plan, run_pipeline
+from .refine import SHIFTED_MEAN_BOUND, EstimateReport, PlanSizeError, build_plan, \
+    estimate_mean, pipeline_cost, predict_cost, refine_from_center, refinement_plan, run_pipeline
 
 __all__ = [
     "BudgetError",
@@ -84,7 +84,7 @@ def anytime_estimate(agent: Agent, params: FamilyParams, delta: float, budget: i
     plan is too large to run (``PlanSizeError``) fits no budget, so the run
     stops before it.  ``budget`` must be an int, checked before any query.
     """
-    if isinstance(budget, bool) or not isinstance(budget, (int, np.integer)):
+    if not _is_count(budget):
         raise ValueError(f"budget must be an int, got {budget!r}")
     loc_cost = median_search_cost(params, delta)
     tau = 1
@@ -208,16 +208,17 @@ def unknown_scale_estimate(agent: Agent, k: float, lam: float, sigma_min: float,
 
 
 def _effective_params_after_gray(params: FamilyParams, delta: float) -> FamilyParams:
-    """Parameters under which the gray interval behaves like an 8-sigma interval.
+    """Parameters under which the gray interval behaves like a 2 B sigma
+    interval, B = ``SHIFTED_MEAN_BOUND``.
 
-    The gray interval can be up to 3 lam 2^-M long, wider than the 8 sigma the
-    refinement constants assume; running refinement with sigma_eff =
-    max(sigma, length_bound / 8) restores |mean - center| <= 4 sigma_eff while
-    keeping the moment bound valid (sigma_eff >= sigma).  Deterministic, so
-    costs stay exactly predictable.
+    The gray interval can be up to 3 lam 2^-M long, wider than the 2 B sigma
+    the refinement constants assume; running refinement with sigma_eff =
+    max(sigma, length_bound / (2 B)) restores |mean - center| <= B sigma_eff
+    while keeping the moment bound valid (sigma_eff >= sigma).  Deterministic,
+    so costs stay exactly predictable.
     """
     bound = gray_interval_length_bound(params, delta)
-    return replace(params, sigma=max(params.sigma, bound / 8.0))
+    return replace(params, sigma=max(params.sigma, bound / (2 * SHIFTED_MEAN_BOUND)))
 
 
 def two_stage_cost(params: FamilyParams, eps: float, delta: float,

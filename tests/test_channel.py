@@ -507,11 +507,14 @@ def test_non_integer_query_counts_rejected(agent_type, n):
 def test_memo_leaves_seeded_reports_unchanged_cold_and_warm(monkeypatch):
     computed = []
 
-    def counted(dist, q):
-        computed.append(q)
-        return query_probability(dist, q)
+    def counting(compute):
+        def counted(dist, q):
+            computed.append(q)
+            return compute(dist, q)
+        return counted
 
-    monkeypatch.setattr(channel, "query_probability", counted)
+    monkeypatch.setattr(channel, "query_probability", counting(query_probability))
+    monkeypatch.setattr(channel, "query_probabilities", counting(query_probabilities))
     dist = make_two_sided_pareto(1.5, 1.0, mu=0.3)  # a new distribution: the memo is cold
     params = FamilyParams(1.5, 16.0, 1.0)
     reports = []
@@ -520,6 +523,7 @@ def test_memo_leaves_seeded_reports_unchanged_cold_and_warm(monkeypatch):
         reports.append(len(computed))
     cold, cold_computed, warm, warm_computed = reports
     assert warm == cold and warm.batch_values == cold.batch_values
+    assert any(isinstance(q, QueryTable) for q in computed)  # the round's table, cold
     assert cold_computed > 0 and warm_computed == cold_computed  # the warm run computed none
 
 
@@ -528,9 +532,13 @@ def test_memoized_probabilities_equal_query_probabilities():
     agent = _agent(d, seed=16)
     for table in (ALL_KINDS_TABLE, MIXED_TABLE.shifted(0.75)):
         agent.respond_count(table, table.per_block)
-        assert channel._memo_probabilities(d, table) is channel._memo_probabilities(d, table)
-        assert channel._memo_probabilities(d, table).tobytes() == \
-            query_probabilities(d, table).tobytes()
+        p = channel._QUERY_MEMO[d][table]
+        agent.respond_count(table, table.per_block)
+        assert channel._QUERY_MEMO[d][table] is p  # computed once
+        assert p.tobytes() == query_probabilities(d, table).tobytes()
+        assert not p.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            p[0] = 0.5
     for q in MIXED_TABLE.queries:
         agent.respond_count(q, 3)
         assert channel._QUERY_MEMO[d][q] == query_probability(d, q)
@@ -545,16 +553,21 @@ def test_memo_keeps_no_distribution_or_table_alive():
                 tables.append(weakref.ref(q))
             return super().respond_count(q, n, **kwargs)
 
+    params = FamilyParams(1.5, 16.0, 1.0)
     dist = make_two_sided_pareto(1.5, 1.0, mu=0.3)
-    estimate_mean(Agent(dist, trial_rng(4, "memo", 0)), FamilyParams(1.5, 16.0, 1.0), 1 / 16, 0.1)
+    estimate_mean(Recording(dist, trial_rng(4, "memo", 0)), params, 1 / 16, 0.1)
     member = make_pair_grid(64.0, 1.0, 0.125).member(3, 1)
     nonadaptive_baseline(Recording(member, trial_rng(4, "memo", 1)), 64.0, 1.0, 0.125, 20000)
-    refs = [weakref.ref(dist), weakref.ref(member), *tables]
-    assert len(tables) == 1 and all(ref() is not None for ref in refs[:2])
+    refs = [weakref.ref(dist), weakref.ref(member), weakref.ref(build_plan(params, 1 / 16, 0.1)
+                                                                .table), *tables]
+    # the round's shifted table, then the baseline's
+    assert len(tables) == 2 and all(ref() is not None for ref in refs)
     del dist, member
-    gc.collect()  # the baseline's plan keeps its table by design, but not the member
-    assert refs[0]() is None and refs[1]() is None and refs[2]() is not None
+    gc.collect()  # the caches keep their tables by design, but no distribution
+    assert refs[0]() is None and refs[1]() is None and all(ref() is not None for ref in refs[2:])
     baseline_plan.cache_clear()
+    build_plan.cache_clear()
+    QueryTable.shifted.cache_clear()
     gc.collect()
     assert all(ref() is None for ref in refs)
 
@@ -567,9 +580,29 @@ def test_memo_bounds_hold():
     assert len(channel._QUERY_MEMO[d]) == QUERY_MEMO_SIZE
     assert ThresholdLE(0.0) not in channel._QUERY_MEMO[d]  # the oldest went first
     table = QueryTable((ThresholdGE(0.0),), (1,))
-    for i in range(SHIFT_MEMO_SIZE + 3):
+    agent.respond_count(table, 1)  # a table counts against the same bound
+    assert len(channel._QUERY_MEMO[d]) == QUERY_MEMO_SIZE and table in channel._QUERY_MEMO[d]
+    assert ThresholdLE(10.0) not in channel._QUERY_MEMO[d]
+    QueryTable.shifted.cache_clear()
+    first = weakref.ref(table.shifted(0.0))
+    for i in range(1, SHIFT_MEMO_SIZE + 3):
         table.shifted(float(i))
-    assert len(table._shifts) == SHIFT_MEMO_SIZE
+    assert QueryTable.shifted.cache_info().currsize == SHIFT_MEMO_SIZE
+    gc.collect()
+    assert first() is None  # the oldest shift went first, and nothing else kept it
+
+
+def test_shift_cache_is_one_for_all_tables():
+    one = QueryTable((ThresholdGE(0.0),), (1,))
+    two = QueryTable((ThresholdGE(0.0),), (1,))
+    QueryTable.shifted.cache_clear()
+    assert one.shifted(1.0) is not two.shifted(1.0)  # keyed by the table, not its rows
+    assert QueryTable.shifted.cache_info().currsize == 2
+    for i in range(SHIFT_MEMO_SIZE):
+        two.shifted(float(i + 2))
+    assert QueryTable.shifted.cache_info().currsize == SHIFT_MEMO_SIZE
+    assert one.shifted(1.0).queries == (ThresholdGE(1.0),)
+    assert QueryTable.shifted.cache_info().misses == 2 + SHIFT_MEMO_SIZE + 1  # one's was evicted
 
 
 def test_shifted_nan_raises_on_every_call():
@@ -582,11 +615,20 @@ def test_shifted_nan_raises_on_every_call():
 
 @pytest.mark.parametrize("first", [0.0, -0.0])
 def test_shifted_by_signed_zeros_gives_one_table(first):
-    # the offsets compare equal, so they key one memo entry, whichever came first
+    # the offsets compare equal, so they key one cache entry, whichever came first
     table = QueryTable((ThresholdGE(-0.0), Interval(0.0, 1.0)), (1, 2))
+    QueryTable.shifted.cache_clear()
     shifted = table.shifted(first)
-    assert table.shifted(-first) is shifted and len(table._shifts) == 1
+    assert table.shifted(-first) is shifted
+    assert QueryTable.shifted.cache_info().currsize == 1
     assert shifted.queries == (ThresholdGE(0.0), Interval(0.0, 1.0))
+
+
+@pytest.mark.parametrize("offset", [0.75, np.float64(0.75)])
+def test_shifted_by_any_spelling_of_an_offset_gives_one_table(offset):
+    table = QueryTable((ThresholdGE(0.1), Interval(-0.5, 1.5)), (1, 2))
+    shifted = table.shifted(0.75)
+    assert table.shifted(offset) is shifted and table.shifted(offset=offset) is shifted
 
 
 # -- the point pass --------------------------------------------------------------

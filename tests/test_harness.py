@@ -286,6 +286,16 @@ def test_gap_refuses_a_baseline_too_wide_before_any_trial(monkeypatch, capsys):
     assert "lam/sigma = 64 exceeds the baseline's cap of 32" in err and "Traceback" not in err
 
 
+def test_run_gap_refuses_any_budget_before_any_trial(monkeypatch):
+    calls = []
+    monkeypatch.setattr(harness, "estimate_mean", lambda *args, **kwargs: calls.append(args))
+    monkeypatch.setattr(harness, "nonadaptive_baseline", lambda *args: calls.append(args))
+    config = ExperimentConfig(lam=64.0, trials=3, seed=1, budgets=(200000, 5))
+    with pytest.raises(ValueError, match="budget 5 below the 2N = 126 queries needed"):
+        run_gap(config)
+    assert calls == []
+
+
 def test_cli_pac_writes_csv(tmp_path, capsys):
     out = tmp_path / "pac.csv"
     code = main(["pac", "--fixture", "point_mass", "--trials", "3",
@@ -309,10 +319,18 @@ def test_cli_run_prints_plan(capsys):
     assert "mu_hat" in out and "plan:" in out
 
 
-def test_cli_run_two_stage(capsys):
+def test_cli_run_method_gray(capsys):
     assert main(["run", "--fixture", "point_mass", "--lambda", "64",
-                 "--eps", "0.5", "--two-stage"]) == 0
+                 "--eps", "0.5", "--method", "gray"]) == 0
     assert "rounds of adaptivity: 2" in capsys.readouterr().out
+
+
+def test_cli_config_setting_two_stage_is_config_error(tmp_path, capsys):
+    # run's localizer is its method; the former two_stage switch is no setting
+    config = tmp_path / "two_stage.json"
+    config.write_text('{"two_stage": true}')
+    _assert_configuration_error(["run", "--fixture", "point_mass", "--config", str(config)],
+                                capsys)
 
 
 def test_cli_gap_small(capsys):
@@ -400,7 +418,7 @@ def _assert_configuration_error(argv, capsys):
                                   ["pac", "--trials", "2", "--eps", "inf"],
                                   ["pac", "--trials", "2", "--eps", "nan"],
                                   ["scaling", "--eps-list", "0.5", "inf"],
-                                  ["run", "--two-stage", "--eps", "inf"],
+                                  ["run", "--method", "gray", "--eps", "inf"],
                                   ["scale-adapt", "--sigma-max", "inf", "--trials", "1"],
                                   ["scale-adapt", "--sigma-min", "inf", "--sigma-max", "inf",
                                    "--trials", "1"],
@@ -499,7 +517,15 @@ def test_experiment_config_checks_its_settings():
         ExperimentConfig(lam=10 ** 400)
     with pytest.raises(ValueError, match="eps_list must be a list of numbers"):
         ExperimentConfig(eps_list=[0.5, -10 ** 400])
+    with pytest.raises(ValueError, match="budget must be an integer"):
+        ExperimentConfig(budget=np.True_)
     cfg = ExperimentConfig(budgets=[100, 1000])
     assert cfg.budgets == (100, 1000)
+    # numpy ints are ints, and in range they are numbers
+    assert ExperimentConfig(trials=np.int64(5)).trials == 5
+    assert ExperimentConfig(budgets=list(np.array([100, 1000]))).budgets == (100, 1000)
+    assert ExperimentConfig(lam=np.int64(64), eps_list=[np.int64(1), 0.5]).lam == 64
+    with pytest.raises(ValueError, match="trials must be an integer"):
+        ExperimentConfig(trials=np.float64(5.0))
     with pytest.raises(AttributeError):
         cfg.trials = 5

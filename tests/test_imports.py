@@ -1,7 +1,8 @@
-"""The cold start: ``import bitmean``, the estimator on non-Gaussian fixtures,
-the Clopper-Pearson bound and ``run_pac`` load no scipy module; only the
-Gaussian oracles load ``scipy.special``, and nothing loads ``scipy.stats``.
-A serial sweep loads no thread pool (``concurrent.futures``)."""
+"""The cold start: ``import bitmean`` and ``bitmean.cli``, the estimator on
+non-Gaussian fixtures, the Clopper-Pearson bound, ``run_pac`` and the ``pac``
+command load no scipy module; only the Gaussian oracles load
+``scipy.special``, and nothing loads ``scipy.stats``.  A serial sweep loads
+no thread pool (``concurrent.futures``)."""
 
 import json
 import os
@@ -24,6 +25,7 @@ def scipy_modules():
     return sorted(name for name in sys.modules if name == "scipy" or name.startswith("scipy."))
 
 import bitmean
+import bitmean.cli
 from bitmean import harness
 from bitmean.channel import Agent
 from bitmean.hardness import make_pair_grid, nonadaptive_baseline
@@ -42,6 +44,7 @@ before = scipy_modules()
 harness.binomial_lower_bound(29, 30)
 after_bound = scipy_modules()
 harness.run_pac(harness.ExperimentConfig(fixture="pareto15", k=1.5, trials=4, seed=1))
+bitmean.cli.main(["pac", "--fixture", "pareto15", "--trials", "4"])
 after_pac = scipy_modules()
 bitmean.make_gaussian_budget_tight(2.0, 1.0).cdf(0.5)
 print(json.dumps({"before": before, "after_bound": after_bound, "after_pac": after_pac,

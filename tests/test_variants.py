@@ -10,9 +10,10 @@ from bitmean.distributions import FamilyParams, make_gaussian_budget_tight, \
     make_point_mass
 from bitmean.hardness import make_pair_grid, nonadaptive_baseline
 from bitmean.harness import acceptance_matrix, trial_rng
-from bitmean.localization import gray_cost, localize_gray, localize_median, median_search_cost
-from bitmean.refine import Region, base_estimate, build_plan, estimate_mean, estimate_region, \
-    predict_cost
+from bitmean.localization import gray_cost, gray_interval_length_bound, localize_gray, \
+    localize_median, median_search_cost
+from bitmean.refine import EstimateReport, Region, base_estimate, build_plan, estimate_mean, \
+    estimate_region, predict_cost
 from bitmean.variants import (
     BudgetError,
     anytime_estimate,
@@ -182,6 +183,41 @@ def test_unknown_scale_rarely_halts_while_guess_is_valid():
         res = unknown_scale_estimate(agent, 2.0, 64.0, 1.0, 16.0, 0.25, 0.2)
         premature += res.halted_early and res.chosen_round < valid_rounds
     assert premature <= 0.2 * 60 + 4 * math.sqrt(60 * 0.2 * 0.8)
+
+
+def test_unknown_scale_halts_at_the_first_disjoint_interval(monkeypatch):
+    # guesses 16, 8, 4, 2, 1 at ratio 0.3 give eps_i = 0.8, 0.4, 0.2, 0.1, 0.05;
+    # round 2's interval [4.8, 5.2] misses both earlier ones
+    mu_hats = [0.0, 0.1, 5.0, 5.0, 5.0]
+    calls = []
+
+    def scripted(agent, params, eps, delta, profile):
+        i = len(calls)
+        calls.append((params.sigma, eps))
+        return EstimateReport(mu_hat=mu_hats[i], n_localization=10 * (i + 1),
+                              n_refinement=1000 * (i + 1), rounds_of_adaptivity=2,
+                              localization=None, plan=None)
+
+    monkeypatch.setattr(variants, "estimate_mean", scripted)
+    agent = Agent(make_point_mass(0.0), trial_rng(5, "scale-halt", 0))
+    res = unknown_scale_estimate(agent, 2.0, 64.0, 1.0, 16.0, 0.3, 0.2)
+    assert res.halted_early and res.chosen_round == 1 and res.mu_hat == 0.1
+    assert [sigma for sigma, _ in calls] == [16.0, 8.0, 4.0]  # no round after the halt
+    assert len(res.rounds) == 3 and res.n_total == 1010 + 2020 + 3030
+
+
+def test_two_stage_bypasses_gray_localization_at_a_narrow_range():
+    # lam = 4 sigma is below the 2^(2 + 2/k) sigma = 8 sigma one Gray level needs
+    params, eps, delta = FamilyParams(2.0, 4.0, 1.0), 0.25, 0.1
+    assert gray_cost(params, delta) == 0
+    assert gray_interval_length_bound(params, delta) == 2.0 * params.lam
+    agent = Agent(make_point_mass(0.7), trial_rng(8, "ts-bypass", 0))
+    report = two_stage_estimate(agent, params, eps, delta)
+    assert report.localization.method == "gray-bypass"
+    assert report.rounds_of_adaptivity == 1
+    assert two_stage_cost(params, eps, delta) == report.n_total == agent.transcript.total \
+        == 196_608
+    assert abs(report.mu_hat - 0.7) <= eps
 
 
 def test_two_stage_uses_two_rounds_and_exact_accounting():
