@@ -46,10 +46,10 @@ on a sigma-grid and a refinement round is one table shifted to the localized
 center.  So the aggregated path memoizes, by two rules:
 
 * every probability -- a single query's, or a table's vector, read-only --
-  sits in one map per distribution, weakly keyed by it, of at most
-  ``QUERY_MEMO_SIZE`` queries and tables, oldest out first; the votes of
-  every agent on one distribution share it, and no probability outlives its
-  distribution;
+  sits in its distribution's memo: one map of queries and one of tables,
+  each of at most ``QUERY_MEMO_SIZE`` entries, oldest out first, shared by
+  every agent on the distribution; the memo goes with its distribution, and
+  the table map is weakly keyed, so a table's entry goes with its table;
 * ``QueryTable.shifted`` computes a shift once per (table, offset) in one
   cache of ``SHIFT_MEMO_SIZE`` entries for all tables, so a repeated center
   gives back the same table, and with it the probabilities memoized for it.
@@ -102,13 +102,13 @@ __all__ = [
 ]
 
 INT64_MAX = int(np.iinfo(np.int64).max)
-# Bound of the shift cache, for all tables.  Counted shifts, seed 1: run_pac on
-# pareto15 at eps = sigma/64 (200 trials) makes 200 at 2 distinct (table,
-# offset) keys, and run_anytime on gauss_tight (50 trials, budget 17,476,410)
-# 200 at 4; run_gap at lam = 2^10 sigma (200 trials) makes 200 at 189, mostly
-# one per new pair member, which no cache size would serve.
-SHIFT_MEMO_SIZE = 8
-# Bound of each distribution's probability memo.  A median search votes at one
+# Bound of the shift cache, for all tables.  A sweep repeats its trial's (table,
+# offset) keys, so the cache must hold one trial's.  Counted, seed 1: `anytime
+# --budget 10^40 --trials 3` shifts 29 tables, one per round, 3 times (8 entries
+# serve none, 32 serve 58); default `scale-adapt` 5 keys; `pac` 1; `gap` a new
+# key per trial.  A refinement table has at most ~330 rows, so 64 cost little.
+SHIFT_MEMO_SIZE = 64
+# Bound of each of a distribution's two memo maps.  A median search votes at one
 # of 2^levels - 1 grid points: 31 at lam = 16 sigma, 2,047 at lam = 2^10 sigma.
 QUERY_MEMO_SIZE = 1024
 
@@ -441,21 +441,22 @@ def _read_only(*arrays: np.ndarray) -> None:
 # Serializes memo writes, which may evict, across an experiment's threads;
 # reads take no lock.
 _MEMO_LOCK = threading.Lock()
-# distribution -> {query or table: Pr(bit = 1)}, at most QUERY_MEMO_SIZE entries each
-_QUERY_MEMO: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+# distribution -> ({query: Pr(bit = 1)}, weakly {table: its vector})
+_MEMOS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _query_memo(dist: Distribution) -> dict:
-    """The distribution's map from its last ``QUERY_MEMO_SIZE`` distinct
-    queries and tables to their probabilities."""
-    memo = _QUERY_MEMO.get(dist)
-    return _QUERY_MEMO.setdefault(dist, {}) if memo is None else memo
+def _memos(dist: Distribution) -> tuple[dict, weakref.WeakKeyDictionary]:
+    """The distribution's two memo maps: its last ``QUERY_MEMO_SIZE`` distinct
+    queries to their probabilities, and its last ``QUERY_MEMO_SIZE`` live
+    tables to their vectors."""
+    memos = _MEMOS.get(dist)
+    return _MEMOS.setdefault(dist, ({}, weakref.WeakKeyDictionary())) if memos is None else memos
 
 
-def _memo_miss(memo: dict, dist: Distribution, q: Query | QueryTable):
+def _memo_miss(memo, dist: Distribution, q: Query | QueryTable):
     """``query_probabilities(dist, q)``, read-only, for a table, or
-    ``query_probability(dist, q)`` for a query, stored in the distribution's
-    memo, which drops its oldest entries beyond ``QUERY_MEMO_SIZE``."""
+    ``query_probability(dist, q)`` for a query, stored in ``memo``, one of the
+    distribution's two maps, oldest out beyond ``QUERY_MEMO_SIZE``."""
     if isinstance(q, QueryTable):
         p = query_probabilities(dist, q)
         _read_only(p)
@@ -680,13 +681,13 @@ class Agent:
     it does keep is oracle probabilities: ``respond_count`` takes each p, or
     a table's vector of them, from its distribution's memo, shared with every
     other agent on the same distribution, and computes it only on a miss; the
-    agent binds that memo when it is built.  ``transcript`` counts every query
-    ``respond_count`` answers.
+    agent binds that memo's two maps when it is built.  ``transcript`` counts
+    every query ``respond_count`` answers.
     """
 
     def __init__(self, distribution: Distribution, rng: np.random.Generator):
         self._distribution = distribution
-        self._memo = _query_memo(distribution)
+        self._memo, self._table_memo = _memos(distribution)
         self._rng = rng
         self.transcript = Transcript()
 
@@ -729,10 +730,12 @@ class Agent:
     def _counts(self, q: Query | QueryTable, times: int):
         """The 1-bit count of a single query repeated ``times`` times, or the
         (times, Q) counts of ``times`` blocks of a table."""
-        p = self._memo.get(q)
+        table = isinstance(q, QueryTable)
+        memo = self._table_memo if table else self._memo
+        p = memo.get(q)
         if p is None:
-            p = _memo_miss(self._memo, self._distribution, q)
-        if isinstance(q, QueryTable):
+            p = _memo_miss(memo, self._distribution, q)
+        if table:
             # query-major: row j's K variates share the sampler's setup
             return self._rng.binomial(q.reps[:, None], p[:, None], size=(len(q), times)).T
         return self._rng.binomial(times, p)

@@ -274,6 +274,18 @@ def baseline_plan(lam: float, sigma: float, eps: float, budget: int) -> Baseline
     return _cached_baseline_plan(lam, sigma, eps, int(budget))
 
 
+def _per_slot(grid: PairGrid, budget: int) -> int:
+    """budget // 2N, the repetitions of each of the baseline's 2N slots on the
+    grid; ``ValueError`` unless it is at least 1 and within int64."""
+    slots = 2 * grid.n_pairs
+    per_slot = budget // slots
+    if per_slot < 1:
+        raise ValueError(f"budget {budget} below the 2N = {slots} queries needed")
+    if per_slot > INT64_MAX:
+        raise ValueError(f"budget {budget} puts {per_slot} queries in one slot, beyond int64")
+    return per_slot
+
+
 # One plan: every caller sweeps the trials of one budget before the next.
 @functools.lru_cache(maxsize=1, typed=True)
 def _cached_baseline_plan(lam: float, sigma: float, eps: float, budget: int) -> BaselinePlan:
@@ -282,14 +294,9 @@ def _cached_baseline_plan(lam: float, sigma: float, eps: float, budget: int) -> 
         raise ValueError(f"lam/sigma = {lam / sigma:g} exceeds the baseline's cap of "
                          f"{MAX_BASELINE_LAM_OVER_SIGMA}")
     grid = make_pair_grid(lam, sigma, eps)
-    slots = 2 * grid.n_pairs
-    per_slot = budget // slots
-    if per_slot < 1:
-        raise ValueError(f"budget {budget} below the 2N = {slots} queries needed")
-    if per_slot > INT64_MAX:
-        raise ValueError(f"budget {budget} puts {per_slot} queries in one slot, beyond int64")
+    per_slot = _per_slot(grid, budget)
     c = -grid.lam + 2.0 * np.arange(1, grid.n_pairs + 1) * grid.sigma  # every PairGrid.center
-    table = QueryTable.from_columns(Interval, np.full(slots, per_slot),
+    table = QueryTable.from_columns(Interval, np.full(2 * grid.n_pairs, per_slot),
                                     lo=np.column_stack([c - grid.sigma, c]).ravel(),
                                     hi=np.repeat(c + grid.sigma, 2))
     return BaselinePlan(grid=grid, per_slot=per_slot, table=table)

@@ -24,8 +24,8 @@ import numpy as np
 from .channel import Agent, _is_count
 from .distributions import Distribution, FamilyParams, make_discrete, \
     make_gaussian_budget_tight, make_point_mass, make_two_sided_pareto, validate_family
-from .hardness import K2HardPair, PairGrid, baseline_plan, make_k2_pair, make_pair_grid, \
-    nonadaptive_baseline, verify_kl_bound
+from .hardness import K2HardPair, PairGrid, _per_slot, baseline_plan, make_k2_pair, \
+    make_pair_grid, nonadaptive_baseline, verify_kl_bound
 from .localization import gray_change_points, gray_decode, gray_bit_value, \
     localize_gray, localize_median
 from .refine import analytic_region_mean, build_plan, estimate_mean, predict_cost
@@ -445,10 +445,11 @@ def run_gap(config: ExperimentConfig):
     grid = make_pair_grid(config.lam, config.sigma, config.eps)
     adaptive_cost = predict_cost(params, config.eps, config.delta, config.profile).total
     budgets = tuple(config.budgets) or (adaptive_cost,)
-    # every plan is built before any trial, so a budget the baseline refuses
-    # fails first; the first budget's, built last, stays kept for its trials
-    for budget in reversed(budgets):
-        baseline_plan(config.lam, config.sigma, config.eps, budget)
+    # a budget the baseline refuses fails before any trial: the first budget's
+    # plan is built (and kept for its trials), the others' split only checked
+    baseline_plan(config.lam, config.sigma, config.eps, budgets[0])
+    for budget in budgets[1:]:
+        _per_slot(grid, budget)
     exp_id = f"gap/{config.lam}/{config.eps}/{config.delta}"
 
     def success_rate(stream: str, estimate: Callable[[Agent], float]) -> float:

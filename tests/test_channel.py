@@ -532,16 +532,16 @@ def test_memoized_probabilities_equal_query_probabilities():
     agent = _agent(d, seed=16)
     for table in (ALL_KINDS_TABLE, MIXED_TABLE.shifted(0.75)):
         agent.respond_count(table, table.per_block)
-        p = channel._QUERY_MEMO[d][table]
+        p = channel._MEMOS[d][1][table]
         agent.respond_count(table, table.per_block)
-        assert channel._QUERY_MEMO[d][table] is p  # computed once
+        assert channel._MEMOS[d][1][table] is p  # computed once
         assert p.tobytes() == query_probabilities(d, table).tobytes()
         assert not p.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             p[0] = 0.5
     for q in MIXED_TABLE.queries:
         agent.respond_count(q, 3)
-        assert channel._QUERY_MEMO[d][q] == query_probability(d, q)
+        assert channel._MEMOS[d][0][q] == query_probability(d, q)
 
 
 def test_memo_keeps_no_distribution_or_table_alive():
@@ -575,14 +575,17 @@ def test_memo_keeps_no_distribution_or_table_alive():
 def test_memo_bounds_hold():
     d = make_point_mass(0.0)
     agent = _agent(d, seed=17)
+    queries, tables = channel._MEMOS[d]
     for i in range(QUERY_MEMO_SIZE + 10):
         assert agent.respond_count(ThresholdLE(float(i)), 1) == 1
-    assert len(channel._QUERY_MEMO[d]) == QUERY_MEMO_SIZE
-    assert ThresholdLE(0.0) not in channel._QUERY_MEMO[d]  # the oldest went first
-    table = QueryTable((ThresholdGE(0.0),), (1,))
-    agent.respond_count(table, 1)  # a table counts against the same bound
-    assert len(channel._QUERY_MEMO[d]) == QUERY_MEMO_SIZE and table in channel._QUERY_MEMO[d]
-    assert ThresholdLE(10.0) not in channel._QUERY_MEMO[d]
+    assert len(queries) == QUERY_MEMO_SIZE
+    assert ThresholdLE(0.0) not in queries  # the oldest went first
+    kept = [QueryTable((ThresholdGE(float(i)),), (1,)) for i in range(QUERY_MEMO_SIZE + 2)]
+    for table in kept:  # kept alive, so only the bound drops them
+        agent.respond_count(table, 1)
+    assert len(tables) == QUERY_MEMO_SIZE and len(queries) == QUERY_MEMO_SIZE  # bounds apart
+    assert kept[0] not in tables and kept[1] not in tables and kept[-1] in tables
+    table = kept[-1]
     QueryTable.shifted.cache_clear()
     first = weakref.ref(table.shifted(0.0))
     for i in range(1, SHIFT_MEMO_SIZE + 3):
@@ -590,6 +593,23 @@ def test_memo_bounds_hold():
     assert QueryTable.shifted.cache_info().currsize == SHIFT_MEMO_SIZE
     gc.collect()
     assert first() is None  # the oldest shift went first, and nothing else kept it
+
+
+def test_memo_drops_a_shifted_table_the_shift_cache_drops():
+    # a shift the cache evicted can never be asked again, so its vector goes too
+    d = make_two_sided_pareto(1.5, 1.0, mu=0.3)
+    agent, tables = _agent(d, seed=19), channel._MEMOS[d][1]
+    QueryTable.shifted.cache_clear()
+    first = weakref.ref(MIXED_TABLE.shifted(0.0))
+    for i in range(SHIFT_MEMO_SIZE + 5):
+        shifted = MIXED_TABLE.shifted(i / 8)
+        agent.respond_count(shifted, shifted.per_block)
+    del shifted
+    gc.collect()
+    assert first() is None
+    assert len(tables) == SHIFT_MEMO_SIZE  # the shifts still cached, and no other
+    assert all(any(t is MIXED_TABLE.shifted(i / 8) for t in tables.keys())
+               for i in range(5, SHIFT_MEMO_SIZE + 5))
 
 
 def test_shift_cache_is_one_for_all_tables():

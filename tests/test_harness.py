@@ -219,6 +219,7 @@ def test_run_gap_same_text_on_cold_and_warm_memo():
     baseline_plan.cache_clear()
     build_plan.cache_clear()
     _, cold = run_gap(config)
+    assert baseline_plan.cache_info().misses == 2  # each budget's plan built once
     _, warm = run_gap(config)
     assert warm == cold
 
