@@ -41,6 +41,14 @@ an independent Binomial(reps[j], p[j]); only the order in which the
 generator's stream is used depends on this, and with one block it is the
 order of the rows, as a flat draw over the rows would use it.
 
+Only a table's live rows, those at p != 0, are drawn; the others count 0.
+numpy's Binomial sampler returns 0 at p == 0 without using the generator, so
+every count and every later variate is what a draw over all rows gives.  A
+row at p == 1 uses one double of the stream, so it stays in the draw.  The
+live rows are found once per (distribution, table), when the table's vector
+is memoized, and kept beside it: on a pair-grid member, two of the
+baseline's 2N rows are live.
+
 An estimator asks the same queries trial after trial: localization votes sit
 on a sigma-grid and a refinement round is one table shifted to the localized
 center.  So the aggregated path memoizes, by two rules:
@@ -441,32 +449,39 @@ def _read_only(*arrays: np.ndarray) -> None:
 # Serializes memo writes, which may evict, across an experiment's threads;
 # reads take no lock.
 _MEMO_LOCK = threading.Lock()
-# distribution -> ({query: Pr(bit = 1)}, weakly {table: its vector})
+# distribution -> ({query: Pr(bit = 1)}, weakly {table: (its vector, its live rows)})
 _MEMOS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _memos(dist: Distribution) -> tuple[dict, weakref.WeakKeyDictionary]:
     """The distribution's two memo maps: its last ``QUERY_MEMO_SIZE`` distinct
     queries to their probabilities, and its last ``QUERY_MEMO_SIZE`` live
-    tables to their vectors."""
+    tables to their vectors, each beside its live rows (see ``_memo_miss``)."""
     memos = _MEMOS.get(dist)
     return _MEMOS.setdefault(dist, ({}, weakref.WeakKeyDictionary())) if memos is None else memos
 
 
 def _memo_miss(memo, dist: Distribution, q: Query | QueryTable):
-    """``query_probabilities(dist, q)``, read-only, for a table, or
-    ``query_probability(dist, q)`` for a query, stored in ``memo``, one of the
-    distribution's two maps, oldest out beyond ``QUERY_MEMO_SIZE``."""
+    """``query_probability(dist, q)`` for a query, or for a table the pair of
+    ``query_probabilities(dist, q)`` and the index of its live rows, those at
+    p != 0 (``None`` when every row is), both read-only; stored in ``memo``,
+    one of the distribution's two maps, oldest out beyond ``QUERY_MEMO_SIZE``."""
     if isinstance(q, QueryTable):
         p = query_probabilities(dist, q)
+        live = (p != 0.0).nonzero()[0]  # a NaN stays live, so its draw still raises
+        if live.size == p.size:
+            live = None
+        else:
+            _read_only(live)
         _read_only(p)
+        entry = p, live
     else:
-        p = query_probability(dist, q)
+        entry = query_probability(dist, q)
     with _MEMO_LOCK:
-        memo[q] = p
+        memo[q] = entry
         while len(memo) > QUERY_MEMO_SIZE:
             del memo[next(iter(memo))]
-    return p
+    return entry
 
 
 def _gray_value(level: int, u) -> np.ndarray:
@@ -507,19 +522,29 @@ def evaluate_query(q: Query, x) -> np.ndarray:
 def query_probabilities(dist: Distribution, table: QueryTable) -> np.ndarray:
     """Pr(bit = 1) of each row of the table under the distribution, from its
     analytic CDF: the point pass of the module docstring."""
-    points = table._points
-    located, uniform = table._passes
-    on = _OnPoints(dist, points, located, uniform)
-    p = np.empty(len(table))
-    for kind, rows, at, values in table._blocks:
-        if kind is GrayBit:
-            p[rows] = _gray_probability(dist, values["level"], points[at["shift"]],
-                                        values["scale"])
-        elif kind is UniformThreshold:
-            p[rows] = _uniform_on_points(on, values["direction"][0], **at)
-        else:
-            p[rows] = _ON_POINTS[kind](on, **at)
-    return np.minimum(np.maximum(p, 0.0), 1.0)  # guard float cancellation in tail differences
+    on = _OnPoints(dist, table._points, *table._passes)
+    blocks = table._blocks
+    if len(blocks) == 1:  # one group holds every row, in order
+        kind, _, at, values = blocks[0]
+        p = np.asarray(_block_probabilities(dist, on, kind, at, values), dtype=float)
+    else:
+        p = np.empty(len(table))
+        for kind, rows, at, values in blocks:
+            p[rows] = _block_probabilities(dist, on, kind, at, values)
+    # guard float cancellation in tail differences; np.clip would keep a -0.0
+    np.maximum(p, 0.0, out=p)
+    np.minimum(p, 1.0, out=p)
+    return p
+
+
+def _block_probabilities(dist: Distribution, on: _OnPoints, kind, at: dict,
+                         values: dict) -> np.ndarray:
+    """A fresh array of the probabilities of one group's rows, unclamped."""
+    if kind is GrayBit:
+        return _gray_probability(dist, values["level"], on.points[at["shift"]], values["scale"])
+    if kind is UniformThreshold:
+        return _uniform_on_points(on, values["direction"][0], **at)
+    return _ON_POINTS[kind](on, **at)
 
 
 def query_probability(dist: Distribution, q: Query) -> float:
@@ -715,8 +740,10 @@ class Agent:
         of which row j is repeated reps[j] times: its int64 counts have shape
         (K, Q), one row per block, from one draw.  That draw is query-major
         (see the module docstring), so the counts are the transpose of a
-        (Q, K) array, whose memory layout need not be C order.  The n
-        queries are recorded in ``transcript`` once they are answered.
+        (Q, K) array, whose memory layout need not be C order.  Only the rows
+        at p != 0 are drawn, the rest count 0, and the generator's stream is
+        used as a draw over every row uses it.  The n queries are recorded in
+        ``transcript`` once they are answered.
         """
         if isinstance(q, QueryTable):
             counts = self._counts(q, _table_blocks(q, n))
@@ -732,13 +759,21 @@ class Agent:
         (times, Q) counts of ``times`` blocks of a table."""
         table = isinstance(q, QueryTable)
         memo = self._table_memo if table else self._memo
-        p = memo.get(q)
-        if p is None:
-            p = _memo_miss(memo, self._distribution, q)
-        if table:
-            # query-major: row j's K variates share the sampler's setup
+        entry = memo.get(q)
+        if entry is None:
+            entry = _memo_miss(memo, self._distribution, q)
+        if not table:
+            return self._rng.binomial(times, entry)
+        # query-major: row j's K variates share the sampler's setup
+        p, live = entry
+        if live is None:
             return self._rng.binomial(q.reps[:, None], p[:, None], size=(len(q), times)).T
-        return self._rng.binomial(times, p)
+        # a row at p = 0 draws 0 and leaves the stream where it was, so only
+        # the live rows are drawn
+        counts = np.zeros((len(q), times), dtype=np.int64)
+        counts[live] = self._rng.binomial(q.reps[live, None], p[live, None],
+                                          size=(live.size, times))
+        return counts.T
 
     def respond_count_uniform_threshold(self, direction: str, lo: float,
                                         hi: float, n: int) -> int:

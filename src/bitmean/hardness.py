@@ -326,17 +326,25 @@ class BaselineEstimate:
 
 def nonadaptive_baseline(agent: Agent, lam: float, sigma: float, eps: float,
                          budget: int) -> BaselineEstimate:
-    """Run the fixed plan as one draw, pick the pair by presence fraction and
-    the sign by comparing the sign fraction to 1/2; return center + sign * eps."""
+    """Run the fixed plan as one draw and decide on its exact counts: the pair
+    j is the first with the most presence 1-bits, and the sign is +1 iff the
+    sign interval of pair j answered 1 on at least half its per_slot queries,
+    2 * ones >= per_slot; return center + sign * eps.
+
+    Every slot repeats per_slot times, so these are the presence-fraction
+    maximum and the sign-fraction test against 1/2, exactly; float fractions
+    give the same decisions while per_slot <= 2^53.  With m = per_slot and
+    the sign interval's probability q, the sign is +1 with probability
+    Pr(Bin(m, q) >= ceil(m / 2)) = ``binom.sf((m + 1) // 2 - 1, m, q)``, the
+    law acceptance criterion 11 evaluates exactly.
+    """
     agent.transcript.begin_phase("nonadaptive")
     plan = baseline_plan(lam, sigma, eps, budget)
     table = plan.table
     ones = agent.respond_count(table, table.per_block)[0]
-    frac = ones / table.reps
-    presence, sign_frac = frac[0::2], frac[1::2]  # the table alternates the two per pair
-
-    j_hat = int(np.argmax(presence)) + 1
-    sign = 1 if sign_frac[j_hat - 1] >= 0.5 else -1
+    # the table alternates presence and sign rows, pair by pair
+    j_hat = int(np.argmax(ones[0::2])) + 1
+    sign = 1 if 2 * int(ones[2 * j_hat - 1]) >= plan.per_slot else -1
     return BaselineEstimate(
         mu_hat=plan.grid.center(j_hat) + sign * eps,
         pair_index=j_hat,

@@ -267,6 +267,10 @@ def _region_table(regions, reps, center: float) -> QueryTable:
     [a, b] gives a p_a + b p_b = E[Y 1(a < Y <= b)].  Left regions mirror this
     onto [-b, -a).  The inner endpoint is strict so an atom on a cell boundary
     is counted once; regions +-1 keep f1 closed at the center, where a = 0.
+
+    In regions +-1, a = 0 weighs p_a by nothing (their ``weights[:, 0]`` is
+    0), so their f1 and f2 rows, 4 n_1 queries a batch over both sides, never
+    reach a batch value; they are still asked, and counted in the plan's cost.
     """
     inner = np.array([region.inner for region in regions])
     outer = np.array([region.outer for region in regions])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from pytest import approx
 
-from bitmean import channel
+from bitmean import channel, harness
 from bitmean.channel import (
     MAX_GRAY_LEVEL,
     QUERY_MEMO_SIZE,
@@ -30,8 +30,8 @@ from bitmean.channel import (
 from bitmean.distributions import FamilyParams, make_discrete, make_gaussian_budget_tight, \
     make_point_mass, make_two_sided_pareto
 from bitmean.hardness import baseline_plan, make_pair_grid, nonadaptive_baseline
-from bitmean.harness import trial_rng
-from bitmean.refine import build_plan, estimate_mean
+from bitmean.harness import ExperimentConfig, acceptance_matrix, run_gap, run_pac, trial_rng
+from bitmean.refine import build_plan, estimate_mean, refinement_plan
 
 
 def _agent(dist, seed=0, tag="chan"):
@@ -463,31 +463,86 @@ def _refinement_table():
     return build_plan(FamilyParams(1.5, 16.0, 1.0), 1 / 16, 0.1).table.shifted(0.3)
 
 
+def _draw_cases():
+    """(distribution, table, has rows at p = 0): two tables with every row
+    live, then the baseline's table on a pair member, the refinement table at
+    k2_null's mean, and a table with no live row."""
+    pareto = make_two_sided_pareto(1.5, 1.0, mu=0.3, alpha=1.9)
+    k2_null = acceptance_matrix()["k2_null"]
+    refinement = refinement_plan(k2_null.params, 0.25, 0.2).table.shifted(k2_null.mean)
+    dead = QueryTable((ThresholdGE(1.0), Interval(2.0, 3.0), ThresholdLT(-1.0)), (3, 5, 7))
+    return [(pareto, MIXED_TABLE, False), (pareto, _refinement_table(), False),
+            (make_pair_grid(64.0, 1.0, 0.125).member(5, 1),
+             baseline_plan(64.0, 1.0, 0.125, 20_000).table, True),
+            (k2_null.dist, refinement, True), (make_point_mass(0.0), dead, True)]
+
+
+def _assert_draw(dist, table, has_dead, seed, draw):
+    # the agent's counts and its generator's state afterwards are numpy's
+    # draw over every row, dead or live, and its generator's state
+    generator, rng = trial_rng(seed, "chan", 0), trial_rng(seed, "chan", 0)
+    counts = draw(Agent(dist, generator))
+    p = query_probabilities(dist, table)
+    assert (p == 0).any() == has_dead
+    assert np.array_equal(counts, draw(rng, p))
+    assert generator.bit_generator.state == rng.bit_generator.state
+
+
 @pytest.mark.parametrize("blocks", [2, 7, 19])
 def test_table_draw_is_query_major(blocks):
     # row j's K block counts are consecutive variates of the stream, so the
     # Binomial sampler sets up once per row
-    d = make_two_sided_pareto(1.5, 1.0, mu=0.3, alpha=1.9)
-    for table in (MIXED_TABLE, _refinement_table()):
-        agent, rng = _agent(d, seed=17), trial_rng(17, "chan", 0)
-        p, reps = query_probabilities(d, table), table.reps
-        counts = agent.respond_count(table, blocks * table.per_block)
-        expected = rng.binomial(reps[:, None], p[:, None], size=(len(table), blocks)).T
-        assert np.array_equal(counts, expected)
+    for dist, table, has_dead in _draw_cases():
+        def draw(source, p=None):
+            if p is None:
+                return source.respond_count(table, blocks * table.per_block)
+            return source.binomial(table.reps[:, None], p[:, None],
+                                   size=(len(table), blocks)).T
+        _assert_draw(dist, table, has_dead, 17, draw)
 
 
 @pytest.mark.parametrize("blocks", [None, 1])
 def test_one_block_table_draw_keeps_row_order(blocks):
     # one block takes the rows in order: its (1, Q) counts are those of a flat
     # draw over the rows (no block axis) and of a one-block (1, Q) draw
-    d = make_two_sided_pareto(1.5, 1.0, mu=0.3, alpha=1.9)
-    for table in (MIXED_TABLE, _refinement_table()):
-        agent, rng = _agent(d, seed=18), trial_rng(18, "chan", 0)
-        p, reps = query_probabilities(d, table), table.reps
-        counts = agent.respond_count(table, table.per_block)
-        size = None if blocks is None else (blocks, len(table))
-        assert counts.shape == (1, len(table))
-        assert np.array_equal(counts, np.atleast_2d(rng.binomial(reps, p, size=size)))
+    for dist, table, has_dead in _draw_cases():
+        def draw(source, p=None):
+            if p is None:
+                counts = source.respond_count(table, table.per_block)
+                assert counts.shape == (1, len(table))
+                return counts
+            size = None if blocks is None else (blocks, len(table))
+            return np.atleast_2d(source.binomial(table.reps, p, size=size))
+        _assert_draw(dist, table, has_dead, 18, draw)
+
+
+class _EveryRowAgent(Agent):
+    """Draws every row of a table, those at p = 0 too, as the agent did
+    before it skipped them; counts the rows at p = 0 it drew."""
+
+    dead_rows = 0
+
+    def _counts(self, q, times):
+        if not isinstance(q, QueryTable):
+            return super()._counts(q, times)
+        p = query_probabilities(self._distribution, q)
+        type(self).dead_rows += int((p == 0).sum())
+        return self._rng.binomial(q.reps[:, None], p[:, None], size=(len(q), times)).T
+
+
+@pytest.mark.parametrize("run", ["gap", "pac_k2_null"])
+def test_runs_skipping_dead_rows_equal_runs_drawing_every_row(monkeypatch, run):
+    if run == "gap":
+        config = ExperimentConfig(k=2.0, lam=64.0, eps=0.125, delta=0.1, trials=6, seed=3,
+                                  budgets=(2_000, 20_000))
+        runner = run_gap
+    else:
+        config, runner = ExperimentConfig(fixture="k2_null", trials=4, seed=2), run_pac
+    skipping = runner(config)
+    monkeypatch.setattr(harness, "Agent", _EveryRowAgent)
+    _EveryRowAgent.dead_rows = 0
+    assert runner(config) == skipping  # the rows and the CSV text
+    assert _EveryRowAgent.dead_rows > 0
 
 
 @pytest.mark.parametrize("agent_type", [Agent, BitAgent])
@@ -532,9 +587,9 @@ def test_memoized_probabilities_equal_query_probabilities():
     agent = _agent(d, seed=16)
     for table in (ALL_KINDS_TABLE, MIXED_TABLE.shifted(0.75)):
         agent.respond_count(table, table.per_block)
-        p = channel._MEMOS[d][1][table]
+        p, _ = channel._MEMOS[d][1][table]
         agent.respond_count(table, table.per_block)
-        assert channel._MEMOS[d][1][table] is p  # computed once
+        assert channel._MEMOS[d][1][table][0] is p  # computed once
         assert p.tobytes() == query_probabilities(d, table).tobytes()
         assert not p.flags.writeable
         with pytest.raises(ValueError, match="read-only"):

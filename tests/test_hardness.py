@@ -203,6 +203,65 @@ def test_baseline_consistent_with_large_budget():
         assert abs(est.mu_hat - dist.mean()) <= 1e-12
 
 
+class _ScriptedAgent(Agent):
+    """Answers the baseline's table (lam = 64, sigma = 1: 63 pairs, 126 rows)
+    with the given one-block counts, or records the counts it draws."""
+
+    def __init__(self, ones=None, dist=None, rng=None):
+        super().__init__(dist or make_pair_grid(64.0, 1.0, 0.125).member(1, 1),
+                         rng or trial_rng(0, "scripted", 0))
+        self.ones = ones
+
+    def _counts(self, q, times):
+        if self.ones is None:
+            self.ones = super()._counts(q, times)[0]
+        return np.asarray(self.ones, dtype=np.int64)[None, :]
+
+
+def _decide(per_slot, ones=None, agent=None):
+    agent = agent or _ScriptedAgent(ones)
+    est = nonadaptive_baseline(agent, 64.0, 1.0, 0.125, 126 * per_slot)
+    return est.pair_index, est.sign
+
+
+def _fraction_rule(ones, per_slot):
+    # the decision on float fractions the count rule replaced
+    frac = ones / np.full(len(ones), per_slot)
+    j = int(np.argmax(frac[0::2])) + 1
+    return j, 1 if frac[1::2][j - 1] >= 0.5 else -1
+
+
+def test_baseline_decides_on_exact_counts():
+    ones = np.zeros(126, dtype=np.int64)
+    ones[8:10] = 10, 5  # pair 5: all present, the sign interval exactly half
+    assert _decide(10, ones) == (5, 1)
+    ones[8:10] = 11, 5  # per_slot odd: (per_slot - 1) / 2 is below half
+    assert _decide(11, ones) == (5, -1)
+    ones[8:10] = 11, 6
+    assert _decide(11, ones) == (5, 1)
+    ones[:] = 0
+    ones[[4, 12, 13]] = 7  # pairs 3 and 7 tie on presence: the first wins
+    assert _decide(11, ones) == (3, -1)
+    # beyond 2^53 a float fraction rounds (2^53 + 1 - 1) / 2 of 2^53 + 1 up to
+    # 1/2; the counts still say below half
+    big = 2 ** 53 + 1
+    ones[:] = 0
+    ones[8:10] = big, big // 2
+    assert _fraction_rule(ones, big) == (5, 1) and _decide(big, ones) == (5, -1)
+
+
+@pytest.mark.parametrize("per_slot", [1, 2, 3, 10, 11, 20_000 // 126])
+def test_baseline_count_rule_equals_fraction_rule(per_slot):
+    grid = make_pair_grid(64.0, 1.0, 0.125)
+    for trial in range(40):
+        rng = trial_rng(12, "baseline-rule", trial)
+        ones = rng.integers(0, per_slot + 1, size=126)  # ties at small per_slot
+        assert _decide(per_slot, ones) == _fraction_rule(ones, per_slot)
+        member = grid.member(int(rng.integers(1, 64)), 1 if rng.random() < 0.5 else -1)
+        drawing = _ScriptedAgent(dist=member, rng=rng)
+        assert _decide(per_slot, agent=drawing) == _fraction_rule(drawing.ones, per_slot)
+
+
 @pytest.mark.parametrize("sigma", [0.3, 1.0, 2.5])
 @pytest.mark.parametrize("lam", [4.0, 77.3, 1000.5, 2.0 ** 10, 2.0 ** 16])
 def test_pair_grid_centers_equal_per_pair_loop(lam, sigma):
