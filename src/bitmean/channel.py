@@ -20,17 +20,23 @@ repetitions of any query through one of two paths:
   one such draw.
 
 The point pass: a table holds the locations of its rows once, as sorted
-distinct points, so ``query_probabilities`` evaluates the distribution's
-``cdf`` and ``cdf_strict`` once on them, and its partial means only when the
-table has a ``UniformThreshold`` row.  Each kind's probabilities are then a
-gather from those arrays at its rows' point indices, followed by the
-arithmetic of the kind's own oracle (``cdf``, ``cdf_strict``,
-``Distribution.prob_interval``, ``uniform_threshold_probability``), so they
-equal that oracle's bytewise; a ``GrayBit`` keeps its own oracle.  A shifted
-table moves its points and shares everything else.  A single threshold query
-takes its probability from the scalar oracle at its float ``gamma``, which a
-``DiscreteMixture`` answers by bisecting a list, with no array built; any
-other single query is the one row of a one-row table.
+distinct points, so ``query_probabilities`` asks the distribution for its
+``cdf`` and ``cdf_strict`` on them in one ``Distribution.cdfs_on_sorted``
+call, and for its partial means only when the table has a
+``UniformThreshold`` row.  That call costs what the distribution's shape
+costs: a distribution without atoms evaluates one CDF for both, and a
+``DiscreteMixture`` with few atoms among many points locates its atoms among
+the points and fills the runs between them, so the pair-grid baseline's
+2,047 points cost about what its member's 2 atoms cost.  Each kind's
+probabilities are then a gather from those arrays at its rows' point
+indices, followed by the arithmetic of the kind's own oracle (``cdf``,
+``cdf_strict``, ``Distribution.prob_interval``,
+``uniform_threshold_probability``), so they equal that oracle's bytewise; a
+``GrayBit`` keeps its own oracle.  A shifted table moves its points and
+shares everything else.  A single threshold query takes its probability
+from the scalar oracle at its float ``gamma``, which a ``DiscreteMixture``
+answers by bisecting a list, with no array built; any other single query is
+the one row of a one-row table.
 
 The table draw is query-major: it takes the K block counts of row 0, then
 the K of row 1, and so on.  numpy's Binomial sampler keeps the setup of the
@@ -47,7 +53,10 @@ every count and every later variate is what a draw over all rows gives.  A
 row at p == 1 uses one double of the stream, so it stays in the draw.  The
 live rows are found once per (distribution, table), when the table's vector
 is memoized, and kept beside it: on a pair-grid member, two of the
-baseline's 2N rows are live.
+baseline's 2N rows are live.  Up to ``PER_ROW_DRAW_MAX`` live rows are drawn
+one row at a time, in row order, each row's K variates in one draw with
+scalar arguments, which uses the stream in the same query-major order and
+skips the fixed cost of numpy's array-argument draw; more are drawn at once.
 
 An estimator asks the same queries trial after trial: localization votes sit
 on a sigma-grid and a refinement round is one table shifted to the localized
@@ -116,6 +125,14 @@ INT64_MAX = int(np.iinfo(np.int64).max)
 # serve none, 32 serve 58); default `scale-adapt` 5 keys; `pac` 1; `gap` a new
 # key per trial.  A refinement table has at most ~330 rows, so 64 cost little.
 SHIFT_MEMO_SIZE = 64
+# A table with at most this many live rows is drawn a row at a time, with
+# scalar arguments: numpy's array-argument binomial pays ~8.5 us before its
+# first variate.  Per-row against array draw, reps 1,000, timeit minimum, 2-core
+# x86-64 host, numpy 2.4.6: at K = 1 block, 1.8 against 8.5 us at 1 live row,
+# 3.2 against 8.4 at 2 (the pair-grid baseline's), 8.1 against 8.7 at 6, 9.4
+# against 8.7 at 7 and 11.0 against 8.8 at 8; at K = 24, 14.9 against 15.8 us
+# at 6 rows and 17.3 against 17.0 at 7.
+PER_ROW_DRAW_MAX = 6
 # Bound of each of a distribution's two memo maps.  A median search votes at one
 # of 2^levels - 1 grid points: 31 at lam = 16 sigma, 2,047 at lam = 2^10 sigma.
 QUERY_MEMO_SIZE = 1024
@@ -559,16 +576,16 @@ def query_probability(dist: Distribution, q: Query) -> float:
 
 
 class _OnPoints:
-    """A distribution's oracles evaluated once on a table's points: the CDFs
-    if any row is located by them, the partial means too if any row is a
-    uniform threshold."""
+    """A distribution's oracles evaluated once on a table's points: the CDFs,
+    in one call, if any row is located by them, the partial means too if any
+    row is a uniform threshold.  The arrays are only read."""
 
     __slots__ = ("points", "cdf", "cdf_strict", "mean", "mean_strict")
 
     def __init__(self, dist: Distribution, points: np.ndarray, located: bool, uniform: bool):
         self.points = points
         if located:
-            self.cdf, self.cdf_strict = dist.cdf(points), dist.cdf_strict(points)
+            self.cdf, self.cdf_strict = dist.cdfs_on_sorted(points)
         if uniform:
             self.mean = dist.partial_mean(points)
             self.mean_strict = dist.partial_mean_strict(points)
@@ -741,9 +758,11 @@ class Agent:
         (K, Q), one row per block, from one draw.  That draw is query-major
         (see the module docstring), so the counts are the transpose of a
         (Q, K) array, whose memory layout need not be C order.  Only the rows
-        at p != 0 are drawn, the rest count 0, and the generator's stream is
-        used as a draw over every row uses it.  The n queries are recorded in
-        ``transcript`` once they are answered.
+        at p != 0 are drawn, the rest count 0; up to ``PER_ROW_DRAW_MAX`` such
+        rows are drawn one at a time with scalar arguments, more in one array
+        draw.  Either way the generator's stream is used as a draw over every
+        row uses it.  The n queries are recorded in ``transcript`` once they
+        are answered.
         """
         if isinstance(q, QueryTable):
             counts = self._counts(q, _table_blocks(q, n))
@@ -766,13 +785,17 @@ class Agent:
             return self._rng.binomial(times, entry)
         # query-major: row j's K variates share the sampler's setup
         p, live = entry
-        if live is None:
+        if live is None and len(q) > PER_ROW_DRAW_MAX:
             return self._rng.binomial(q.reps[:, None], p[:, None], size=(len(q), times)).T
         # a row at p = 0 draws 0 and leaves the stream where it was, so only
         # the live rows are drawn
         counts = np.zeros((len(q), times), dtype=np.int64)
-        counts[live] = self._rng.binomial(q.reps[live, None], p[live, None],
-                                          size=(live.size, times))
+        if live is not None and live.size > PER_ROW_DRAW_MAX:
+            counts[live] = self._rng.binomial(q.reps[live, None], p[live, None],
+                                              size=(live.size, times))
+        else:  # a few rows: K variates of each in one scalar draw, in row order
+            for j in range(len(q)) if live is None else live.tolist():
+                counts[j] = self._rng.binomial(int(q.reps[j]), float(p[j]), times)
         return counts.T
 
     def respond_count_uniform_threshold(self, direction: str, lo: float,

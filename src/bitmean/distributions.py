@@ -39,6 +39,13 @@ MOMENT_REL_TOL = 1e-9
 # Beyond this the localization grid's 2 ceil(lam/sigma) sigma-steps exceed
 # 2^53 and its points left_edge + i sigma are no longer exact in float64.
 MAX_LAM_OVER_SIGMA = 2.0 ** 52
+# A DiscreteMixture's CDFs on P sorted points fill its m + 1 runs, a Python loop
+# over the atoms, once P >= FILL_POINTS_PER_ATOM (m + 6), and else search each
+# point among the atoms.  Both CDFs, fill against search, timeit minimum, 2-core
+# x86-64 host: at m = 2, 6.5 against 5.9 us at P = 256, 6.7 against 7.8 us at
+# 512 and 8.1 against 24.8 us at 2,047 (the pair-grid baseline's table); at
+# m = 16, 17.8 against 18.1 us at P = 1,024; at m = 64, 53 against 40 us at 2,047.
+FILL_POINTS_PER_ATOM = 64
 
 
 def _require_float64(**values) -> None:
@@ -125,6 +132,20 @@ class Distribution:
         """E[X * 1(X < x)]."""
         raise NotImplementedError
 
+    def cdfs_on_sorted(self, points: np.ndarray):
+        """``(cdf(points), cdf_strict(points))`` in one call, equal to those
+        two calls bytewise; ``query_probabilities`` reads a table's CDFs
+        through it, so a distribution may compute both at the cost of its
+        shape.
+
+        ``points`` must be a non-empty one-dimensional float array, sorted
+        ascending, without repeats and without NaN, as a ``QueryTable``'s
+        points are; that is not checked.  The caller must not write to the
+        two arrays: a distribution without atoms returns one read-only array
+        twice.
+        """
+        return self.cdf(points), self.cdf_strict(points)
+
     # -- derived quantities ------------------------------------------------
     def prob_interval(self, lo, hi):
         """Pr(lo <= X <= hi), both endpoints included; vectorized over arrays."""
@@ -164,12 +185,25 @@ def _scalar_or_array(out):
     return float(out) if np.ndim(out) == 0 else out
 
 
+def _atomless_cdfs(dist: Distribution, points: np.ndarray):
+    """Both CDFs of a distribution without atoms, where they are one: one
+    read-only array, evaluated once."""
+    cdf = dist.cdf(points)
+    cdf.setflags(write=False)
+    return cdf, cdf
+
+
 class DiscreteMixture(Distribution):
     """Finite support distribution with exact rational-style bookkeeping.
 
     ``cdf`` and ``cdf_strict`` answer a float that is not NaN by bisecting a
     list of the atoms, with no array built; any other argument, and every
     other oracle, goes through numpy.  Both give the same cumulative sums.
+    ``cdfs_on_sorted`` reads them at ``FILL_POINTS_PER_ATOM`` (m + 6) or more
+    sorted points, for m atoms, by locating the atoms among the points and
+    filling the runs between them, not by searching every point.  The
+    CDFs and the partial means are NaN at NaN, for a float and for an array
+    entry alike, as the continuous fixtures' are.
     """
 
     def __init__(self, points, probs):
@@ -229,12 +263,30 @@ class DiscreteMixture(Distribution):
     def cdf(self, x):
         if isinstance(x, float) and x == x:
             return self._cums[bisect.bisect_right(self._xs, x)]
-        return _scalar_or_array(self._cum[np.searchsorted(self._x, x, side="right")])
+        return self._read(self._cum, x, "right")
 
     def cdf_strict(self, x):
         if isinstance(x, float) and x == x:
             return self._cums[bisect.bisect_left(self._xs, x)]
-        return _scalar_or_array(self._cum[np.searchsorted(self._x, x, side="left")])
+        return self._read(self._cum, x, "left")
+
+    def cdfs_on_sorted(self, points):
+        # The CDFs are constant between atoms: with few atoms among many
+        # points, each atom is located among the points and the m + 1 runs
+        # between them are filled from the running sums the search reads.
+        if points.size < FILL_POINTS_PER_ATOM * (len(self._xs) + 6):
+            return (self._cum[np.searchsorted(self._x, points, side="right")],
+                    self._cum[np.searchsorted(self._x, points, side="left")])
+        cdf, strict = np.empty(points.size), np.empty(points.size)
+        # atom i counts from the first point >= it in cdf, > it in cdf_strict,
+        # so the run before it holds the sum of the i atoms below it
+        for out, side in ((cdf, "left"), (strict, "right")):
+            start = 0
+            for end, total in zip(np.searchsorted(points, self._x, side).tolist(), self._cums):
+                out[start:end] = total
+                start = end
+            out[start:] = self._cums[-1]
+        return cdf, strict
 
     def mean(self):
         return self._mean
@@ -244,10 +296,23 @@ class DiscreteMixture(Distribution):
         return math.fsum(p * abs(x - mu) ** order for x, p in zip(self._x, self._p))
 
     def partial_mean(self, x):
-        return _scalar_or_array(self._cum_xp[np.searchsorted(self._x, x, side="right")])
+        return self._read(self._cum_xp, x, "right")
 
     def partial_mean_strict(self, x):
-        return _scalar_or_array(self._cum_xp[np.searchsorted(self._x, x, side="left")])
+        return self._read(self._cum_xp, x, "left")
+
+    def _read(self, sums: np.ndarray, x, side: str):
+        """``sums`` at the number of atoms left of x (at most x for side
+        'right', below it for 'left'), NaN at NaN: numpy sorts NaN last, so
+        its search would count every atom."""
+        x = np.asarray(x, dtype=float)
+        out = sums[np.searchsorted(self._x, x, side=side)]
+        if x.ndim == 0:
+            return float(out) if x == x else math.nan
+        nan = np.isnan(x)
+        if nan.any():
+            out[nan] = math.nan
+        return out
 
 
 class PointMass(DiscreteMixture):
@@ -308,6 +373,9 @@ class TwoSidedPareto(Distribution):
     def cdf_strict(self, x):
         return self.cdf(x)
 
+    def cdfs_on_sorted(self, points):
+        return _atomless_cdfs(self, points)
+
     def mean(self):
         return self.mu
 
@@ -362,6 +430,9 @@ class Gaussian(Distribution):
 
     def cdf_strict(self, x):
         return self.cdf(x)
+
+    def cdfs_on_sorted(self, points):
+        return _atomless_cdfs(self, points)
 
     def mean(self):
         return self.mu

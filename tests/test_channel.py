@@ -9,6 +9,7 @@ from pytest import approx
 from bitmean import channel, harness
 from bitmean.channel import (
     MAX_GRAY_LEVEL,
+    PER_ROW_DRAW_MAX,
     QUERY_MEMO_SIZE,
     SHIFT_MEMO_SIZE,
     Agent,
@@ -27,8 +28,8 @@ from bitmean.channel import (
     query_probability,
     uniform_threshold_probability,
 )
-from bitmean.distributions import FamilyParams, make_discrete, make_gaussian_budget_tight, \
-    make_point_mass, make_two_sided_pareto
+from bitmean.distributions import FILL_POINTS_PER_ATOM, DiscreteMixture, FamilyParams, \
+    make_discrete, make_gaussian_budget_tight, make_point_mass, make_two_sided_pareto
 from bitmean.hardness import baseline_plan, make_pair_grid, nonadaptive_baseline
 from bitmean.harness import ExperimentConfig, acceptance_matrix, run_gap, run_pac, trial_rng
 from bitmean.refine import build_plan, estimate_mean, refinement_plan
@@ -463,10 +464,28 @@ def _refinement_table():
     return build_plan(FamilyParams(1.5, 16.0, 1.0), 1 / 16, 0.1).table.shifted(0.3)
 
 
+TWO_ATOMS = make_discrete([0.0, 1.0], [0.3, 0.7])
+
+
+def _live_rows_table(live):
+    """A table of ``live`` rows live on ``TWO_ATOMS``, at p = 0.7, 0.3, 1 and
+    0.3 in turn, each followed by a dead row."""
+    kinds = (ThresholdGE(0.5), Interval(-0.5, 0.5), Interval(-0.5, 1.5), ThresholdLT(0.5))
+    queries, reps = [], []
+    for i in range(live):
+        queries += [kinds[i % 4], Interval(2.0 + i, 3.0 + i)]
+        reps += [3 + 97 * i, 5]
+    table = QueryTable(queries, reps)
+    assert (query_probabilities(TWO_ATOMS, table) != 0).sum() == live
+    return table
+
+
 def _draw_cases():
     """(distribution, table, has rows at p = 0): two tables with every row
-    live, then the baseline's table on a pair member, the refinement table at
-    k2_null's mean, and a table with no live row."""
+    live, 4 and 120 rows, then the baseline's table on a pair member (2 live
+    rows), the refinement table at k2_null's mean, a table with no live row,
+    and tables of 1, ``PER_ROW_DRAW_MAX`` and one more live rows, so both
+    sides of the per-row draw's crossover run."""
     pareto = make_two_sided_pareto(1.5, 1.0, mu=0.3, alpha=1.9)
     k2_null = acceptance_matrix()["k2_null"]
     refinement = refinement_plan(k2_null.params, 0.25, 0.2).table.shifted(k2_null.mean)
@@ -474,7 +493,9 @@ def _draw_cases():
     return [(pareto, MIXED_TABLE, False), (pareto, _refinement_table(), False),
             (make_pair_grid(64.0, 1.0, 0.125).member(5, 1),
              baseline_plan(64.0, 1.0, 0.125, 20_000).table, True),
-            (k2_null.dist, refinement, True), (make_point_mass(0.0), dead, True)]
+            (k2_null.dist, refinement, True), (make_point_mass(0.0), dead, True),
+            *[(TWO_ATOMS, _live_rows_table(live), True)
+              for live in (1, PER_ROW_DRAW_MAX, PER_ROW_DRAW_MAX + 1)]]
 
 
 def _assert_draw(dist, table, has_dead, seed, draw):
@@ -713,8 +734,13 @@ POINT_PASS_DISTS = [
     make_point_mass(0.7),
     make_two_sided_pareto(1.5, 1.0, mu=0.3, alpha=1.9),
     make_gaussian_budget_tight(2.0, 1.0, mu=0.77),
+    make_pair_grid(1024.0, 1.0, 0.125).member(500, 1),
+    # more atoms than any table below has points, some on the tables' points
+    make_discrete(np.arange(-2500, 2500, 2) / 64, np.full(2500, 1 / 2500)),
+    make_discrete([-0.0, 1.0], [0.5, 0.5]),  # -0.0 against the tables' 0.0
 ]
-POINT_PASS_IDS = ["discrete", "point-mass", "pareto", "gaussian"]
+POINT_PASS_IDS = ["discrete", "point-mass", "pareto", "gaussian", "pair-member", "many-atoms",
+                  "negative-zero"]
 INFINITE_ENDS_TABLE = QueryTable(
     (Interval(-math.inf, 0.2), Interval(0.7, math.inf), Interval(-math.inf, math.inf),
      Interval(-math.inf, -math.inf), Interval(math.inf, math.inf), ThresholdLE(math.inf),
@@ -727,7 +753,8 @@ def _point_pass_tables():
     refinement = build_plan(FamilyParams(1.5, 16.0, 1.0), 1 / 16, 0.1).table
     return [ALL_KINDS_TABLE, MIXED_TABLE, INFINITE_ENDS_TABLE, ALL_KINDS_TABLE.shifted(0.3),
             INFINITE_ENDS_TABLE.shifted(-0.25), refinement, refinement.shifted(0.7),
-            refinement.shifted(-2.5), baseline_plan(64.0, 1.0, 0.125, 20000).table]
+            refinement.shifted(-2.5), baseline_plan(64.0, 1.0, 0.125, 20000).table,
+            baseline_plan(1024.0, 1.0, 0.125, 20000).table]
 
 
 # each kind's public oracle on a column of its parameters
@@ -773,6 +800,23 @@ def test_single_query_probability_equals_its_one_row_table(d):
         for kind in (ThresholdGE, ThresholdGT, ThresholdLE, ThresholdLT):
             q = kind(gamma)
             assert query_probability(d, q) == query_probabilities(d, QueryTable([q], [1]))[0]
+
+
+@pytest.mark.parametrize("d", POINT_PASS_DISTS, ids=POINT_PASS_IDS)
+def test_cdfs_on_sorted_points_equal_both_cdfs_bytewise(d):
+    # on every table's points, and on sorted points with +-inf, 0.0 and each
+    # atom among them, few and many
+    atoms = d.points if isinstance(d, DiscreteMixture) else np.array([0.3])
+    inputs = [table._points for table in _point_pass_tables()]
+    for grid in (np.linspace(-3.0, 3.0, 13), np.linspace(-40.0, 40.0, 200_001)):
+        inputs.append(np.unique(np.concatenate([[-math.inf, 0.0, math.inf], atoms, grid])))
+    for points in inputs:
+        cdf, cdf_strict = d.cdfs_on_sorted(points)
+        assert cdf.tobytes() == d.cdf(points).tobytes()
+        assert cdf_strict.tobytes() == d.cdf_strict(points).tobytes()
+    if isinstance(d, DiscreteMixture):  # both of its paths ran
+        filled = {points.size >= FILL_POINTS_PER_ATOM * (atoms.size + 6) for points in inputs}
+        assert filled == {True, False}
 
 
 def test_table_points_are_sorted_and_distinct():

@@ -381,6 +381,20 @@ def test_scalar_cdf_equals_array_cdf_bytewise(name):
         assert np.array(scalars).tobytes() == oracle(xs).tobytes()
 
 
+@pytest.mark.parametrize("name", sorted(acceptance_matrix()))
+def test_oracles_answer_nan_with_nan(name):
+    # numpy sorts NaN last, so an atom search alone would count every atom
+    dist = acceptance_matrix()[name].dist
+    xs = np.array([-1.0, math.nan, 2.0])
+    for oracle in (dist.cdf, dist.cdf_strict, dist.partial_mean, dist.partial_mean_strict):
+        for nan in (math.nan, np.float64(math.nan)):
+            value = oracle(nan)
+            assert type(value) is float and math.isnan(value)
+        values = oracle(xs)
+        assert np.isnan(values).tolist() == [False, True, False]
+        assert values[[0, 2]].tolist() == [oracle(-1.0), oracle(2.0)]
+
+
 def _merged_by_numpy(points, probs):
     # the merge as numpy arrays make it: a stable argsort, then running sums
     points, probs = np.asarray(points, dtype=float), np.asarray(probs, dtype=float)
