@@ -21,13 +21,13 @@ repetitions of any query through one of two paths:
 
 The point pass: a table holds the locations of its rows once, as sorted
 distinct points, so ``query_probabilities`` asks the distribution for its
-``cdf`` and ``cdf_strict`` on them in one ``Distribution.cdfs_on_sorted``
-call, and for its partial means only when the table has a
-``UniformThreshold`` row.  That call costs what the distribution's shape
-costs: a distribution without atoms evaluates one CDF for both, and a
-``DiscreteMixture`` with few atoms among many points locates its atoms among
-the points and fills the runs between them, so the pair-grid baseline's
-2,047 points cost about what its member's 2 atoms cost.  Each kind's
+CDFs on them, and its partial means if a row is a ``UniformThreshold``, in
+one ``Distribution._on_sorted`` call.  That call costs what the
+distribution's shape costs: one without atoms evaluates each oracle once for
+both variants, and a ``DiscreteMixture`` with few atoms among many points
+locates its atoms among the points and fills the runs between them, so the
+pair-grid baseline's 2,047 points cost about what its member's 2 atoms
+cost.  Each kind's
 probabilities are then a gather from those arrays at its rows' point
 indices, followed by the arithmetic of the kind's own oracle (``cdf``,
 ``cdf_strict``, ``Distribution.prob_interval``,
@@ -86,6 +86,7 @@ either path.
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 import threading
@@ -94,7 +95,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .distributions import Distribution
+from .distributions import Distribution, _require_float64
 
 __all__ = [
     "ThresholdGE",
@@ -148,8 +149,8 @@ class _Threshold:
     def _valid(gamma):
         return gamma == gamma  # +-inf stays valid
 
-    def __post_init__(self):
-        if not self.gamma == self.gamma:  # _valid, inline: a vote builds one per query
+    def __post_init__(self):  # a float not NaN is checked inline: a vote builds one per query
+        if type(self.gamma) is not float or self.gamma != self.gamma:
             _require_valid(self)
 
 
@@ -250,7 +251,14 @@ Query = ThresholdGE | ThresholdGT | ThresholdLE | ThresholdLT | Interval | GrayB
 
 def _require_valid(q: Query) -> None:
     # Each kind's _valid holds on scalars and, elementwise, on parameter
-    # columns, so QueryTable.from_columns checks its rows by the same rule.
+    # columns, so QueryTable.from_columns checks its rows by the same rule;
+    # a column is converted to float there, a value's numbers are checked here.
+    for name, value in vars(q).items():
+        if name in _REALS:
+            if isinstance(value, bool) or not isinstance(value, _REAL_TYPES):
+                raise ValueError(f"{type(q).__name__} needs a real {name}, an int or float "
+                                 f"(not a bool), got {value!r}")
+            _require_float64(**{name: value})
     if not q._valid(**vars(q)):
         raise ValueError(f"{q._rule}, got {q!r}")
 
@@ -291,7 +299,7 @@ class QueryTable:
     identity, so it keys the probability memo (see the module docstring).
     """
 
-    __slots__ = ("_points", "_blocks", "_reps", "_per_block", "_passes", "__weakref__")
+    __slots__ = ("_points", "_blocks", "_reps", "_per_block", "_uniform", "__weakref__")
 
     def __init__(self, queries, reps):
         queries = tuple(queries)
@@ -375,9 +383,8 @@ class QueryTable:
         self._points, self._blocks, self._reps = points, tuple(blocks), reps.astype(np.int64)
         _read_only(self._reps)
         self._per_block = sum(self._reps.tolist())  # exact: may exceed int64
-        # the oracles query_probabilities evaluates on the points
-        self._passes = (any(kind is not GrayBit for kind in groups),
-                        UniformThreshold in groups)
+        # whether query_probabilities reads the partial means on the points
+        self._uniform = UniformThreshold in groups
 
     def shifted(self, offset: float) -> QueryTable:
         """The same table translated by ``offset``: every location parameter
@@ -433,7 +440,7 @@ def _shifted(table: QueryTable, offset: float) -> QueryTable:
     _read_only(points)
     moved = type(table).__new__(type(table))
     moved._points, moved._blocks, moved._reps = points, table._blocks, table._reps
-    moved._per_block, moved._passes = table._per_block, table._passes
+    moved._per_block, moved._uniform = table._per_block, table._uniform
     return moved
 
 
@@ -539,7 +546,7 @@ def evaluate_query(q: Query, x) -> np.ndarray:
 def query_probabilities(dist: Distribution, table: QueryTable) -> np.ndarray:
     """Pr(bit = 1) of each row of the table under the distribution, from its
     analytic CDF: the point pass of the module docstring."""
-    on = _OnPoints(dist, table._points, *table._passes)
+    on = _OnPoints(table._points, *dist._on_sorted(table._points, table._uniform))
     blocks = table._blocks
     if len(blocks) == 1:  # one group holds every row, in order
         kind, _, at, values = blocks[0]
@@ -575,20 +582,8 @@ def query_probability(dist: Distribution, q: Query) -> float:
     return float(query_probabilities(dist, QueryTable((q,), (1,)))[0])
 
 
-class _OnPoints:
-    """A distribution's oracles evaluated once on a table's points: the CDFs,
-    in one call, if any row is located by them, the partial means too if any
-    row is a uniform threshold.  The arrays are only read."""
-
-    __slots__ = ("points", "cdf", "cdf_strict", "mean", "mean_strict")
-
-    def __init__(self, dist: Distribution, points: np.ndarray, located: bool, uniform: bool):
-        self.points = points
-        if located:
-            self.cdf, self.cdf_strict = dist.cdfs_on_sorted(points)
-        if uniform:
-            self.mean = dist.partial_mean(points)
-            self.mean_strict = dist.partial_mean_strict(points)
+# A table's points and the oracles of one _on_sorted call on them, only read.
+_OnPoints = collections.namedtuple("_OnPoints", "points cdf cdf_strict mean mean_strict")
 
 
 def _interval_on_points(on: _OnPoints, lo, hi) -> np.ndarray:
@@ -653,6 +648,9 @@ _LOCATIONS = frozenset({"gamma", "lo", "hi", "shift"})
 # None keeps an int column as given, so the kind's rule sees a float or bool level.
 _COLUMN_TYPES = {"gamma": float, "lo": float, "hi": float, "shift": float, "scale": float,
                  "level": None, "direction": str}
+# The parameters that are real numbers: a query value refuses any other type.
+_REALS = frozenset(name for name, dtype in _COLUMN_TYPES.items() if dtype is float)
+_REAL_TYPES = (int, float, np.integer, np.floating)
 _PLACEHOLDERS = {"gamma": math.nan, "lo": math.nan, "hi": math.nan, "shift": math.nan,
                  "scale": math.nan, "level": 0, "direction": ""}
 

@@ -132,19 +132,14 @@ class Distribution:
         """E[X * 1(X < x)]."""
         raise NotImplementedError
 
-    def cdfs_on_sorted(self, points: np.ndarray):
-        """``(cdf(points), cdf_strict(points))`` in one call, equal to those
-        two calls bytewise; ``query_probabilities`` reads a table's CDFs
-        through it, so a distribution may compute both at the cost of its
-        shape.
-
-        ``points`` must be a non-empty one-dimensional float array, sorted
-        ascending, without repeats and without NaN, as a ``QueryTable``'s
-        points are; that is not checked.  The caller must not write to the
-        two arrays: a distribution without atoms returns one read-only array
-        twice.
-        """
-        return self.cdf(points), self.cdf_strict(points)
+    def _on_sorted(self, points: np.ndarray, means: bool):
+        """``(cdf, cdf_strict, partial_mean, partial_mean_strict)`` at a table's
+        points, bytewise those oracles' values, in the one call a table's pass
+        makes; the partial means are None unless ``means``.  The points are
+        sorted, distinct and not NaN, and the caller only reads the arrays."""
+        cdfs = self.cdf(points), self.cdf_strict(points)
+        return (*cdfs, self.partial_mean(points), self.partial_mean_strict(points)) if means \
+            else (*cdfs, None, None)
 
     # -- derived quantities ------------------------------------------------
     def prob_interval(self, lo, hi):
@@ -185,25 +180,17 @@ def _scalar_or_array(out):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def _atomless_cdfs(dist: Distribution, points: np.ndarray):
-    """Both CDFs of a distribution without atoms, where they are one: one
-    read-only array, evaluated once."""
-    cdf = dist.cdf(points)
-    cdf.setflags(write=False)
-    return cdf, cdf
-
-
 class DiscreteMixture(Distribution):
     """Finite support distribution with exact rational-style bookkeeping.
 
     ``cdf`` and ``cdf_strict`` answer a float that is not NaN by bisecting a
     list of the atoms, with no array built; any other argument, and every
     other oracle, goes through numpy.  Both give the same cumulative sums.
-    ``cdfs_on_sorted`` reads them at ``FILL_POINTS_PER_ATOM`` (m + 6) or more
-    sorted points, for m atoms, by locating the atoms among the points and
-    filling the runs between them, not by searching every point.  The
-    CDFs and the partial means are NaN at NaN, for a float and for an array
-    entry alike, as the continuous fixtures' are.
+    A table's pass reads both oracles' running sums at one pair of indices per
+    point, found on ``FILL_POINTS_PER_ATOM`` (m + 6) or more sorted points, for
+    m atoms, by locating the atoms among the points, not every point among the
+    atoms.  The CDFs and the partial means are NaN at NaN, for a float and for
+    an array entry alike, as the continuous fixtures' are.
     """
 
     def __init__(self, points, probs):
@@ -270,23 +257,28 @@ class DiscreteMixture(Distribution):
             return self._cums[bisect.bisect_left(self._xs, x)]
         return self._read(self._cum, x, "left")
 
-    def cdfs_on_sorted(self, points):
-        # The CDFs are constant between atoms: with few atoms among many
-        # points, each atom is located among the points and the m + 1 runs
-        # between them are filled from the running sums the search reads.
+    def _on_sorted(self, points, means):
+        # The number of atoms at most and below a point indexes both running sums;
+        # with few atoms among many points, the m + 1 runs between atoms are filled:
+        # atom i counts from the first point >= it in cdf, > it in cdf_strict.
         if points.size < FILL_POINTS_PER_ATOM * (len(self._xs) + 6):
-            return (self._cum[np.searchsorted(self._x, points, side="right")],
-                    self._cum[np.searchsorted(self._x, points, side="left")])
-        cdf, strict = np.empty(points.size), np.empty(points.size)
-        # atom i counts from the first point >= it in cdf, > it in cdf_strict,
-        # so the run before it holds the sum of the i atoms below it
-        for out, side in ((cdf, "left"), (strict, "right")):
-            start = 0
-            for end, total in zip(np.searchsorted(points, self._x, side).tolist(), self._cums):
-                out[start:end] = total
-                start = end
-            out[start:] = self._cums[-1]
-        return cdf, strict
+            at = (np.searchsorted(self._x, points, side="right"),
+                  np.searchsorted(self._x, points, side="left"))
+        elif means:  # each run filled with its number of atoms
+            at = [np.arange(len(self._xs) + 1).repeat(np.diff(np.searchsorted(
+                points, self._x, side), prepend=0, append=points.size))
+                for side in ("left", "right")]
+        else:  # each run filled with its running sum
+            cdf, strict = np.empty(points.size), np.empty(points.size)
+            for out, side in ((cdf, "left"), (strict, "right")):
+                start = 0
+                for end, total in zip(np.searchsorted(points, self._x, side).tolist(), self._cums):
+                    out[start:end] = total
+                    start = end
+                out[start:] = self._cums[-1]
+            return cdf, strict, None, None
+        cdfs = self._cum[at[0]], self._cum[at[1]]
+        return (*cdfs, self._cum_xp[at[0]], self._cum_xp[at[1]]) if means else (*cdfs, None, None)
 
     def mean(self):
         return self._mean
@@ -324,7 +316,25 @@ class PointMass(DiscreteMixture):
         self.location = float(location)
 
 
-class TwoSidedPareto(Distribution):
+class _Atomless(Distribution):
+    """A distribution without atoms: each strict oracle is its plain one, so a
+    table's pass evaluates each oracle once, as one read-only array for both."""
+
+    def cdf_strict(self, x):
+        return self.cdf(x)
+
+    def partial_mean_strict(self, x):
+        return self.partial_mean(x)
+
+    def _on_sorted(self, points, means):
+        cdf, mean = self.cdf(points), self.partial_mean(points) if means else None
+        cdf.setflags(write=False)
+        if means:
+            mean.setflags(write=False)
+        return cdf, cdf, mean, mean
+
+
+class TwoSidedPareto(_Atomless):
     """Symmetric power-law tails outside a gap around the center.
 
     Density is proportional to |x - mu|**-(alpha+1) for |x - mu| >= x_min,
@@ -370,12 +380,6 @@ class TwoSidedPareto(Distribution):
         half_tail = 0.5 * np.power(r, self.alpha)
         return _scalar_or_array(np.where(d >= 0, 1.0 - half_tail, half_tail))
 
-    def cdf_strict(self, x):
-        return self.cdf(x)
-
-    def cdfs_on_sorted(self, points):
-        return _atomless_cdfs(self, points)
-
     def mean(self):
         return self.mu
 
@@ -396,9 +400,6 @@ class TwoSidedPareto(Distribution):
         return _scalar_or_array(np.where(d >= 0, self.mu - (self.mu * mass + magnitude),
                                          self.mu * mass - magnitude))
 
-    def partial_mean_strict(self, x):
-        return self.partial_mean(x)
-
 
 def gaussian_abs_moment_factor(order: float) -> float:
     """E|Z|**order for a standard normal Z."""
@@ -412,7 +413,7 @@ def _ndtr(z):
     return ndtr(z)
 
 
-class Gaussian(Distribution):
+class Gaussian(_Atomless):
     def __init__(self, mu: float, scale: float):
         _require_float64(mu=mu, scale=scale)
         if not 0 < scale < math.inf:
@@ -428,12 +429,6 @@ class Gaussian(Distribution):
     def cdf(self, x):
         return _scalar_or_array(_ndtr((np.asarray(x, dtype=float) - self.mu) / self.scale))
 
-    def cdf_strict(self, x):
-        return self.cdf(x)
-
-    def cdfs_on_sorted(self, points):
-        return _atomless_cdfs(self, points)
-
     def mean(self):
         return self.mu
 
@@ -446,9 +441,6 @@ class Gaussian(Distribution):
         with np.errstate(over="ignore"):
             pdf = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
         return _scalar_or_array(self.mu * _ndtr(z) - self.scale * pdf)
-
-    def partial_mean_strict(self, x):
-        return self.partial_mean(x)
 
 
 # -- factories --------------------------------------------------------------

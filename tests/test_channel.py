@@ -292,6 +292,48 @@ def test_table_columns_reject_what_queries_reject(kind, params):
         QueryTable.from_columns([ThresholdGE, kind], [3, 3], **mixed)
 
 
+VALID_QUERIES = {
+    ThresholdGE: {"gamma": 0.5}, ThresholdGT: {"gamma": 0.5}, ThresholdLE: {"gamma": 0.5},
+    ThresholdLT: {"gamma": 0.5}, Interval: {"lo": 0.0, "hi": 1.0},
+    GrayBit: {"level": 2, "shift": 0.0, "scale": 1.0},
+    UniformThreshold: {"direction": "ge", "lo": 0.0, "hi": 1.0},
+}
+REAL_FIELDS = [(kind, name) for kind, params in VALID_QUERIES.items() for name in params
+               if name in ("gamma", "lo", "hi", "shift", "scale")]
+
+
+@pytest.mark.parametrize("value", [None, "0.5", "a", True, np.True_, 0.5j, [0.5],
+                                   np.array(0.5)],
+                         ids=["none", "numeric-str", "str", "bool", "numpy-bool", "complex",
+                              "list", "0d-array"])
+@pytest.mark.parametrize("kind, name", REAL_FIELDS,
+                         ids=[f"{kind.__name__}-{name}" for kind, name in REAL_FIELDS])
+def test_query_values_refuse_a_location_that_is_not_a_real_number(kind, name, value):
+    with pytest.raises(ValueError, match=f"^{kind.__name__} needs a real {name}, an int or float"):
+        kind(**{**VALID_QUERIES[kind], name: value})
+
+
+@pytest.mark.parametrize("kind, name", REAL_FIELDS,
+                         ids=[f"{kind.__name__}-{name}" for kind, name in REAL_FIELDS])
+def test_query_values_refuse_an_int_beyond_float64(kind, name):
+    with pytest.raises(ValueError, match=f"^{name} is an int of 1329 bits, beyond float64"):
+        kind(**{**VALID_QUERIES[kind], name: 10 ** 400})
+
+
+@pytest.mark.parametrize("value", [1, np.int64(1), np.float32(0.75), np.float64(0.75)],
+                         ids=["int", "numpy-int", "float32", "float64"])
+def test_query_values_take_ints_and_numpy_scalars(value):
+    d = make_discrete([0.0, 0.75, 1.0], [0.25, 0.25, 0.5])
+    for kind in (ThresholdGE, ThresholdGT, ThresholdLE, ThresholdLT):
+        assert query_probability(d, kind(value)) == query_probability(d, kind(float(value)))
+    assert query_probability(d, Interval(value, 2.0)) == \
+        query_probability(d, Interval(float(value), 2.0))
+    assert query_probability(d, UniformThreshold("le", -1.0, value)) == \
+        query_probability(d, UniformThreshold("le", -1.0, float(value)))
+    assert query_probability(d, GrayBit(2, -value, value)) == \
+        query_probability(d, GrayBit(2, -float(value), float(value)))
+
+
 def test_infinite_thresholds_stay_valid():
     d = make_gaussian_budget_tight(2.0, 1.0)
     assert query_probability(d, ThresholdGE(math.inf)) == 0.0
@@ -802,21 +844,70 @@ def test_single_query_probability_equals_its_one_row_table(d):
             assert query_probability(d, q) == query_probabilities(d, QueryTable([q], [1]))[0]
 
 
+def _uniform_table(points):
+    # one uniform threshold between each pair of neighbouring points,
+    # alternating directions, so its points are exactly these
+    size = points.size - 1
+    return QueryTable.from_columns(UniformThreshold, np.ones(size, dtype=np.int64),
+                                   direction=np.resize(["ge", "le"], size),
+                                   lo=points[:-1], hi=points[1:])
+
+
 @pytest.mark.parametrize("d", POINT_PASS_DISTS, ids=POINT_PASS_IDS)
-def test_cdfs_on_sorted_points_equal_both_cdfs_bytewise(d):
+def test_on_sorted_points_equal_public_oracles_bytewise(d):
     # on every table's points, and on sorted points with +-inf, 0.0 and each
-    # atom among them, few and many
+    # atom among them, few and many, with the partial means and without
     atoms = d.points if isinstance(d, DiscreteMixture) else np.array([0.3])
     inputs = [table._points for table in _point_pass_tables()]
     for grid in (np.linspace(-3.0, 3.0, 13), np.linspace(-40.0, 40.0, 200_001)):
         inputs.append(np.unique(np.concatenate([[-math.inf, 0.0, math.inf], atoms, grid])))
+    oracles = (d.cdf, d.cdf_strict, d.partial_mean, d.partial_mean_strict)
     for points in inputs:
-        cdf, cdf_strict = d.cdfs_on_sorted(points)
-        assert cdf.tobytes() == d.cdf(points).tobytes()
-        assert cdf_strict.tobytes() == d.cdf_strict(points).tobytes()
+        for means in (False, True):
+            got = d._on_sorted(points, means)
+            assert len(got) == 4
+            for oracle, values in zip(oracles[:2], got[:2]):
+                assert values.tobytes() == oracle(points).tobytes()
+            if not means:
+                assert got[2:] == (None, None)
+                continue
+            for oracle, values in zip(oracles[2:], got[2:]):
+                assert values.tobytes() == oracle(points).tobytes()
+    # a table of uniform thresholds on enough points for a mixture's fill
+    # reads the partial means through it, as the per-kind oracles give them
+    fill = FILL_POINTS_PER_ATOM * (atoms.size + 6)
+    points = np.unique(np.concatenate([atoms, np.linspace(-40.0, 40.0, fill)]))
+    table = _uniform_table(points)
+    expected = np.empty(len(table))
+    for side, direction in enumerate(("ge", "le")):
+        expected[side::2] = uniform_threshold_probability(d, direction, points[:-1][side::2],
+                                                          points[1:][side::2])
+    expected = np.minimum(np.maximum(expected, 0.0), 1.0)  # as _per_kind_probabilities clamps
+    assert query_probabilities(d, table).tobytes() == expected.tobytes()
     if isinstance(d, DiscreteMixture):  # both of its paths ran
-        filled = {points.size >= FILL_POINTS_PER_ATOM * (atoms.size + 6) for points in inputs}
+        filled = {points.size >= fill for points in inputs + [table._points]}
         assert filled == {True, False}
+
+
+ATOMLESS = {name: d for name, d in zip(POINT_PASS_IDS, POINT_PASS_DISTS)
+            if not isinstance(d, DiscreteMixture)}
+
+
+@pytest.mark.parametrize("d", ATOMLESS.values(), ids=ATOMLESS.keys())
+def test_a_distribution_without_atoms_evaluates_each_oracle_once_per_pass(d, monkeypatch):
+    calls = {"cdf": 0, "partial_mean": 0}
+    for name in calls:
+        oracle = getattr(type(d), name)
+
+        def counted(self, x, oracle=oracle, name=name):
+            calls[name] += 1
+            return oracle(self, x)
+        monkeypatch.setattr(type(d), name, counted)
+    table = _uniform_table(np.linspace(-3.0, 3.0, 13))
+    query_probabilities(d, table)
+    assert calls == {"cdf": 1, "partial_mean": 1}
+    query_probabilities(d, ALL_KINDS_TABLE.shifted(0.3))  # a Gray row calls cdf_strict too
+    assert calls["partial_mean"] == 2
 
 
 def test_table_points_are_sorted_and_distinct():

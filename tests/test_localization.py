@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from pytest import approx
 
+from bitmean import channel
 from bitmean.channel import MAX_GRAY_LEVEL, Agent, GrayBit, evaluate_query, \
     query_probabilities, query_probability
 from bitmean.cli import main
 from bitmean.distributions import FamilyParams, make_gaussian_budget_tight, \
     make_point_mass, make_two_sided_pareto
-from bitmean.harness import acceptance_matrix, trial_rng
+from bitmean.harness import ExperimentConfig, acceptance_matrix, run_localize, trial_rng
 from bitmean.localization import (
     gray_bit_value,
     gray_change_points,
@@ -143,6 +144,35 @@ def test_localize_gray_plan_is_response_independent():
     assert again == plan
     assert again.table.queries == table.queries
     assert again.table.reps.tolist() == table.reps.tolist()
+
+
+def test_gray_plan_is_built_once_and_its_probabilities_computed_once(monkeypatch):
+    computed = []
+    gray_probability = channel._gray_probability
+
+    def counted(dist, level, shift, scale):
+        computed.append(len(level))
+        return gray_probability(dist, level, shift, scale)
+    monkeypatch.setattr(channel, "_gray_probability", counted)
+    params = FamilyParams(2.0, 1024.0, 1.0)
+    dist = make_two_sided_pareto(2.0, 1.0, mu=3.7)
+    gray_plan.cache_clear()
+    for t in range(3):
+        localize_gray(Agent(dist, trial_rng(7, "gray", t)), params, 0.1)
+    assert gray_plan.cache_info().misses == 1
+    assert computed == [gray_plan(params, 0.1).n_bits]  # one table, answered once
+    assert two_stage_cost(params, 1 / 16, 0.1) > 0
+    assert gray_plan.cache_info().misses == 1  # the cost reads the same plan
+
+
+def test_run_localize_gray_same_text_on_cold_and_warm_plan():
+    config = ExperimentConfig(method="gray", lam=1024.0, trials=5, seed=1)
+    gray_plan.cache_clear()
+    _, _, cold = run_localize(config)
+    assert gray_plan.cache_info().misses == 1
+    _, _, warm = run_localize(config)
+    assert gray_plan.cache_info().misses == 1
+    assert warm == cold
 
 
 @pytest.mark.parametrize("name", sorted(acceptance_matrix()))
