@@ -39,12 +39,13 @@ MOMENT_REL_TOL = 1e-9
 # Beyond this the localization grid's 2 ceil(lam/sigma) sigma-steps exceed
 # 2^53 and its points left_edge + i sigma are no longer exact in float64.
 MAX_LAM_OVER_SIGMA = 2.0 ** 52
-# A DiscreteMixture's CDFs on P sorted points fill its m + 1 runs, a Python loop
-# over the atoms, once P >= FILL_POINTS_PER_ATOM (m + 6), and else search each
-# point among the atoms.  Both CDFs, fill against search, timeit minimum, 2-core
-# x86-64 host: at m = 2, 6.5 against 5.9 us at P = 256, 6.7 against 7.8 us at
-# 512 and 8.1 against 24.8 us at 2,047 (the pair-grid baseline's table); at
-# m = 16, 17.8 against 18.1 us at P = 1,024; at m = 64, 53 against 40 us at 2,047.
+# A DiscreteMixture's CDFs alone on P sorted points fill its m + 1 runs, a
+# Python loop over the atoms, once P >= FILL_POINTS_PER_ATOM (m + 6), and else
+# search each point among the atoms.  Both CDFs, fill against search, timeit
+# minimum, 2-core x86-64 host: at m = 2, 6.5 against 5.9 us at P = 256, 6.7
+# against 7.8 us at 512 and 8.1 against 24.8 us at 2,047 (the pair-grid
+# baseline's table); at m = 16, 17.8 against 18.1 us at P = 1,024; at m = 64,
+# 53 against 40 us at 2,047.
 FILL_POINTS_PER_ATOM = 64
 
 
@@ -187,10 +188,11 @@ class DiscreteMixture(Distribution):
     list of the atoms, with no array built; any other argument, and every
     other oracle, goes through numpy.  Both give the same cumulative sums.
     A table's pass reads both oracles' running sums at one pair of indices per
-    point, found on ``FILL_POINTS_PER_ATOM`` (m + 6) or more sorted points, for
-    m atoms, by locating the atoms among the points, not every point among the
-    atoms.  The CDFs and the partial means are NaN at NaN, for a float and for
-    an array entry alike, as the continuous fixtures' are.
+    point, found by searching each point among the atoms.  A pass without the
+    partial means on ``FILL_POINTS_PER_ATOM`` (m + 6) or more sorted points, for
+    m atoms, instead locates the atoms among the points and fills the runs
+    between them with the CDFs.  The CDFs and the partial means are NaN at NaN,
+    for a float and for an array entry alike, as the continuous fixtures' are.
     """
 
     def __init__(self, points, probs):
@@ -259,15 +261,12 @@ class DiscreteMixture(Distribution):
 
     def _on_sorted(self, points, means):
         # The number of atoms at most and below a point indexes both running sums;
-        # with few atoms among many points, the m + 1 runs between atoms are filled:
-        # atom i counts from the first point >= it in cdf, > it in cdf_strict.
-        if points.size < FILL_POINTS_PER_ATOM * (len(self._xs) + 6):
+        # the CDFs alone, with few atoms among many points, fill the m + 1 runs
+        # between atoms: atom i counts from the first point >= it in cdf, > it in
+        # cdf_strict.
+        if means or points.size < FILL_POINTS_PER_ATOM * (len(self._xs) + 6):
             at = (np.searchsorted(self._x, points, side="right"),
                   np.searchsorted(self._x, points, side="left"))
-        elif means:  # each run filled with its number of atoms
-            at = [np.arange(len(self._xs) + 1).repeat(np.diff(np.searchsorted(
-                points, self._x, side), prepend=0, append=points.size))
-                for side in ("left", "right")]
         else:  # each run filled with its running sum
             cdf, strict = np.empty(points.size), np.empty(points.size)
             for out, side in ((cdf, "left"), (strict, "right")):

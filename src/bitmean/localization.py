@@ -50,10 +50,6 @@ __all__ = [
 LOWER_BAND = (0.44, 0.50)
 UPPER_BAND = (0.50, 0.56)
 DECISION_MARGIN = 0.03
-# Plans gray_plan keeps.  Counted, defaults: `localize --method gray` asks one
-# (params, delta) key 100 times, once per trial; `run --method gray` one key
-# twice, in two_stage_cost and two_stage_estimate.  A plan has <= 24 rows.
-GRAY_PLAN_CACHE_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -235,7 +231,10 @@ class GrayPlan:
         return self.table.per_block
 
 
-@functools.lru_cache(maxsize=GRAY_PLAN_CACHE_SIZE)
+# One plan kept.  Counted, defaults: `localize --method gray` asks one
+# (params, delta) key 100 times, once per trial; `run --method gray` one key
+# per trial, in two_stage_cost and two_stage_estimate.
+@functools.lru_cache(maxsize=1)
 def gray_plan(params: FamilyParams, delta: float) -> GrayPlan | None:
     """M = floor(log2(lam/sigma) - 1 - 2/k') bits, J = ceil(8 ln(2M/delta)) votes.
 
@@ -243,7 +242,7 @@ def gray_plan(params: FamilyParams, delta: float) -> GrayPlan | None:
     O(sigma) long and localization is bypassed entirely.  Raises
     ``ValueError`` when M exceeds ``MAX_GRAY_LEVEL``, before any query.
     A plan is built once per (params, delta), so every trial draws one table:
-    the last ``GRAY_PLAN_CACHE_SIZE`` are kept; ``gray_plan.cache_clear()`` drops them.
+    the last one is kept; ``gray_plan.cache_clear()`` drops it.
     """
     if not 0 < delta < 1:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
@@ -256,7 +255,7 @@ def gray_plan(params: FamilyParams, delta: float) -> GrayPlan | None:
         raise ValueError(f"lam/sigma = {ratio:g} needs {n_bits} Gray levels, beyond "
                          f"MAX_GRAY_LEVEL = {MAX_GRAY_LEVEL}")
     votes = delta_count(8.0 * math.log(2.0 * n_bits / delta), "votes per Gray bit", delta)
-    shift, scale = -float(params.lam), 2.0 * params.lam  # floats for any spelling of lam
+    shift, scale = -float(params.lam), 2.0 * float(params.lam)  # floats for any spelling of lam
     table = QueryTable([GrayBit(level, shift, scale) for level in range(1, n_bits + 1)],
                        [votes] * n_bits)
     return GrayPlan(n_bits=n_bits, votes_per_bit=votes, shift=shift, scale=scale, table=table)

@@ -873,8 +873,8 @@ def test_on_sorted_points_equal_public_oracles_bytewise(d):
                 continue
             for oracle, values in zip(oracles[2:], got[2:]):
                 assert values.tobytes() == oracle(points).tobytes()
-    # a table of uniform thresholds on enough points for a mixture's fill
-    # reads the partial means through it, as the per-kind oracles give them
+    # a table of uniform thresholds on as many points as a mixture's CDF fill
+    # takes reads the partial means as the per-kind oracles give them
     fill = FILL_POINTS_PER_ATOM * (atoms.size + 6)
     points = np.unique(np.concatenate([atoms, np.linspace(-40.0, 40.0, fill)]))
     table = _uniform_table(points)

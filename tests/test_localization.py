@@ -175,6 +175,18 @@ def test_run_localize_gray_same_text_on_cold_and_warm_plan():
     assert warm == cold
 
 
+def test_a_kept_gray_plan_holds_float64_for_any_spelling_of_lam():
+    # equal params share one kept plan, so its shift and scale must not keep
+    # the type of whichever lam built it first
+    gray_plan.cache_clear()
+    first = gray_plan(FamilyParams(2.0, np.float32(1024.0), 1.0), 0.1)
+    kept = gray_plan(FamilyParams(2.0, 1024.0, 1.0), 0.1)
+    assert kept is first
+    assert type(kept.shift) is float and type(kept.scale) is float
+    assert (kept.shift, kept.scale) == (-1024.0, 2048.0)
+    gray_plan.cache_clear()
+
+
 @pytest.mark.parametrize("name", sorted(acceptance_matrix()))
 def test_gray_plan_table_probabilities_equal_per_level_loop(name):
     # bitwise: what keeps localize_gray's seeded answers when its M draws
